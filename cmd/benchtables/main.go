@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -169,6 +170,7 @@ func checkScalingGate(rows []benchfmt.ScalingRow, gate float64) {
 func runScaling(w io.Writer, cellSizes, workerCounts []int) []benchfmt.ScalingRow {
 	fmt.Fprintln(w, "== Scaling: level-scheduled parallel analysis, workers x design size (SoC workload) ==")
 	fmt.Fprintf(w, "host: %d CPUs, GOMAXPROCS %d\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	ctx := context.Background()
 	lib := celllib.Default()
 	var out []benchfmt.ScalingRow
 	fmt.Fprintf(w, "%9s %9s %7s %8s %12s %9s %14s %7s\n",
@@ -196,12 +198,13 @@ func runScaling(w io.Writer, cellSizes, workerCounts []int) []benchfmt.ScalingRo
 			var analyze, recompute time.Duration
 			for i := 0; i < 3; i++ {
 				t0 := time.Now()
-				sta.AnalyzeParallel(cd, st, workers)
+				_, err := sta.AnalyzeContext(ctx, cd, st, workers)
+				must(err)
 				if e := time.Since(t0); analyze == 0 || e < analyze {
 					analyze = e
 				}
 				t1 := time.Now()
-				sta.RecomputeParallel(cd, st, res, ids, workers)
+				must(sta.RecomputeContext(ctx, cd, st, res, ids, workers))
 				if e := time.Since(t1); recompute == 0 || e < recompute {
 					recompute = e
 				}
@@ -299,7 +302,7 @@ func sessionOpen(lib *celllib.Library, d *netlist.Design) (cold, shared time.Dur
 	}
 	for i := 0; i < 3; i++ {
 		t0 := time.Now()
-		_, err := incremental.OpenShared(lib, d, opts, cd, nil)
+		_, err := incremental.OpenSharedContext(context.Background(), lib, d, opts, cd, nil)
 		must(err)
 		if e := time.Since(t0); shared == 0 || e < shared {
 			shared = e

@@ -190,7 +190,7 @@ func run(args []string, w, errW io.Writer) error {
 		maxInflight = fs.Int("max-inflight", 32, "maximum concurrently served requests (0 = unbounded)")
 		queueWait   = fs.Duration("queue-timeout", time.Second, "how long an over-limit request may wait before 429")
 		maxSweeps   = fs.Int("max-sweeps", 0, "fixed-point sweep budget per iteration (0 = auto)")
-		workers     = fs.Int("workers", 0, "parallel analysis workers per request; full analyses and large incremental recomputes spread across this many goroutines (<=1 = sequential)")
+		workers     = fs.Int("workers", 0, "parallel analysis workers per request; full analyses and large incremental recomputes spread across this many goroutines, capped at GOMAXPROCS (<=1 = sequential)")
 		journalDir  = fs.String("journal-dir", "", "directory for per-session edit journals (crash recovery; empty = off)")
 		shutGrace   = fs.Duration("shutdown-grace", 5*time.Second, "how long shutdown may drain connections and flush journals")
 		failpoints  = fs.Bool("failpoints", false, "expose /debug/failpoints fault-injection endpoints")
@@ -1093,23 +1093,7 @@ func (s *server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	} else {
 		mCacheMisses.Inc()
 		var err error
-		if cd, release := s.compile.acquire(key); cd != nil {
-			// Another session already compiled this exact design+adjustments:
-			// share its CompiledDesign read-only and skip elaboration. The
-			// engine gets only a private AnalysisState.
-			sharedDesign = true
-			eng, err = incremental.OpenSharedContext(r.Context(), s.lib, design, opts, cd, release)
-		} else {
-			eng, err = incremental.OpenContext(r.Context(), s.lib, design, opts)
-			if err == nil {
-				// Publish the freshly compiled design so the next same-key
-				// open shares it. If a racing open published first, this
-				// engine simply stays private.
-				if release, ok := s.compile.publish(key, eng.CompiledDesign()); ok {
-					eng.ShareCompiled(release)
-				}
-			}
-		}
+		eng, sharedDesign, err = s.openEngine(r.Context(), key, design, opts)
 		if err != nil {
 			writeAnalysisError(w, "open design", err)
 			return
@@ -1151,6 +1135,27 @@ func (s *server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	addSummary(resp, ss)
 	ss.mu.Unlock()
 	writeJSON(w, http.StatusCreated, resp)
+}
+
+// openEngine opens an engine for design through the compile cache under
+// key (incremental.StateKey of the design and its adjustments). When
+// another session already compiled the same key, the engine shares that
+// CompiledDesign read-only, skips elaboration and gets only a private
+// AnalysisState (shared is true). Otherwise the design is compiled
+// privately and published, so the next same-key open shares it; if a
+// racing open published first, this engine simply stays private.
+func (s *server) openEngine(ctx context.Context, key string, design *netlist.Design, opts core.Options) (eng *incremental.Engine, shared bool, err error) {
+	if cd, release := s.compile.acquire(key); cd != nil {
+		eng, err = incremental.OpenSharedContext(ctx, s.lib, design, opts, cd, release)
+		return eng, true, err
+	}
+	eng, err = incremental.OpenContext(ctx, s.lib, design, opts)
+	if err == nil {
+		if release, ok := s.compile.publish(key, eng.CompiledDesign()); ok {
+			eng.ShareCompiled(release)
+		}
+	}
+	return eng, false, err
 }
 
 // recoverSessions replays every intact journal in the journal directory,
@@ -1227,17 +1232,7 @@ func (s *server) replaySession(id string) (*sess, *openRequest, []json.RawMessag
 	// recovery and adoption then share CompiledDesigns across sessions —
 	// and find the one a standby pre-warm already built (replication.go).
 	key := incremental.StateKey(design, opts.Adjustments)
-	var eng *incremental.Engine
-	if cd, release := s.compile.acquire(key); cd != nil {
-		eng, err = incremental.OpenShared(s.lib, design, opts, cd, release)
-	} else {
-		eng, err = incremental.Open(s.lib, design, opts)
-		if err == nil {
-			if release, ok := s.compile.publish(key, eng.CompiledDesign()); ok {
-				eng.ShareCompiled(release)
-			}
-		}
-	}
+	eng, _, err := s.openEngine(context.Background(), key, design, opts)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("reopen design: %w", err)
 	}

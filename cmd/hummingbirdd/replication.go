@@ -568,9 +568,9 @@ func (s *server) handleReplForget(w http.ResponseWriter, r *http.Request) {
 
 // handlePark closes a session's live serving state while keeping its
 // journal on disk: the engine parks in the LRU (same as close), the
-// replication stream is flushed and detached, and the response reports
-// residual stream lag so the router knows whether the peer's standby is
-// complete. Step one of a planned migration.
+// replication streams are flushed and detached, and the response reports
+// each chain hop's residual lag ("hops") so the router knows whether that
+// peer's standby is complete. Step one of a planned migration.
 func (s *server) handlePark(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -581,16 +581,13 @@ func (s *server) handlePark(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	lag, peer := 0, ""
+	lag := 0
 	var hops []fleet.HopLag
 	if s.streams != nil {
 		if st := s.streams.Detach(id); st != nil {
 			st.Flush()
 			hops = st.HopLags()
 			lag = st.Lag()
-			if len(hops) > 0 {
-				peer = hops[0].Peer
-			}
 			st.Close()
 		}
 	}
@@ -610,7 +607,7 @@ func (s *server) handlePark(w http.ResponseWriter, r *http.Request) {
 	traceID, _ := inboundTraceID(r)
 	s.flight.Record(flight.Info, "session.park", id, traceID, "parked (stream lag %d)", lag)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"session": id, "parked": parked, "stream_lag": lag, "stream_peer": peer, "hops": hops,
+		"session": id, "parked": parked, "hops": hops,
 	})
 }
 

@@ -50,9 +50,9 @@ type Options struct {
 	Adjustments map[string]clock.Time
 	// Workers sets the worker count of the level-scheduled parallel block
 	// analysis: full analyses and sufficiently large incremental
-	// recomputes are spread across this many goroutines (see
-	// sta.AnalyzeParallel / sta.RecomputeParallel). 0 or 1 keeps every
-	// analysis sequential; results are identical either way.
+	// recomputes are spread across this many goroutines, capped at
+	// GOMAXPROCS (see sta.AnalyzeContext / sta.RecomputeContext). 0 or 1
+	// keeps every analysis sequential; results are identical either way.
 	Workers int
 	// FullSweeps disables incremental re-analysis: every fixed-point sweep
 	// recomputes every cluster, as the paper's plain formulation does.
@@ -119,10 +119,9 @@ func newAnalyzer(lib *celllib.Library, design *netlist.Design, cd *cluster.Compi
 // many clusters were recomputed. iter and k name the fixed-point
 // iteration and the sweep's index within it, labelling the per-sweep
 // request span (each sweep of a traced request becomes one "core.sweep"
-// child whose own child is the sta recompute it triggered). A nil ctx
-// (the legacy entry points) makes the sweep uninterruptible; with a
-// context the re-analysis is abandoned mid-sweep on expiry, returning
-// the cause — res is then stale and must be discarded.
+// child whose own child is the sta recompute it triggered). The
+// re-analysis is abandoned mid-sweep when ctx expires, returning the
+// cause — res is then stale and must be discarded.
 func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Result, op func(ei int, e *syncelem.Element) clock.Time) (*sta.Result, int, int, error) {
 	mSweeps.Inc()
 	sctx, sp := span.Start(ctx, "core.sweep")
@@ -151,11 +150,8 @@ func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Resul
 	mOffsetsMoved.Add(int64(moved))
 	if a.Opts.FullSweeps {
 		mFullSweeps.Inc()
-		if ctx != nil {
-			r, err := sta.AnalyzeParallelContext(sctx, a.CD, a.St, a.Opts.Workers)
-			return r, moved, len(a.CD.CC), err
-		}
-		return sta.AnalyzeParallel(a.CD, a.St, a.Opts.Workers), moved, len(a.CD.CC), nil
+		r, err := sta.AnalyzeContext(sctx, a.CD, a.St, a.Opts.Workers)
+		return r, moved, len(a.CD.CC), err
 	}
 	ids := a.dirtyIDs[:0]
 	for w, word := range a.dirty {
@@ -166,13 +162,9 @@ func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Resul
 	a.dirtyIDs = ids
 	mIncrClusters.Add(int64(len(ids)))
 	mIncrSkipped.Add(int64(len(a.CD.CC) - len(ids)))
-	if ctx != nil {
-		if err := sta.RecomputeParallelContext(sctx, a.CD, a.St, res, ids, a.Opts.Workers); err != nil {
-			return nil, moved, len(ids), err
-		}
-		return res, moved, len(ids), nil
+	if err := sta.RecomputeContext(sctx, a.CD, a.St, res, ids, a.Opts.Workers); err != nil {
+		return nil, moved, len(ids), err
 	}
-	sta.RecomputeParallel(a.CD, a.St, res, ids, a.Opts.Workers)
 	return res, moved, len(ids), nil
 }
 
@@ -281,24 +273,14 @@ func allPositive(res *sta.Result) bool {
 // constraints" uses the latest-closure initialisation of syncelem.Build).
 func (a *Analyzer) ResetOffsets() { a.St.Reset() }
 
-// IdentifySlowPaths runs Algorithm 1 and returns the report. It cannot be
-// interrupted; servers and other callers with deadlines use
-// IdentifySlowPathsCtx.
+// IdentifySlowPaths runs Algorithm 1 from a fresh block analysis and
+// returns the report. It has no deadline; callers with one analyze with
+// sta.AnalyzeContext and continue with IdentifySlowPathsFromCtx.
 func (a *Analyzer) IdentifySlowPaths() (*Report, error) {
 	t0 := time.Now()
 	defer func() { tAnalysis.Observe(time.Since(t0)) }()
-	return a.identifySlowPathsFrom(nil, sta.AnalyzeParallel(a.CD, a.St, a.Opts.Workers))
-}
-
-// IdentifySlowPathsCtx is IdentifySlowPaths with cancellation: the context
-// is checked inside every fixed-point sweep (between cluster
-// re-analyses), so an expired deadline interrupts even a single
-// long-running sweep. The returned error is a *CancelledError wrapping
-// the cause.
-func (a *Analyzer) IdentifySlowPathsCtx(ctx context.Context) (*Report, error) {
-	t0 := time.Now()
-	defer func() { tAnalysis.Observe(time.Since(t0)) }()
-	res, err := sta.AnalyzeParallelContext(ctx, a.CD, a.St, a.Opts.Workers)
+	ctx := context.Background()
+	res, err := sta.AnalyzeContext(ctx, a.CD, a.St, a.Opts.Workers)
 	if err != nil {
 		a.conv.reset(a.Opts.Trace != nil)
 		return nil, a.cancelled("", 0, err)
@@ -306,28 +288,27 @@ func (a *Analyzer) IdentifySlowPathsCtx(ctx context.Context) (*Report, error) {
 	return a.identifySlowPathsFrom(ctx, res)
 }
 
-// IdentifySlowPathsFrom runs Algorithm 1 starting from res, which must be
-// the block analysis of the network at its current offsets (for example a
-// cached result brought up to date with sta.Recompute). res is consumed:
-// the fixed point mutates it in place and the report retains it.
+// IdentifySlowPathsFrom is IdentifySlowPathsFromCtx without a deadline.
 func (a *Analyzer) IdentifySlowPathsFrom(res *sta.Result) (*Report, error) {
-	t0 := time.Now()
-	defer func() { tAnalysis.Observe(time.Since(t0)) }()
-	return a.identifySlowPathsFrom(nil, res)
+	return a.IdentifySlowPathsFromCtx(context.Background(), res)
 }
 
-// IdentifySlowPathsFromCtx is IdentifySlowPathsFrom with cancellation;
-// see IdentifySlowPathsCtx. On error res has been partially mutated and
-// must be discarded along with the offsets (call ResetOffsets before
-// reusing the analyzer).
+// IdentifySlowPathsFromCtx runs Algorithm 1 starting from res, which must
+// be the block analysis of the network at its current offsets (for
+// example a cached result brought up to date with sta.RecomputeContext).
+// res is consumed: the fixed point mutates it in place and the report
+// retains it. The context is checked inside every fixed-point sweep
+// (between cluster re-analyses), so an expired deadline interrupts even a
+// single long-running sweep. The error is then a *CancelledError wrapping
+// the cause; res has been partially mutated and must be discarded along
+// with the offsets (call ResetOffsets before reusing the analyzer).
 func (a *Analyzer) IdentifySlowPathsFromCtx(ctx context.Context, res *sta.Result) (*Report, error) {
 	t0 := time.Now()
 	defer func() { tAnalysis.Observe(time.Since(t0)) }()
 	return a.identifySlowPathsFrom(ctx, res)
 }
 
-// identifySlowPathsFrom is Algorithm 1. A nil ctx runs it to completion
-// unconditionally; a non-nil ctx makes every sweep interruptible, with
+// identifySlowPathsFrom is Algorithm 1; every sweep is interruptible, with
 // interruptions surfaced as *CancelledError.
 func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result) (*Report, error) {
 	a.conv.reset(a.Opts.Trace != nil)

@@ -35,23 +35,15 @@ type Constraints struct {
 	Trajectory []telemetry.SweepEvent
 }
 
-// GenerateConstraints runs Algorithm 2. The analyzer's offsets should
-// already be at Algorithm 1's fixed point (Initialise: "Use Algorithm 1 to
-// generate initial offsets"); call IdentifySlowPaths first.
+// GenerateConstraints runs Algorithm 2 from a fresh block analysis. The
+// analyzer's offsets should already be at Algorithm 1's fixed point
+// (Initialise: "Use Algorithm 1 to generate initial offsets"); call
+// IdentifySlowPaths first.
 func (a *Analyzer) GenerateConstraints() (*Constraints, error) {
 	t0 := time.Now()
 	defer func() { tConstraints.Observe(time.Since(t0)) }()
-	return a.generateConstraintsFrom(nil, sta.Analyze(a.CD, a.St))
-}
-
-// GenerateConstraintsCtx is GenerateConstraints with cancellation, checked
-// inside every snatch sweep; interruptions surface as *CancelledError.
-// On error the element offsets have moved and must be restored (or the
-// analyzer reloaded) before further use.
-func (a *Analyzer) GenerateConstraintsCtx(ctx context.Context) (*Constraints, error) {
-	t0 := time.Now()
-	defer func() { tConstraints.Observe(time.Since(t0)) }()
-	res, err := sta.AnalyzeContext(ctx, a.CD, a.St)
+	ctx := context.Background()
+	res, err := sta.AnalyzeContext(ctx, a.CD, a.St, a.Opts.Workers)
 	if err != nil {
 		a.conv.reset(a.Opts.Trace != nil)
 		return nil, a.cancelled("", 0, err)
@@ -59,28 +51,28 @@ func (a *Analyzer) GenerateConstraintsCtx(ctx context.Context) (*Constraints, er
 	return a.generateConstraintsFrom(ctx, res)
 }
 
-// GenerateConstraintsFrom runs Algorithm 2 starting from res, which must be
-// the block analysis of the network at the current (post-Algorithm-1)
-// offsets — typically a clone of the Report's final Result. res is consumed:
-// the snatch fixed points mutate it in place. Note the snatches also move
-// the element offsets; callers that want to keep using the Algorithm-1
-// fixed point must save and restore the offsets around this call.
+// GenerateConstraintsFrom is GenerateConstraintsFromCtx without a
+// deadline.
 func (a *Analyzer) GenerateConstraintsFrom(res *sta.Result) (*Constraints, error) {
-	t0 := time.Now()
-	defer func() { tConstraints.Observe(time.Since(t0)) }()
-	return a.generateConstraintsFrom(nil, res)
+	return a.GenerateConstraintsFromCtx(context.Background(), res)
 }
 
-// GenerateConstraintsFromCtx is GenerateConstraintsFrom with
-// cancellation; see GenerateConstraintsCtx.
+// GenerateConstraintsFromCtx runs Algorithm 2 starting from res, which
+// must be the block analysis of the network at the current
+// (post-Algorithm-1) offsets — typically a clone of the Report's final
+// Result. res is consumed: the snatch fixed points mutate it in place.
+// Note the snatches also move the element offsets; callers that want to
+// keep using the Algorithm-1 fixed point must save and restore the
+// offsets around this call. The context is checked inside every snatch
+// sweep; interruptions surface as *CancelledError, after which the
+// offsets must be restored (or the analyzer reloaded) before further use.
 func (a *Analyzer) GenerateConstraintsFromCtx(ctx context.Context, res *sta.Result) (*Constraints, error) {
 	t0 := time.Now()
 	defer func() { tConstraints.Observe(time.Since(t0)) }()
 	return a.generateConstraintsFrom(ctx, res)
 }
 
-// generateConstraintsFrom is Algorithm 2. A nil ctx runs it to completion
-// unconditionally; a non-nil ctx makes every sweep interruptible.
+// generateConstraintsFrom is Algorithm 2; every sweep is interruptible.
 func (a *Analyzer) generateConstraintsFrom(ctx context.Context, res *sta.Result) (*Constraints, error) {
 	a.conv.reset(a.Opts.Trace != nil)
 	c := &Constraints{}

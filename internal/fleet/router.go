@@ -264,15 +264,12 @@ func (r *Router) chainLocked(key, primary string) []Member {
 	return out
 }
 
-// setPeerHeaders writes a replication chain onto an outbound request:
-// the multi-hop PeersHeader plus the legacy single-peer pair for hop 1.
+// setPeerHeaders writes a replication chain onto an outbound request.
 func setPeerHeaders(hdr http.Header, peers []Member) {
 	if len(peers) == 0 {
 		return
 	}
 	hdr.Set(PeersHeader, FormatPeers(peers))
-	hdr.Set(PeerHeader, peers[0].URL)
-	hdr.Set(PeerIDHeader, peers[0].ID)
 }
 
 func memberIDs(peers []Member) []string {
@@ -1049,9 +1046,7 @@ func (r *Router) migrateSession(rt *sessionRoute, from string) (err error) {
 		return fmt.Errorf("park on %s: status %d: %s", from, presp.status, truncate(presp.body, 200))
 	}
 	var park struct {
-		StreamLag  int      `json:"stream_lag"`
-		StreamPeer string   `json:"stream_peer"`
-		Hops       []HopLag `json:"hops"`
+		Hops []HopLag `json:"hops"`
 	}
 	_ = json.Unmarshal(presp.body, &park)
 
@@ -1064,9 +1059,6 @@ func (r *Router) migrateSession(rt *sessionRoute, from string) (err error) {
 		if h.Peer == target && h.Lag == 0 {
 			caughtUp = true
 		}
-	}
-	if !caughtUp && target == park.StreamPeer && park.StreamLag == 0 {
-		caughtUp = true // legacy single-hop park response
 	}
 	if !caughtUp {
 		hctx, hs := span.Start(ctx, "journal-handoff")

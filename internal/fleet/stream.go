@@ -24,13 +24,10 @@ var (
 
 // FirstSeqHeader carries the sequence number of the first frame in a
 // replication POST body. PeersHeader carries the session's replication
-// chain as "id=url,id=url,..." in ring order; the legacy single-peer
-// PeerHeader/PeerIDHeader pair is still parsed as a one-hop chain.
+// chain as "id=url,id=url,..." in ring order.
 const (
 	FirstSeqHeader = "X-Hb-First-Seq"
 	PeersHeader    = "X-Hb-Peers"
-	PeerHeader     = "X-Hb-Peer"
-	PeerIDHeader   = "X-Hb-Peer-Id"
 )
 
 // FormatPeers renders a replication chain for the PeersHeader.
@@ -45,23 +42,16 @@ func FormatPeers(peers []Member) string {
 	return strings.Join(parts, ",")
 }
 
-// ParsePeers decodes a replication chain from request headers: the
-// multi-hop PeersHeader when present, else the legacy single-peer pair.
-// Malformed entries are dropped rather than failing the request — a
-// session with a short (or empty) chain still serves.
+// ParsePeers decodes a replication chain from the PeersHeader. Malformed
+// entries are dropped rather than failing the request — a session with a
+// short (or empty) chain still serves.
 func ParsePeers(h http.Header) []Member {
 	var out []Member
-	if v := h.Get(PeersHeader); v != "" {
-		for _, part := range strings.Split(v, ",") {
-			id, url, ok := strings.Cut(strings.TrimSpace(part), "=")
-			if !ok || id == "" || url == "" {
-				continue
-			}
-			out = append(out, Member{ID: id, URL: url})
+	for _, part := range strings.Split(h.Get(PeersHeader), ",") {
+		id, url, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok || id == "" || url == "" {
+			continue
 		}
-		return out
-	}
-	if url, id := h.Get(PeerHeader), h.Get(PeerIDHeader); url != "" {
 		out = append(out, Member{ID: id, URL: url})
 	}
 	return out

@@ -127,8 +127,7 @@ func TestStreamConflictRecovery(t *testing.T) {
 }
 
 // TestPeersHeaderRoundTrip: FormatPeers/ParsePeers carry a chain through
-// headers; the legacy single-peer pair still parses; malformed entries
-// drop silently.
+// headers; malformed entries drop silently.
 func TestPeersHeaderRoundTrip(t *testing.T) {
 	chain := []Member{{ID: "r2", URL: "http://h2:1"}, {ID: "r3", URL: "http://h3:1"}}
 	h := http.Header{}
@@ -136,13 +135,6 @@ func TestPeersHeaderRoundTrip(t *testing.T) {
 	got := ParsePeers(h)
 	if len(got) != 2 || got[0] != chain[0] || got[1] != chain[1] {
 		t.Fatalf("round trip: %+v", got)
-	}
-
-	legacy := http.Header{}
-	legacy.Set(PeerHeader, "http://h2:1")
-	legacy.Set(PeerIDHeader, "r2")
-	if got := ParsePeers(legacy); len(got) != 1 || got[0].ID != "r2" || got[0].URL != "http://h2:1" {
-		t.Fatalf("legacy pair: %+v", got)
 	}
 
 	bad := http.Header{}

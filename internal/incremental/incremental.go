@@ -2,7 +2,7 @@
 // an edit API (resize/replace cell, adjust delays, add/remove instances,
 // rewire pins), a dirty-set propagator mapping each edit to the minimal set
 // of affected clusters, and a cached block-analysis state reused across
-// edits through sta.Recompute.
+// edits through sta.RecomputeContext.
 //
 // The paper's Algorithm 3 re-analyzes the network after every resynthesis
 // edit; a full re-analysis re-elaborates clusters and re-runs every pass
@@ -148,8 +148,8 @@ type Engine struct {
 	an     *core.Analyzer
 	// base is the block analysis at the *initial* offsets (ResetOffsets
 	// state) for the current design and delays: the cached sta.Result that
-	// delay-only edits bring up to date with sta.Recompute instead of
-	// re-running every cluster.
+	// delay-only edits bring up to date with sta.RecomputeContext instead
+	// of re-running every cluster.
 	base *sta.Result
 	// spare is a retired base buffer recycled by the next rebase: the
 	// delay-only path double-buffers e.base through sta.(*Result).CloneInto
@@ -174,24 +174,23 @@ type Engine struct {
 	arcsByTo   map[int][]arcRef
 
 	// sharedCD marks that the analyzer's CompiledDesign is shared read-only
-	// with other engines (opened through OpenShared or published to a
-	// compile cache). The first mutation of arc delays unshares it via a
+	// with other engines (opened through OpenSharedContext or published to
+	// a compile cache). The first mutation of arc delays unshares it via a
 	// copy-on-write clone; release is then invoked exactly once to drop the
 	// engine's reference on the shared design.
 	sharedCD bool
 	release  func()
 }
 
-// Open elaborates the design and runs the first full analysis. The design
-// is edited in place by delay-only edits and replaced wholesale by
-// topology edits — always read it back through Design().
+// Open is OpenContext without a deadline.
 func Open(lib *celllib.Library, design *netlist.Design, opts core.Options) (*Engine, error) {
-	return OpenContext(nil, lib, design, opts)
+	return OpenContext(context.Background(), lib, design, opts)
 }
 
-// OpenContext is Open with cancellation of the initial analysis: on an
-// expired deadline no engine is returned. A nil ctx is accepted and makes
-// the open uninterruptible.
+// OpenContext elaborates the design and runs the first full analysis; on
+// an expired deadline no engine is returned. The design is edited in place
+// by delay-only edits and replaced wholesale by topology edits — always
+// read it back through Design().
 func OpenContext(ctx context.Context, lib *celllib.Library, design *netlist.Design, opts core.Options) (*Engine, error) {
 	opts.Adjustments = cloneAdjust(opts.Adjustments)
 	e := &Engine{lib: lib, opts: opts, design: design}
@@ -201,20 +200,16 @@ func OpenContext(ctx context.Context, lib *celllib.Library, design *netlist.Desi
 	return e, nil
 }
 
-// OpenShared opens an engine directly on an already-compiled design,
-// skipping elaboration: the first full analysis runs against cd with a
-// fresh AnalysisState. design must be equivalent to the one cd was
+// OpenSharedContext opens an engine directly on an already-compiled
+// design, skipping elaboration: the first full analysis runs against cd
+// with a fresh AnalysisState. design must be equivalent to the one cd was
 // compiled from at the same cumulative options (callers key their compile
 // caches by StateKey to guarantee this). release, if non-nil, is called
 // exactly once when the engine stops referencing cd — on its first
 // structural or delay mutation (which unshares onto a private copy), or
-// through ReleaseShared.
-func OpenShared(lib *celllib.Library, design *netlist.Design, opts core.Options, cd *cluster.CompiledDesign, release func()) (*Engine, error) {
-	return OpenSharedContext(nil, lib, design, opts, cd, release)
-}
-
-// OpenSharedContext is OpenShared with cancellation of the initial
-// analysis. On error the shared reference is released before returning.
+// through ReleaseShared. On error (including an expired deadline during
+// the initial analysis) the shared reference is released before
+// returning.
 func OpenSharedContext(ctx context.Context, lib *celllib.Library, design *netlist.Design, opts core.Options, cd *cluster.CompiledDesign, release func()) (*Engine, error) {
 	opts.Adjustments = cloneAdjust(opts.Adjustments)
 	e := &Engine{lib: lib, opts: opts, design: design, sharedCD: true, release: release}
@@ -299,17 +294,17 @@ func (e *Engine) Options() core.Options {
 	return opts
 }
 
-// Constraints runs Algorithm 2 at the current fixed point, reusing the
-// final Algorithm 1 analysis instead of re-analyzing, and restores the
-// fixed-point offsets afterwards (the snatch sweeps move them). The result
-// is cached until the next edit.
+// Constraints is ConstraintsContext without a deadline.
 func (e *Engine) Constraints() (*core.Constraints, error) {
-	return e.ConstraintsContext(nil)
+	return e.ConstraintsContext(context.Background())
 }
 
-// ConstraintsContext is Constraints with cancellation. An interrupted
-// snatch fixed point restores the Algorithm-1 offsets before returning,
-// so the engine stays usable; only the constraints cache is left cold.
+// ConstraintsContext runs Algorithm 2 at the current fixed point, reusing
+// the final Algorithm 1 analysis instead of re-analyzing, and restores the
+// fixed-point offsets afterwards (the snatch sweeps move them). The result
+// is cached until the next edit. An interrupted snatch fixed point also
+// restores the Algorithm-1 offsets before returning, so the engine stays
+// usable; only the constraints cache is left cold.
 func (e *Engine) ConstraintsContext(ctx context.Context) (*core.Constraints, error) {
 	if e.cons != nil {
 		return e.cons, nil
@@ -319,13 +314,7 @@ func (e *Engine) ConstraintsContext(ctx context.Context) (*core.Constraints, err
 			return nil, err
 		}
 	}
-	var cons *core.Constraints
-	var err error
-	if ctx != nil {
-		cons, err = e.an.GenerateConstraintsFromCtx(ctx, e.rep.Result.Clone())
-	} else {
-		cons, err = e.an.GenerateConstraintsFrom(e.rep.Result.Clone())
-	}
+	cons, err := e.an.GenerateConstraintsFromCtx(ctx, e.rep.Result.Clone())
 	e.restoreOffsets()
 	if err != nil {
 		return nil, err
@@ -334,22 +323,25 @@ func (e *Engine) ConstraintsContext(ctx context.Context) (*core.Constraints, err
 	return cons, nil
 }
 
-// Apply applies a batch of edits as one unit and re-analyzes. Apply is
-// atomic: on any error — validation, cancellation, or a non-convergent
-// fixed point — the engine (design, adjustments, delays, cached report)
-// is exactly as it was before the call, so the previous report keeps
-// serving and retrying the same batch applies it exactly once.
+// Apply is ApplyContext without a deadline.
 func (e *Engine) Apply(edits ...Edit) (*Outcome, error) {
-	return e.ApplyContext(nil, edits...)
+	return e.ApplyContext(context.Background(), edits...)
 }
 
-// ApplyContext is Apply with cancellation of the re-analysis. The
-// atomicity guarantee of Apply holds for interruptions too: a cancelled
-// delay-only batch rolls its in-place patches back and a cancelled full
-// rebuild never adopts the edited design copy, so callers that persist
-// acknowledged batches (hummingbirdd's journal) stay consistent with the
-// live engine across timeouts.
+// ApplyContext applies a batch of edits as one unit and re-analyzes. It
+// is atomic: on any error — validation, cancellation, or a non-convergent
+// fixed point — the engine (design, adjustments, delays, cached report)
+// is exactly as it was before the call, so the previous report keeps
+// serving and retrying the same batch applies it exactly once. A
+// cancelled delay-only batch rolls its in-place patches back and a
+// cancelled full rebuild never adopts the edited design copy, so callers
+// that persist acknowledged batches (hummingbirdd's journal) stay
+// consistent with the live engine across timeouts.
 func (e *Engine) ApplyContext(ctx context.Context, edits ...Edit) (*Outcome, error) {
+	// perfbench's untraced edit loop passes a nil ctx: no deadline.
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if len(edits) == 0 {
 		return &Outcome{Incremental: true, Report: e.rep}, nil
 	}
@@ -661,25 +653,15 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 	if len(ids) > 0 {
 		// Large dirty sets (≥ the sta threshold) ride the level-scheduled
 		// parallel walk when the engine was opened with Options.Workers;
-		// small ones stay on the sequential allocation-free path.
-		if ctx != nil {
-			if err := sta.RecomputeParallelContext(ctx, e.an.CD, e.an.St, res, ids, e.opts.Workers); err != nil {
-				rollback()
-				return nil, err
-			}
-		} else {
-			sta.RecomputeParallel(e.an.CD, e.an.St, res, ids, e.opts.Workers)
+		// small ones stay on the inline allocation-free path.
+		if err := sta.RecomputeContext(ctx, e.an.CD, e.an.St, res, ids, e.opts.Workers); err != nil {
+			rollback()
+			return nil, err
 		}
 		e.base = res.CloneInto(e.spare)
 		e.spare = nil
 	}
-	var rep *core.Report
-	var err error
-	if ctx != nil {
-		rep, err = e.an.IdentifySlowPathsFromCtx(ctx, res)
-	} else {
-		rep, err = e.an.IdentifySlowPathsFrom(res)
-	}
+	rep, err := e.an.IdentifySlowPathsFromCtx(ctx, res)
 	if err != nil {
 		rollback()
 		return nil, err
@@ -765,9 +747,9 @@ func (e *Engine) applyFull(ctx context.Context, edits []Edit) (*Outcome, error) 
 }
 
 // loadFull re-elaborates the current design and runs a full analysis,
-// refreshing every cache (ctx may be nil: uninterruptible). The engine's
-// previous state survives a failed or interrupted elaboration; a
-// non-convergent fixed point invalidates the report.
+// refreshing every cache. The engine's previous state survives a failed
+// or interrupted elaboration; a non-convergent fixed point invalidates
+// the report.
 func (e *Engine) loadFull(ctx context.Context) error {
 	mFullAnalyses.Inc()
 	mCacheMisses.Inc()
@@ -788,22 +770,12 @@ func (e *Engine) loadFull(ctx context.Context) error {
 // analyzer and, on success, adopts it along with rebuilt caches and
 // indexes. The engine's previous state survives a failure.
 func (e *Engine) analyzeFresh(ctx context.Context, an *core.Analyzer) error {
-	var res *sta.Result
-	var err error
-	if ctx != nil {
-		if res, err = sta.AnalyzeParallelContext(ctx, an.CD, an.St, an.Opts.Workers); err != nil {
-			return err
-		}
-	} else {
-		res = sta.AnalyzeParallel(an.CD, an.St, an.Opts.Workers)
+	res, err := sta.AnalyzeContext(ctx, an.CD, an.St, an.Opts.Workers)
+	if err != nil {
+		return err
 	}
 	base := res.Clone()
-	var rep *core.Report
-	if ctx != nil {
-		rep, err = an.IdentifySlowPathsFromCtx(ctx, res)
-	} else {
-		rep, err = an.IdentifySlowPathsFrom(res)
-	}
+	rep, err := an.IdentifySlowPathsFromCtx(ctx, res)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@
 package resynth
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -94,14 +93,6 @@ func designArea(lib *celllib.Library, d *netlist.Design) int64 {
 // actually changed — the paper's Algorithm 3 "re-perform timing analysis"
 // step at incremental cost.
 func Run(lib *celllib.Library, design *netlist.Design, opts core.Options, maxIter int) (*Result, error) {
-	return RunContext(nil, lib, design, opts, maxIter)
-}
-
-// RunContext is Run with cancellation: the context is threaded into every
-// analysis and constraint generation, and also checked at the top of each
-// redesign iteration, so a deadline interrupts the loop between steps as
-// well as inside one. A nil ctx is accepted and runs to completion.
-func RunContext(ctx context.Context, lib *celllib.Library, design *netlist.Design, opts core.Options, maxIter int) (*Result, error) {
 	res := &Result{AreaBefore: designArea(lib, design)}
 	var eng *incremental.Engine
 	defer func() {
@@ -112,14 +103,11 @@ func RunContext(ctx context.Context, lib *celllib.Library, design *netlist.Desig
 		res.AreaAfter = designArea(lib, d)
 	}()
 
-	eng, err := incremental.OpenContext(ctx, lib, design, opts)
+	eng, err := incremental.Open(lib, design, opts)
 	if err != nil {
 		return nil, err
 	}
 	for iter := 0; ; iter++ {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, context.Cause(ctx)
-		}
 		rep := eng.Report()
 		res.Iterations = iter + 1
 		res.WorstSlack = rep.WorstSlack()
@@ -132,7 +120,7 @@ func RunContext(ctx context.Context, lib *celllib.Library, design *netlist.Desig
 		}
 		// Constraint generation for the modules traversed by slow paths
 		// (Algorithm 2); the budgets steer candidate selection.
-		constraints, err := eng.ConstraintsContext(ctx)
+		constraints, err := eng.Constraints()
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +128,7 @@ func RunContext(ctx context.Context, lib *celllib.Library, design *netlist.Desig
 		if !ok {
 			return res, nil // no move available: report failure honestly
 		}
-		if _, err := eng.ApplyContext(ctx, incremental.Edit{Op: incremental.Resize, Inst: change.Inst, To: change.ToCell}); err != nil {
+		if _, err := eng.Apply(incremental.Edit{Op: incremental.Resize, Inst: change.Inst, To: change.ToCell}); err != nil {
 			return nil, err
 		}
 		res.Changes = append(res.Changes, change)

@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"testing"
 
 	"hummingbird/internal/cluster"
@@ -8,10 +9,11 @@ import (
 )
 
 // TestRecomputeAllocs is the allocation-regression guard for the hot
-// incremental path: a steady-state Recompute of one dirty cluster must stay
-// within a handful of allocations — the per-cluster pass-detail backing and
-// slice growth, nothing else. The dirty bitset, the scratch arenas and the
-// pass ordering are all reused state; a regression here (a per-call map, a
+// incremental path: a steady-state RecomputeContext of one dirty cluster —
+// the inline path every small incremental sweep takes — must stay within a
+// handful of allocations: the per-cluster pass-detail backing and slice
+// growth, nothing else. The dirty bitset, the scratch arenas and the pass
+// ordering are all reused state; a regression here (a per-call map, a
 // per-pass make, a sort.Slice closure) shows up immediately.
 func TestRecomputeAllocs(t *testing.T) {
 	nw := buildWorkload(t, mustGen(workload.ALU()))
@@ -19,16 +21,20 @@ func TestRecomputeAllocs(t *testing.T) {
 	st := NewState(cd)
 	res := Analyze(cd, st)
 	ids := []int{0}
+	ctx := context.Background()
+	recompute := func() {
+		if err := RecomputeContext(ctx, cd, st, res, ids, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Warm the pooled scratch so the measurement sees steady state.
-	Recompute(cd, st, res, ids)
+	recompute()
 
-	allocs := testing.AllocsPerRun(50, func() {
-		Recompute(cd, st, res, ids)
-	})
+	allocs := testing.AllocsPerRun(50, recompute)
 	// One backing per recomputed cluster's pass details (they escape into
 	// the result), plus margin for an occasional pool refill after GC.
 	const limit = 3
 	if allocs > limit {
-		t.Fatalf("Recompute allocates %.1f times per run, limit %d", allocs, limit)
+		t.Fatalf("RecomputeContext allocates %.1f times per run, limit %d", allocs, limit)
 	}
 }

@@ -1,7 +1,6 @@
 package sta
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"hummingbird/internal/clock"
 	"hummingbird/internal/cluster"
 	"hummingbird/internal/telemetry"
-	"hummingbird/internal/telemetry/span"
 )
 
 // Level-scheduled work-stealing analysis.
@@ -87,8 +85,8 @@ func buildChunks(cd *cluster.CompiledDesign, order []int32, workers int) []chunk
 // runLevelScheduled executes fn once per cluster id in order, spread
 // across the worker pool with stealing. fn must be safe for concurrent
 // invocation on distinct ids; each invocation receives the calling
-// worker's private scratch arena. check (optional) runs before every
-// cluster; its first error stops all workers and is returned.
+// worker's private scratch arena. check runs before every cluster; its
+// first error stops all workers and is returned.
 func runLevelScheduled(cd *cluster.CompiledDesign, st *AnalysisState, order []int32, workers int, check func() error, fn func(id int32, buf *[]clock.Time)) error {
 	chunks := buildChunks(cd, order, workers)
 	if workers > len(chunks) {
@@ -149,11 +147,9 @@ func runLevelScheduled(cd *cluster.CompiledDesign, st *AnalysisState, order []in
 					}
 					c := q.chunks[ci]
 					for _, id := range order[c.lo:c.hi] {
-						if check != nil {
-							if err := check(); err != nil {
-								fail(err)
-								return
-							}
+						if err := check(); err != nil {
+							fail(err)
+							return
 						}
 						fn(id, buf)
 					}
@@ -174,114 +170,4 @@ func runLevelScheduled(cd *cluster.CompiledDesign, st *AnalysisState, order []in
 	errMu.Lock()
 	defer errMu.Unlock()
 	return firstErr
-}
-
-// AnalyzeParallel is Analyze with the per-cluster work spread across the
-// given number of workers by the level-scheduled work-stealing scheduler.
-// Clusters touch disjoint slices of the result, so no locking is needed
-// beyond the final deterministic merge of the pass details. Results are
-// identical to Analyze.
-func AnalyzeParallel(cd *cluster.CompiledDesign, st *AnalysisState, workers int) *Result {
-	if workers <= 1 || len(cd.CC) <= 1 {
-		return Analyze(cd, st)
-	}
-	res, _ := analyzeLevelScheduled(nil, cd, st, workers)
-	return res
-}
-
-// AnalyzeParallelContext is AnalyzeParallel with cancellation, checked
-// before every cluster on every worker. On expiry the partial result is
-// discarded and the cause returned, exactly like AnalyzeContext.
-func AnalyzeParallelContext(ctx context.Context, cd *cluster.CompiledDesign, st *AnalysisState, workers int) (*Result, error) {
-	if workers <= 1 || len(cd.CC) <= 1 {
-		return AnalyzeContext(ctx, cd, st)
-	}
-	mAnalyses.Inc()
-	_, sp := span.Start(ctx, "sta.analyze_parallel")
-	sp.AnnotateInt("clusters", len(cd.CC))
-	sp.AnnotateInt("levels", cd.NumLevels())
-	sp.AnnotateInt("workers", workers)
-	defer sp.End()
-	return analyzeLevelScheduled(interrupt(ctx), cd, st, workers)
-}
-
-func analyzeLevelScheduled(check func() error, cd *cluster.CompiledDesign, st *AnalysisState, workers int) (*Result, error) {
-	res := newResult(cd)
-	// Every worker writes its clusters' details into a disjoint slot of
-	// this table; the merge below runs in cluster order, so the pass list
-	// is byte-for-byte the sequential one.
-	details := make([][]PassDetail, len(cd.CC))
-	err := runLevelScheduled(cd, st, cd.LevelOrder, workers, check, func(id int32, buf *[]clock.Time) {
-		details[id] = analyzeClusterScratch(cd, cd.CC[id], st, res, nil, buf)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range details {
-		res.Passes = append(res.Passes, d...)
-	}
-	return res, nil
-}
-
-// recomputeParallelThreshold is the dirty-set size (clusters) below which
-// the parallel dirty walk falls back to the sequential recompute: small
-// dirty sets are dominated by per-goroutine overhead, and the sequential
-// path preserves the steady-state allocation guarantee of delay edits.
-const recomputeParallelThreshold = 64
-
-// RecomputeParallel is Recompute with the dirty-cluster walk dispatched
-// through the level-scheduled scheduler: dirty clusters are grouped by
-// DAG level (then cluster id, i.e. arc-backing order) and chunked by arc
-// count across the workers. Below recomputeParallelThreshold dirty
-// clusters — or with a single worker — it is exactly Recompute, keeping
-// small incremental edits allocation-free.
-func RecomputeParallel(cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int, workers int) {
-	recomputeParallel(nil, cd, st, res, clusterIDs, workers)
-}
-
-// RecomputeParallelContext is RecomputeParallel with cancellation. On a
-// non-nil error res has been partially rebuilt and must be discarded, as
-// with RecomputeContext.
-func RecomputeParallelContext(ctx context.Context, cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int, workers int) error {
-	if workers <= 1 || len(clusterIDs) < recomputeParallelThreshold {
-		return RecomputeContext(ctx, cd, st, res, clusterIDs)
-	}
-	_, sp := span.Start(ctx, "sta.recompute_parallel")
-	sp.AnnotateInt("dirtyClusters", len(clusterIDs))
-	sp.AnnotateInt("workers", workers)
-	defer sp.End()
-	return recomputeParallel(interrupt(ctx), cd, st, res, clusterIDs, workers)
-}
-
-func recomputeParallel(check func() error, cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int, workers int) error {
-	if workers <= 1 || len(clusterIDs) < recomputeParallelThreshold {
-		return recompute(cd, st, res, clusterIDs, check)
-	}
-	mRecomputes.Inc()
-	resetDirty(cd, st, res, clusterIDs)
-	// Group the dirty set by (level, id): the same traversal order the
-	// full parallel analysis uses, restricted to the dirty clusters.
-	order := make([]int32, 0, len(clusterIDs))
-	for _, lo := range cd.LevelOrder {
-		if st.isDirty(int(lo)) {
-			order = append(order, lo)
-		}
-	}
-	details := make([][]PassDetail, len(cd.CC))
-	err := runLevelScheduled(cd, st, order, workers, check, func(id int32, buf *[]clock.Time) {
-		details[id] = analyzeClusterScratch(cd, cd.CC[id], st, res, nil, buf)
-	})
-	if err != nil {
-		return err
-	}
-	// Append in ascending cluster id (arc-backing order) so the pass list
-	// reaches restorePassOrder nearly sorted, exactly as the sequential
-	// walk leaves it when callers pass sorted ids.
-	for id := range details {
-		if details[id] != nil {
-			res.Passes = append(res.Passes, details[id]...)
-		}
-	}
-	restorePassOrder(res)
-	return nil
 }

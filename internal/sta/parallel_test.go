@@ -2,6 +2,7 @@ package sta
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hummingbird/internal/celllib"
@@ -48,9 +49,21 @@ func buildWorkload(t *testing.T, d *netlist.Design) *cluster.Network {
 	return nw
 }
 
+// withProcs raises GOMAXPROCS to at least n for the rest of the test: the
+// driver caps its workers at GOMAXPROCS, and tests that exercise stealing
+// must not lose it on hosts with fewer CPUs.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
 // TestAnalyzeParallelEquivalence: the parallel analysis must agree with the
 // sequential one bit for bit, including the pass-detail ordering.
 func TestAnalyzeParallelEquivalence(t *testing.T) {
+	withProcs(t, 8)
 	nw := buildWorkload(t, mustGen(workload.ALU()))
 	cd := cluster.Compile(nw)
 	st := NewState(cd)
@@ -89,6 +102,7 @@ func TestAnalyzeParallelEquivalence(t *testing.T) {
 // analysis — slacks, net slacks, and the full pass-detail ordering. Run
 // under -race this also exercises the worker pool for data races.
 func TestAnalyzeParallelAllWorkloads(t *testing.T) {
+	withProcs(t, 8)
 	designs := []*netlist.Design{
 		mustGen(workload.DES()), mustGen(workload.ALU()),
 		workload.SM1F(), workload.SM1H(), workload.Figure1(),
@@ -107,17 +121,5 @@ func TestAnalyzeParallelAllWorkloads(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestAnalyzeParallelSingleClusterFallback(t *testing.T) {
-	nw := buildWorkload(t, workload.SM1F())
-	// SM1F is a single cluster: the parallel path falls back to Analyze.
-	cd := cluster.Compile(nw)
-	st := NewState(cd)
-	seq := Analyze(cd, st)
-	par := AnalyzeParallel(cd, st, 8)
-	if seq.WorstSlack() != par.WorstSlack() {
-		t.Fatal("fallback differs")
 	}
 }

@@ -15,6 +15,8 @@ package sta
 
 import (
 	"context"
+	"math/bits"
+	"runtime"
 
 	"hummingbird/internal/breakopen"
 	"hummingbird/internal/celllib"
@@ -179,98 +181,137 @@ func (r *Result) WorstSlack() clock.Time {
 	return w
 }
 
-// Analyze runs every pass of every cluster against the state's current
-// element offsets. It cannot be interrupted; servers and other callers
-// with deadlines use AnalyzeContext. The compiled design is read-only
-// throughout — concurrent analyses may share it, each with its own state.
+// Analyze is AnalyzeContext on one worker without a deadline.
 func Analyze(cd *cluster.CompiledDesign, st *AnalysisState) *Result {
-	mAnalyses.Inc()
-	res := newResult(cd)
-	for _, cc := range cd.CC {
-		res.Passes = analyzeCluster(cd, cc, st, res, res.Passes)
-	}
+	return AnalyzeParallel(cd, st, 1)
+}
+
+// AnalyzeParallel is AnalyzeContext without a deadline. Only an armed
+// "sta.cluster" failpoint can interrupt it; it then returns nil.
+func AnalyzeParallel(cd *cluster.CompiledDesign, st *AnalysisState, workers int) *Result {
+	res, _ := AnalyzeContext(context.Background(), cd, st, workers)
 	return res
 }
 
-// interrupt builds the per-cluster cancellation check of the Context
-// analysis variants: the "sta.cluster" failpoint first (so chaos tests can
-// inject sleeps, errors and panics into the middle of an analysis), then
-// the context. The returned error is context.Cause's, so a caller-supplied
-// cancel cause propagates.
-func interrupt(ctx context.Context) func() error {
-	return func() error {
-		if err := failpoint.Hit("sta.cluster"); err != nil {
-			return err
-		}
-		if ctx.Err() != nil {
-			mCancelled.Inc()
-			return context.Cause(ctx)
-		}
-		return nil
-	}
-}
-
-// AnalyzeContext is Analyze with cancellation: the context is checked
-// between clusters, and an expired deadline abandons the analysis,
-// returning the cause. The partial result is discarded — an interrupted
-// analysis is never a valid block analysis.
-func AnalyzeContext(ctx context.Context, cd *cluster.CompiledDesign, st *AnalysisState) (*Result, error) {
+// AnalyzeContext runs every pass of every cluster against the state's
+// current element offsets, on up to workers goroutines (capped at
+// GOMAXPROCS). The context is checked before every cluster; an expired
+// deadline abandons the analysis, returning the cause. The partial result
+// is discarded — an interrupted analysis is never a valid block analysis.
+// The compiled design is read-only throughout — concurrent analyses may
+// share it, each with its own state. Results are identical at every
+// worker count.
+func AnalyzeContext(ctx context.Context, cd *cluster.CompiledDesign, st *AnalysisState, workers int) (*Result, error) {
 	mAnalyses.Inc()
-	_, sp := span.Start(ctx, "sta.analyze")
-	sp.AnnotateInt("clusters", len(cd.CC))
-	defer sp.End()
-	check := interrupt(ctx)
+	st.clearDirty()
+	for id := range cd.CC {
+		st.markDirty(id)
+	}
 	res := newResult(cd)
-	for _, cc := range cd.CC {
-		if err := check(); err != nil {
-			return nil, err
-		}
-		res.Passes = analyzeCluster(cd, cc, st, res, res.Passes)
+	if err := run(ctx, "sta.analyze", cd, st, res, len(cd.CC), workers); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// Recompute re-runs the block analysis for just the named clusters,
+// recomputeParallelThreshold is the dirty-set size (clusters) below which
+// a recompute stays on the caller's goroutine: small dirty sets are
+// dominated by per-goroutine overhead, and the inline loop preserves the
+// steady-state allocation guarantee of delay edits.
+const recomputeParallelThreshold = 64
+
+// RecomputeContext re-runs the block analysis for just the named clusters,
 // updating res in place. Because every net, and every element terminal,
 // belongs to exactly one cluster, a cluster's contributions to the result
 // can be reset and rebuilt independently — the basis of the incremental
 // mode of Algorithm 1's sweeps: after a slack transfer only the clusters
-// adjacent to the moved element change.
-func Recompute(cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int) {
-	recompute(cd, st, res, clusterIDs, nil)
-}
-
-// RecomputeContext is Recompute with cancellation, checked between
-// clusters. On a non-nil error res has been partially rebuilt and must be
-// discarded by the caller — slacks of the untouched clusters are intact
-// but the interrupted cluster's are reset to +Inf.
-func RecomputeContext(ctx context.Context, cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int) error {
-	_, sp := span.Start(ctx, "sta.recompute")
-	sp.AnnotateInt("dirtyClusters", len(clusterIDs))
-	defer sp.End()
-	return recompute(cd, st, res, clusterIDs, interrupt(ctx))
-}
-
-func recompute(cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int, check func() error) error {
+// adjacent to the moved element change. Only dirty sets of at least
+// recomputeParallelThreshold clusters are spread across the workers. On a
+// non-nil error res has been partially rebuilt and must be discarded by
+// the caller — slacks of the untouched clusters are intact but the
+// interrupted clusters' are reset to +Inf.
+func RecomputeContext(ctx context.Context, cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int, workers int) error {
 	mRecomputes.Inc()
+	if len(clusterIDs) < recomputeParallelThreshold {
+		workers = 1
+	}
 	resetDirty(cd, st, res, clusterIDs)
-	for _, id := range clusterIDs {
-		if check != nil {
-			if err := check(); err != nil {
-				return err
+	return run(ctx, "sta.recompute", cd, st, res, len(clusterIDs), workers)
+}
+
+// run is the one block-analysis driver: it analyzes the n clusters marked
+// in the state's dirty bitset into res. The worker count is capped at
+// GOMAXPROCS, since oversubscribed workers only contend. With one worker
+// the cluster loop runs on the caller's goroutine with one pooled scratch
+// arena; with more, the same kernel goes to the level-scheduled scheduler
+// (parallel.go). Either way the pass list ends in Analyze's (cluster,
+// pass) order, so results are byte-identical at every worker count.
+func run(ctx context.Context, name string, cd *cluster.CompiledDesign, st *AnalysisState, res *Result, n, workers int) error {
+	workers = max(1, min(workers, n, runtime.GOMAXPROCS(0)))
+	_, sp := span.Start(ctx, name)
+	sp.AnnotateInt("clusters", n)
+	sp.AnnotateInt("workers", workers)
+	defer sp.End()
+	if workers == 1 {
+		buf := st.getScratch()
+		defer st.putScratch(buf)
+		for w, word := range st.dirty {
+			for ; word != 0; word &= word - 1 {
+				if err := interrupt(ctx); err != nil {
+					return err
+				}
+				id := w*64 + bits.TrailingZeros64(word)
+				res.Passes = analyzeCluster(cd, cd.CC[id], st, res, res.Passes, buf)
 			}
 		}
-		res.Passes = analyzeCluster(cd, cd.CC[id], st, res, res.Passes)
+	} else {
+		// The dirty clusters grouped by (level, id): the cache-linear
+		// traversal order of the scheduler.
+		order := make([]int32, 0, n)
+		for _, id := range cd.LevelOrder {
+			if st.isDirty(int(id)) {
+				order = append(order, id)
+			}
+		}
+		// Every worker writes its clusters' details into a disjoint slot
+		// of this table; the merge below runs in cluster order.
+		details := make([][]PassDetail, len(cd.CC))
+		err := runLevelScheduled(cd, st, order, workers, func() error { return interrupt(ctx) },
+			func(id int32, buf *[]clock.Time) {
+				details[id] = analyzeCluster(cd, cd.CC[id], st, res, nil, buf)
+			})
+		if err != nil {
+			return err
+		}
+		for _, d := range details {
+			res.Passes = append(res.Passes, d...)
+		}
 	}
 	restorePassOrder(res)
+	return nil
+}
+
+// interrupt is the driver's per-cluster cancellation check: the
+// "sta.cluster" failpoint first (so chaos tests can inject sleeps, errors
+// and panics into the middle of an analysis), then the context. The
+// returned error is context.Cause's, so a caller-supplied cancel cause
+// propagates.
+func interrupt(ctx context.Context) error {
+	if err := failpoint.Hit("sta.cluster"); err != nil {
+		return err
+	}
+	if ctx.Err() != nil {
+		mCancelled.Inc()
+		return context.Cause(ctx)
+	}
 	return nil
 }
 
 // resetDirty marks the named clusters in the state's reusable bitset,
 // resets every slack they own to +Inf and drops their old pass details in
 // one filter pass. The dirty set is the state's bitset — incremental
-// sweeps call recompute once per sweep, so a per-call map allocation here
-// is hot-path garbage.
+// sweeps recompute once per sweep, so a per-call map allocation here is
+// hot-path garbage.
 func resetDirty(cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int) {
 	st.clearDirty()
 	for _, id := range clusterIDs {
@@ -296,10 +337,10 @@ func resetDirty(cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clus
 }
 
 // restorePassOrder keeps the pass list in Analyze's (cluster, pass) order
-// so a result maintained by Recompute stays interchangeable with a fresh
-// Analyze. The kept run and the appended details are each already
+// so a result maintained by RecomputeContext stays interchangeable with a
+// fresh analysis. The kept run and the appended details are each already
 // ordered, so an insertion pass restores the global order; unlike
-// sort.Slice it does not allocate, and recompute runs once per
+// sort.Slice it does not allocate, and a recompute runs once per
 // incremental sweep.
 func restorePassOrder(res *Result) {
 	ps := res.Passes
@@ -324,25 +365,16 @@ func newResult(cd *cluster.CompiledDesign) *Result {
 	}
 }
 
-// analyzeCluster appends the cluster's pass details to dst and returns it.
-// Appending into the caller's pass list lets a Recompute whose cloned
-// Result already has the capacity rebuild dirty clusters without growing
-// it; the detail vectors themselves are one backing allocation per cluster
-// however many passes it runs. They escape into the caller's Result
-// (reports hold them), so they cannot come from the pooled scratch.
-func analyzeCluster(cd *cluster.CompiledDesign, cc *cluster.CompiledCluster, st *AnalysisState, res *Result, dst []PassDetail) []PassDetail {
-	// One pooled arena holds all four per-net vectors; the level-scheduled
-	// scheduler's workers instead pass their own arena to
-	// analyzeClusterScratch directly, reusing it across clusters and
-	// levels.
-	buf := st.getScratch()
-	defer st.putScratch(buf)
-	return analyzeClusterScratch(cd, cc, st, res, dst, buf)
-}
-
-// analyzeClusterScratch is analyzeCluster against a caller-owned scratch
-// arena (≥ 4×MaxClusterNets entries).
-func analyzeClusterScratch(cd *cluster.CompiledDesign, cc *cluster.CompiledCluster, st *AnalysisState, res *Result, dst []PassDetail, buf *[]clock.Time) []PassDetail {
+// analyzeCluster is the per-cluster kernel: it runs every pass of one
+// cluster against a caller-owned scratch arena (≥ 4×MaxClusterNets
+// entries), writes the cluster's slacks into res and appends its pass
+// details to dst. Appending into the caller's pass list lets a recompute
+// whose cloned Result already has the capacity rebuild dirty clusters
+// without growing it; the detail vectors themselves are one backing
+// allocation per cluster however many passes it runs. They escape into
+// the caller's Result (reports hold them), so they cannot come from the
+// pooled scratch.
+func analyzeCluster(cd *cluster.CompiledDesign, cc *cluster.CompiledCluster, st *AnalysisState, res *Result, dst []PassDetail, buf *[]clock.Time) []PassDetail {
 	mClustersAnalyzed.Inc()
 	mPasses.Add(int64(len(cc.Plan.Breaks)))
 	T := cd.Clocks.Overall()
@@ -405,7 +437,7 @@ func analyzeClusterScratch(cd *cluster.CompiledDesign, cc *cluster.CompiledClust
 			if c < reqF[li] {
 				reqF[li] = c
 			}
-			ready := maxT(readyR[li], readyF[li])
+			ready := max(readyR[li], readyF[li])
 			if ready != negInf {
 				if s := c - ready; s < res.InSlack[out.Elem] {
 					res.InSlack[out.Elem] = s
@@ -432,7 +464,7 @@ func analyzeClusterScratch(cd *cluster.CompiledDesign, cc *cluster.CompiledClust
 			e := cd.Elems[in.Elem]
 			a := breakopen.AssertPos(e.IdealAssert, beta, T) + e.OutputOffsetAt(st.Odz[in.Elem])
 			li := cc.InLocal[ii]
-			q := minT(reqR[li], reqF[li])
+			q := min(reqR[li], reqF[li])
 			if q != posInf {
 				if s := q - a; s < res.OutSlack[in.Elem] {
 					res.OutSlack[in.Elem] = s
@@ -447,7 +479,7 @@ func analyzeClusterScratch(cd *cluster.CompiledDesign, cc *cluster.CompiledClust
 			if readyF[i] != negInf && reqF[i] != posInf {
 				sf = reqF[i] - readyF[i]
 			}
-			if s := minT(sr, sf); s < res.NetSlack[netID] {
+			if s := min(sr, sf); s < res.NetSlack[netID] {
 				res.NetSlack[netID] = s
 			}
 		}
@@ -490,7 +522,7 @@ func arcForward(a *cluster.Arc, rr, rf clock.Time) (or, of clock.Time) {
 			of = rr + a.D.MaxFall
 		}
 	default: // NonUnate
-		worst := maxT(rr, rf)
+		worst := max(rr, rf)
 		if worst != negInf {
 			or = worst + a.D.MaxRise
 			of = worst + a.D.MaxFall
@@ -530,20 +562,6 @@ func arcBackward(a *cluster.Arc, qr, qf clock.Time) (ir, ifl clock.Time) {
 	return ir, ifl
 }
 
-func maxT(a, b clock.Time) clock.Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minT(a, b clock.Time) clock.Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // PathDelayMax returns the worst-case combinational delay from net `from`
 // to net `to` within the cluster (max over transitions), or −1 if no path
 // exists. Used by slow-path enumeration and the baselines.
@@ -577,7 +595,7 @@ func PathDelayMax(cl *cluster.Cluster, from, to int) clock.Time {
 			}
 		}
 	}
-	d := maxT(dr[lt], df[lt])
+	d := max(dr[lt], df[lt])
 	if d == negInf {
 		return -1
 	}
@@ -625,7 +643,7 @@ func PathDelayMin(cl *cluster.Cluster, from, to int) clock.Time {
 					of = dr[li] + a.D.MinFall
 				}
 			default:
-				best := minT(dr[li], df[li])
+				best := min(dr[li], df[li])
 				if best != posInf {
 					or = best + a.D.MinRise
 					of = best + a.D.MinFall
@@ -639,7 +657,7 @@ func PathDelayMin(cl *cluster.Cluster, from, to int) clock.Time {
 			}
 		}
 	}
-	d := minT(dr[lt], df[lt])
+	d := min(dr[lt], df[lt])
 	if d == posInf {
 		return -1
 	}

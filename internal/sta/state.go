@@ -22,12 +22,13 @@ type AnalysisState struct {
 
 	// scratch pools per-cluster ready/required arenas: each item is one
 	// []clock.Time of 4×MaxClusterNets, sliced into the four views by
-	// analyzeCluster. A sync.Pool keeps AnalyzeParallel workers from
+	// analyzeCluster. A sync.Pool keeps the scheduler's workers from
 	// contending on a single buffer.
 	scratch sync.Pool
 
-	// dirty/dirtyIDs are the reusable cluster bitset of recompute, so
-	// incremental sweeps stop allocating on the hot path.
+	// dirty is the reusable bitset of the clusters the next driver run
+	// analyzes (all of them for a full analysis), so incremental sweeps
+	// stop allocating on the hot path.
 	dirty []uint64
 }
 

@@ -13,6 +13,7 @@ import (
 // Prometheus exposition (the /metrics endpoint serves exactly this
 // writer's output) and the whole exposition must stay parseable.
 func TestParallelWorkerTelemetry(t *testing.T) {
+	withProcs(t, 4)
 	telemetry.Enable()
 	t.Cleanup(telemetry.Disable)
 

@@ -224,9 +224,12 @@ func (s *Span) Annotate(key, value string) {
 	s.tr.mu.Unlock()
 }
 
-// AnnotateInt is Annotate for integer values.
+// AnnotateInt is Annotate for integer values; nil-safe without formatting
+// the value, so untraced hot paths do not allocate.
 func (s *Span) AnnotateInt(key string, value int) {
-	s.Annotate(key, strconv.Itoa(value))
+	if s != nil {
+		s.Annotate(key, strconv.Itoa(value))
+	}
 }
 
 // Attr returns the value of a previously attached attribute ("" if
