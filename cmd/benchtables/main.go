@@ -217,6 +217,7 @@ func runScaling(w io.Writer, cellSizes, workerCounts []int) []benchfmt.ScalingRo
 				Clusters: len(cd.CC), Levels: cd.NumLevels(), Workers: workers,
 				AnalyzeNs:   analyze.Nanoseconds(),
 				RecomputeNs: recompute.Nanoseconds(), DirtyClusters: nDirty,
+				GOMAXPROCS: runtime.GOMAXPROCS(0),
 			}
 			if base > 0 {
 				row.Speedup = float64(base) / float64(analyze)

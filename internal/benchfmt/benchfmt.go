@@ -178,6 +178,10 @@ type ScalingRow struct {
 	// DirtyClusters dirty clusters through the same scheduler.
 	RecomputeNs   int64 `json:"recomputeNs,omitempty"`
 	DirtyClusters int   `json:"dirtyClusters,omitempty"`
+	// GOMAXPROCS is the measuring process's GOMAXPROCS, which caps the
+	// workers the analysis actually ran; 0 means unknown (rows recorded
+	// before the field existed).
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 }
 
 // MergeScaling appends scaling rows to the run, replacing any existing

@@ -69,6 +69,38 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScalingRowGOMAXPROCS: a scaling row's GOMAXPROCS survives a write
+// and read, and a row recorded before the field existed reads as 0
+// (unknown).
+func TestScalingRowGOMAXPROCS(t *testing.T) {
+	run := sampleRun()
+	run.Scaling[1].GOMAXPROCS = 2
+	var buf bytes.Buffer
+	if err := Write(&buf, run); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"gomaxprocs": 2`) {
+		t.Fatalf("written run lacks the gomaxprocs field:\n%s", buf.String())
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Scaling[0].GOMAXPROCS != 0 || got.Scaling[1].GOMAXPROCS != 2 {
+		t.Fatalf("gomaxprocs read back as %d and %d, want 0 and 2",
+			got.Scaling[0].GOMAXPROCS, got.Scaling[1].GOMAXPROCS)
+	}
+	old, err := Read(strings.NewReader(`{"schemaVersion": 1, "scaling": [
+		{"workload": "soc625", "cells": 103380, "clusters": 814, "levels": 9,
+		 "workers": 8, "analyzeNs": 11600000, "speedup": 0.99}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := old.Scaling[0].GOMAXPROCS; n != 0 {
+		t.Fatalf("row without the field read gomaxprocs %d, want 0", n)
+	}
+}
+
 func TestReadRejectsUnknownSchema(t *testing.T) {
 	if _, err := Read(strings.NewReader(`{"schemaVersion": 999}`)); err == nil {
 		t.Fatal("want error for unknown schema version")

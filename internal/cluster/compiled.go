@@ -64,6 +64,12 @@ type CompiledDesign struct {
 	// per-cluster scratch arenas.
 	MaxClusterNets int
 
+	// PassStart is the CSR offset of each cluster's analysis passes in a
+	// block analysis' pass list: cluster c owns the slots
+	// PassStart[c]:PassStart[c+1], one per break of its plan, so every
+	// valid result lists all passes in (cluster, pass) order.
+	PassStart []int32
+
 	// Level[c] is cluster c's topological level in the cluster DAG: the
 	// graph whose edge A→B exists when some synchronising element's data
 	// input is captured by A (an Out of A) and whose output asserts into B
@@ -101,6 +107,7 @@ func Compile(nw *Network) *CompiledDesign {
 		CC:           make([]*CompiledCluster, len(nw.Clusters)),
 		ElemClusters: make([][]int, len(nw.Elems)),
 		InitialOdz:   make([]clock.Time, len(nw.Elems)),
+		PassStart:    make([]int32, len(nw.Clusters)+1),
 	}
 
 	total := 0
@@ -119,6 +126,7 @@ func Compile(nw *Network) *CompiledDesign {
 		if n := len(cl.Nets); n > cd.MaxClusterNets {
 			cd.MaxClusterNets = n
 		}
+		cd.PassStart[i+1] = cd.PassStart[i] + int32(cl.Plan.Passes())
 	}
 
 	add := func(e, cl int) {
@@ -308,6 +316,7 @@ func (cd *CompiledDesign) CloneArcs() *CompiledDesign {
 		ElemClusters:   cd.ElemClusters,
 		InitialOdz:     cd.InitialOdz,
 		MaxClusterNets: cd.MaxClusterNets,
+		PassStart:      cd.PassStart,
 		Level:          cd.Level,
 		LevelStart:     cd.LevelStart,
 		LevelOrder:     cd.LevelOrder,

@@ -71,25 +71,13 @@ func (a *Analyzer) tracePaths(res *sta.Result, want func(clock.Time) bool) []Slo
 			if !ok {
 				continue
 			}
-			detail := findPass(res, cl.ID, pi)
-			if detail == nil {
-				continue
-			}
+			detail := &res.Passes[int(a.CD.PassStart[cl.ID])+pi]
 			if p, ok := a.traceOne(cl, detail, inArcs, out, res.InSlack[out.Elem]); ok {
 				paths = append(paths, p)
 			}
 		}
 	}
 	return paths
-}
-
-func findPass(res *sta.Result, clusterID, pass int) *sta.PassDetail {
-	for i := range res.Passes {
-		if res.Passes[i].Cluster == clusterID && res.Passes[i].Pass == pass {
-			return &res.Passes[i]
-		}
-	}
-	return nil
 }
 
 // traceOne walks back from the violated output along the arcs that

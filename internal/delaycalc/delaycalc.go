@@ -15,7 +15,6 @@ package delaycalc
 
 import (
 	"fmt"
-	"time"
 
 	"hummingbird/internal/celllib"
 	"hummingbird/internal/clock"
@@ -25,12 +24,8 @@ import (
 )
 
 // mEvals counts delay-expression evaluations (one per arc per call),
-// the unit the paper's estimation cost scales with. tRefreshLoads times
-// the incremental engine's post-resize load recomputations.
-var (
-	mEvals        = telemetry.NewCounter("delaycalc.evaluations")
-	tRefreshLoads = telemetry.NewTimer("delaycalc.refresh_loads")
-)
+// the unit the paper's estimation cost scales with.
+var mEvals = telemetry.NewCounter("delaycalc.evaluations")
 
 // Delays is one timing arc's evaluated propagation delays at its actual
 // load: the worst (max) and best (min) delay for each output transition
@@ -126,52 +121,12 @@ func New(lib *celllib.Library, design *netlist.Design, opts Options) (*Calc, err
 	return c, nil
 }
 
-// RefreshLoads recomputes the capacitive loads of the named nets from the
-// design's current instances. The incremental engine calls this after a
-// cell resize: the resized instance's input pin capacitances change the
-// loads — and hence the arc delays — of the nets driving it.
-func (c *Calc) RefreshLoads(nets []string) {
-	if len(nets) == 0 {
-		return
-	}
-	if telemetry.Enabled() {
-		defer func(t0 time.Time) { tRefreshLoads.Observe(time.Since(t0)) }(time.Now())
-	}
-	want := make(map[string]bool, len(nets))
-	for _, n := range nets {
-		want[n] = true
-	}
-	sinkCount := map[string]int{}
-	pinCap := map[string]celllib.Cap{}
-	for _, inst := range c.design.Instances {
-		cell := c.lib.Cell(inst.Ref)
-		if cell == nil {
-			continue
-		}
-		for pin, net := range inst.Conns {
-			if !want[net] {
-				continue
-			}
-			if p := cell.Pin(pin); p != nil && p.Dir == celllib.In {
-				sinkCount[net]++
-				pinCap[net] += p.C
-			}
-		}
-	}
-	for _, p := range c.design.Ports {
-		if p.Dir == netlist.Output && want[p.Name] {
-			sinkCount[p.Name]++
-			pinCap[p.Name] += c.opts.DefaultPortLoad
-		}
-	}
-	for _, net := range nets {
-		load := pinCap[net]
-		if n := sinkCount[net]; n > 0 {
-			load += c.opts.WireCapBase + celllib.Cap(n)*c.opts.WireCapPerFanout
-		}
-		c.loads[net] = load
-	}
-}
+// ShiftLoad adds delta to the capacitive load of the named net. The
+// incremental engine calls it when an interface-preserving resize changes
+// an input pin's capacitance: every pin stays connected, so the net's sink
+// count — and with it the wire-load term — is unchanged, and the load
+// moves by exactly the pin's capacitance difference.
+func (c *Calc) ShiftLoad(net string, delta celllib.Cap) { c.loads[net] += delta }
 
 // NetLoad returns the total capacitive load on the named net.
 func (c *Calc) NetLoad(net string) celllib.Cap { return c.loads[net] }

@@ -10,6 +10,7 @@ import (
 	"hummingbird/internal/clock"
 	"hummingbird/internal/core"
 	"hummingbird/internal/netlist"
+	"hummingbird/internal/telemetry"
 	"hummingbird/internal/workload"
 )
 
@@ -26,12 +27,16 @@ func TestEquivalenceRandomEdits(t *testing.T) {
 		name  string
 		build func() (*netlist.Design, error)
 		edits int
+		// reuse: the fixed point moves offsets on every delay edit, so
+		// its replay must copy clusters from the previous fixed point.
+		reuse bool
 	}{
-		{"Figure1", infallible(workload.Figure1), 8},
-		{"SM1F", infallible(workload.SM1F), 8},
-		{"SM1H", infallible(workload.SM1H), 8},
-		{"ALU", workload.ALU, 6},
-		{"DES", workload.DES, 4},
+		{"Figure1", infallible(workload.Figure1), 8, false},
+		{"SM1F", infallible(workload.SM1F), 8, false},
+		{"SM1H", infallible(workload.SM1H), 8, false},
+		{"ALU", workload.ALU, 6, false},
+		{"DES", workload.DES, 4, false},
+		{"SoC", func() (*netlist.Design, error) { return workload.SoC(8, 8, 4, 3) }, 8, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -39,6 +44,12 @@ func TestEquivalenceRandomEdits(t *testing.T) {
 			edits := tc.edits
 			if testing.Short() {
 				edits = 2
+			}
+			var reused0 int64
+			if tc.reuse {
+				telemetry.Enable()
+				t.Cleanup(telemetry.Disable)
+				reused0 = reusedClusters()
 			}
 			lib := celllib.Default()
 			d, err := tc.build()
@@ -68,10 +79,17 @@ func TestEquivalenceRandomEdits(t *testing.T) {
 			if incr == 0 {
 				t.Errorf("randomized sequence never exercised the incremental path (%d full)", full)
 			}
+			if tc.reuse && reusedClusters() == reused0 {
+				t.Errorf("%d incremental edits reused no cluster of the previous fixed point", incr)
+			}
 			t.Logf("%s: %d incremental, %d full-rebuild edits", tc.name, incr, full)
 		})
 	}
 }
+
+// reusedClusters reads the sta.clusters_reused counter (telemetry must be
+// enabled for it to count).
+func reusedClusters() int64 { return telemetry.Snapshot().Counters["sta.clusters_reused"] }
 
 // verifyAgainstScratch loads the engine's current design from scratch with
 // its cumulative options and deep-compares both algorithms' outputs.

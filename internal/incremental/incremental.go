@@ -15,7 +15,9 @@
 //     clusters owning those arcs against the cached initial-offset result,
 //     and re-run the Algorithm 1 fixed point from there. The fixed point
 //     itself is incremental: each sweep recomputes only the clusters
-//     adjacent to elements whose offsets moved (core.Analyzer.sweep).
+//     adjacent to elements whose offsets moved (core.Analyzer.sweep), and
+//     of those it copies from the previous fixed point every cluster whose
+//     delays and boundary offsets match it (sta.AnalysisState.SetReference).
 //   - Anything that reshapes the timing network — replacing a cell with a
 //     different interface, adding or removing instances, rewiring pins, or
 //     touching a synchronising element or a control cone — falls back to a
@@ -157,13 +159,12 @@ type Engine struct {
 	spare *sta.Result
 	// Reusable applyDelayOnly scratch (cleared, never reallocated, so
 	// steady-state delay edits stay off the allocator).
-	scrArcs  map[arcRef]bool
-	scrNets  map[string]bool
-	scrUndo  []undoStep
-	scrIDs   []int
-	scrNames []string
-	rep      *core.Report
-	cons     *core.Constraints
+	scrArcs map[arcRef]bool
+	scrNets map[string]bool
+	scrUndo []undoStep
+	scrIDs  []int
+	rep     *core.Report
+	cons    *core.Constraints
 	// odz snapshots the Algorithm-1 fixed-point offsets so Constraints()
 	// (whose snatch sweeps move the offsets) can restore them.
 	odz  []clock.Time
@@ -530,7 +531,6 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 	dirtyArcs := e.scrArcs
 	oldBase := e.base
 	undo := e.scrUndo[:0]
-	nets := e.scrNames[:0]
 	rollback := func() {
 		for i := len(undo) - 1; i >= 0; i-- {
 			u := undo[i]
@@ -541,10 +541,11 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 				}
 				e.an.CD.Calc.Adjust(u.inst, -u.delta)
 			} else {
-				e.design.Instances[u.instIdx].Ref = u.oldRef
+				inst := &e.design.Instances[u.instIdx]
+				e.shiftPinLoads(inst, e.an.Lib.Cell(inst.Ref), e.an.Lib.Cell(u.oldRef), affectedNets)
+				inst.Ref = u.oldRef
 			}
 		}
-		e.an.CD.Calc.RefreshLoads(nets)
 		for r := range dirtyArcs {
 			e.reevalArc(r)
 		}
@@ -569,20 +570,7 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 			e.an.CD.Calc.Adjust(inst.Name, ed.Delta)
 			undo = append(undo, undoStep{isAdjust: true, inst: inst.Name, delta: ed.Delta})
 		case Resize:
-			cur := e.an.Lib.Cell(inst.Ref)
-			neu := e.an.Lib.Cell(ed.To)
-			// An input-pin capacitance change alters the load — and hence
-			// the delay — of every arc driving that pin's net.
-			for _, p := range cur.Pins {
-				if p.Dir != celllib.In {
-					continue
-				}
-				if np := neu.Pin(p.Name); np != nil && np.C != p.C {
-					if net, ok := inst.Conns[p.Name]; ok {
-						affectedNets[net] = true
-					}
-				}
-			}
+			e.shiftPinLoads(inst, e.an.Lib.Cell(inst.Ref), e.an.Lib.Cell(ed.To), affectedNets)
 			topo -= instanceTerm(inst, e.an.Lib)
 			undo = append(undo, undoStep{instIdx: e.instIdx[ed.Inst], oldRef: inst.Ref})
 			inst.Ref = ed.To
@@ -592,17 +580,10 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 			dirtyArcs[r] = true
 		}
 	}
-	if len(affectedNets) > 0 {
-		for n := range affectedNets {
-			nets = append(nets, n)
-		}
-		sort.Strings(nets)
-		e.an.CD.Calc.RefreshLoads(nets)
-		for _, net := range nets {
-			if id, ok := e.an.CD.NetIdx[net]; ok {
-				for _, r := range e.arcsByTo[id] {
-					dirtyArcs[r] = true
-				}
+	for net := range affectedNets {
+		if id, ok := e.an.CD.NetIdx[net]; ok {
+			for _, r := range e.arcsByTo[id] {
+				dirtyArcs[r] = true
 			}
 		}
 	}
@@ -621,7 +602,7 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 		}
 	}
 	sort.Ints(ids)
-	e.scrUndo, e.scrIDs, e.scrNames = undo, ids, nets
+	e.scrUndo, e.scrIDs = undo, ids
 
 	// Checksum fallback: if the batch somehow changed the design's
 	// structure (e.g. a resize onto a cell whose interface differs in a way
@@ -661,6 +642,12 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 		e.base = res.CloneInto(e.spare)
 		e.spare = nil
 	}
+	// The previous fixed point is the replay's reference: a cluster the
+	// sweeps dirty whose delays are unchanged and whose boundary offsets
+	// land back on their previous fixed-point values is copied from it
+	// rather than re-analyzed (sta.AnalysisState.SetReference).
+	e.an.St.SetReference(e.rep.Result, e.odz, ids)
+	defer e.an.St.ClearReference()
 	rep, err := e.an.IdentifySlowPathsFromCtx(ctx, res)
 	if err != nil {
 		rollback()
@@ -689,6 +676,24 @@ func (e *Engine) reevalArc(r arcRef) {
 		if ca.From == a.FromPin && ca.To == a.ToPin {
 			a.D = e.an.CD.Calc.ArcDelays(inst, ca)
 			return
+		}
+	}
+}
+
+// shiftPinLoads moves the load of each net on one of inst's input pins by
+// that pin's capacitance change from cell from to cell to (the same
+// interface) and adds the net to nets: a changed load alters the delay of
+// every arc driving the net.
+func (e *Engine) shiftPinLoads(inst *netlist.Instance, from, to *celllib.Cell, nets map[string]bool) {
+	for _, p := range from.Pins {
+		if p.Dir != celllib.In {
+			continue
+		}
+		if np := to.Pin(p.Name); np != nil && np.C != p.C {
+			if net, ok := inst.Conns[p.Name]; ok {
+				e.an.CD.Calc.ShiftLoad(net, np.C-p.C)
+				nets[net] = true
+			}
 		}
 	}
 }

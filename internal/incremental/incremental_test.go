@@ -157,7 +157,7 @@ func TestCancelledApplyRollsBack(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// An adjust plus a cap-changing drive resize: exercises the adjustment
-	// map, the delay calculator, the load refresh and the arc patches.
+	// map, the delay calculator, the load shifts and the arc patches.
 	batch := []Edit{
 		{Op: Adjust, Inst: "g2", Delta: 100},
 		{Op: Resize, Inst: "g3", To: "INV_X4"},

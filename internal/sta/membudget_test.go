@@ -10,8 +10,8 @@ import (
 
 // memBudgetBytesPerCell pins the steady-state footprint of the analysis
 // engine: the compiled design (shared CSR arc backing, per-cluster index
-// arrays, level schedule) plus one analysis state (offset vector, dirty
-// bitset, one scratch arena), per leaf cell, on the 100k-cell SoC grid.
+// arrays, level schedule, pass slots) plus one analysis state (offset
+// vector, dirty and stale bitsets, one scratch arena), per leaf cell, on the 100k-cell SoC grid.
 // The value holds ~50% headroom over the measured figure (~220 B/cell)
 // so it trips on a representation regression — a duplicated arc backing,
 // a per-arc map, per-cluster level copies — not on layout jitter.
@@ -39,8 +39,10 @@ func compiledFootprint(cd *cluster.CompiledDesign, st *AnalysisState) int64 {
 	slice(len(cd.Level), 4)
 	slice(len(cd.LevelStart), 4)
 	slice(len(cd.LevelOrder), 4)
+	slice(len(cd.PassStart), 4)
 	slice(len(st.Odz), 8)
 	slice(len(st.dirty), 8)
+	slice(len(st.stale), 8)
 	slice(4*cd.MaxClusterNets, 8) // one pooled scratch arena
 	return total
 }

@@ -30,7 +30,8 @@ import (
 // dealt round-robin into per-worker queues; each worker drains its own
 // queue via an atomic cursor, then steals from the other queues' cursors.
 // A fetch-add on a victim's cursor claims a chunk exactly once, so
-// stealing needs no locks and the details merge stays deterministic.
+// stealing needs no locks; each cluster writes its own fixed pass slots,
+// so the result is the same whichever worker ran it.
 
 // chunk is a contiguous run order[lo:hi] of a level-grouped cluster order.
 type chunk struct{ lo, hi int32 }

@@ -34,10 +34,13 @@ import (
 // of each worker's busy time per run, and the aggregate utilisation is
 // parallel_worker_busy_ns / (parallel_wall_ns × workers). sta.steals
 // counts chunks a worker executed from another worker's queue.
+// sta.clusters_analyzed and sta.passes count kernel runs only; a cluster
+// a recompute copies from its reference counts in sta.clusters_reused.
 var (
 	mAnalyses         = telemetry.NewCounter("sta.analyses")
 	mRecomputes       = telemetry.NewCounter("sta.recomputes")
 	mClustersAnalyzed = telemetry.NewCounter("sta.clusters_analyzed")
+	mClustersReused   = telemetry.NewCounter("sta.clusters_reused")
 	mPasses           = telemetry.NewCounter("sta.passes")
 	mParallelRuns     = telemetry.NewCounter("sta.parallel_runs")
 	mParallelWorkers  = telemetry.NewCounter("sta.parallel_workers")
@@ -80,7 +83,9 @@ type Result struct {
 	// transitions, +Inf for nets outside any analyzed cluster.
 	NetSlack []clock.Time
 	// Passes carries the per-pass detail used for reporting and for
-	// Algorithm 2's recorded ready/required times.
+	// Algorithm 2's recorded ready/required times: every cluster's passes
+	// in (cluster, pass) order, cluster c's in the fixed slots
+	// Passes[PassStart[c]:PassStart[c+1]] of its compiled design.
 	Passes []PassDetail
 }
 
@@ -200,24 +205,27 @@ func AnalyzeParallel(cd *cluster.CompiledDesign, st *AnalysisState, workers int)
 // is discarded — an interrupted analysis is never a valid block analysis.
 // The compiled design is read-only throughout — concurrent analyses may
 // share it, each with its own state. Results are identical at every
-// worker count.
+// worker count. A reference installed on the state is not consulted.
 func AnalyzeContext(ctx context.Context, cd *cluster.CompiledDesign, st *AnalysisState, workers int) (*Result, error) {
 	mAnalyses.Inc()
-	st.clearDirty()
+	_, sp := span.Start(ctx, "sta.analyze")
+	sp.AnnotateInt("clusters", len(cd.CC))
+	defer sp.End()
+	st.dirty.clear()
 	for id := range cd.CC {
-		st.markDirty(id)
+		st.dirty.set(id)
 	}
 	res := newResult(cd)
-	if err := run(ctx, "sta.analyze", cd, st, res, len(cd.CC), workers); err != nil {
+	if err := run(ctx, sp, cd, st, res, len(cd.CC), workers); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// recomputeParallelThreshold is the dirty-set size (clusters) below which
-// a recompute stays on the caller's goroutine: small dirty sets are
-// dominated by per-goroutine overhead, and the inline loop preserves the
-// steady-state allocation guarantee of delay edits.
+// recomputeParallelThreshold is the number of clusters (dirty and not
+// reused) below which a recompute stays on the caller's goroutine: small
+// sets are dominated by per-goroutine overhead, and the inline loop
+// preserves the steady-state allocation guarantee of delay edits.
 const recomputeParallelThreshold = 64
 
 // RecomputeContext re-runs the block analysis for just the named clusters,
@@ -225,69 +233,66 @@ const recomputeParallelThreshold = 64
 // belongs to exactly one cluster, a cluster's contributions to the result
 // can be reset and rebuilt independently — the basis of the incremental
 // mode of Algorithm 1's sweeps: after a slack transfer only the clusters
-// adjacent to the moved element change. Only dirty sets of at least
-// recomputeParallelThreshold clusters are spread across the workers. On a
-// non-nil error res has been partially rebuilt and must be discarded by
-// the caller — slacks of the untouched clusters are intact but the
-// interrupted clusters' are reset to +Inf.
+// adjacent to the moved element change. With a reference installed on the
+// state (SetReference), a named cluster whose arc delays and boundary
+// offsets match the reference is copied from it instead of analyzed. Only
+// sets of at least recomputeParallelThreshold clusters left to analyze
+// are spread across the workers. On a non-nil error res has been
+// partially rebuilt and must be discarded by the caller — slacks of the
+// untouched clusters are intact but the interrupted clusters' are reset
+// to +Inf.
 func RecomputeContext(ctx context.Context, cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int, workers int) error {
 	mRecomputes.Inc()
-	if len(clusterIDs) < recomputeParallelThreshold {
+	_, sp := span.Start(ctx, "sta.recompute")
+	sp.AnnotateInt("clusters", len(clusterIDs))
+	defer sp.End()
+	resetDirty(cd, st, res, clusterIDs)
+	n := len(clusterIDs)
+	if st.ref != nil {
+		reused := reuse(cd, st, res)
+		sp.AnnotateInt("reused", reused)
+		n -= reused
+	}
+	if n < recomputeParallelThreshold {
 		workers = 1
 	}
-	resetDirty(cd, st, res, clusterIDs)
-	return run(ctx, "sta.recompute", cd, st, res, len(clusterIDs), workers)
+	return run(ctx, sp, cd, st, res, n, workers)
 }
 
 // run is the one block-analysis driver: it analyzes the n clusters marked
-// in the state's dirty bitset into res. The worker count is capped at
-// GOMAXPROCS, since oversubscribed workers only contend. With one worker
-// the cluster loop runs on the caller's goroutine with one pooled scratch
-// arena; with more, the same kernel goes to the level-scheduled scheduler
-// (parallel.go). Either way the pass list ends in Analyze's (cluster,
-// pass) order, so results are byte-identical at every worker count.
-func run(ctx context.Context, name string, cd *cluster.CompiledDesign, st *AnalysisState, res *Result, n, workers int) error {
+// in the state's dirty bitset into res, annotating sp with the worker
+// count. The worker count is capped at GOMAXPROCS, since oversubscribed
+// workers only contend. With one worker the cluster loop runs on the
+// caller's goroutine with one pooled scratch arena; with more, the same
+// kernel goes to the level-scheduled scheduler (parallel.go). Either way
+// each cluster writes only its own slacks and pass slots, so results are
+// byte-identical at every worker count.
+func run(ctx context.Context, sp *span.Span, cd *cluster.CompiledDesign, st *AnalysisState, res *Result, n, workers int) error {
 	workers = max(1, min(workers, n, runtime.GOMAXPROCS(0)))
-	_, sp := span.Start(ctx, name)
-	sp.AnnotateInt("clusters", n)
 	sp.AnnotateInt("workers", workers)
-	defer sp.End()
-	if workers == 1 {
-		buf := st.getScratch()
-		defer st.putScratch(buf)
-		for w, word := range st.dirty {
-			for ; word != 0; word &= word - 1 {
-				if err := interrupt(ctx); err != nil {
-					return err
-				}
-				id := w*64 + bits.TrailingZeros64(word)
-				res.Passes = analyzeCluster(cd, cd.CC[id], st, res, res.Passes, buf)
-			}
-		}
-	} else {
+	if workers > 1 {
 		// The dirty clusters grouped by (level, id): the cache-linear
 		// traversal order of the scheduler.
 		order := make([]int32, 0, n)
 		for _, id := range cd.LevelOrder {
-			if st.isDirty(int(id)) {
+			if st.dirty.has(int(id)) {
 				order = append(order, id)
 			}
 		}
-		// Every worker writes its clusters' details into a disjoint slot
-		// of this table; the merge below runs in cluster order.
-		details := make([][]PassDetail, len(cd.CC))
-		err := runLevelScheduled(cd, st, order, workers, func() error { return interrupt(ctx) },
-			func(id int32, buf *[]clock.Time) {
-				details[id] = analyzeCluster(cd, cd.CC[id], st, res, nil, buf)
-			})
-		if err != nil {
-			return err
-		}
-		for _, d := range details {
-			res.Passes = append(res.Passes, d...)
+		return runLevelScheduled(cd, st, order, workers, func() error { return interrupt(ctx) },
+			func(id int32, buf *[]clock.Time) { analyzeCluster(cd, cd.CC[id], st, res, buf) })
+	}
+	buf := st.getScratch()
+	defer st.putScratch(buf)
+	for w, word := range st.dirty {
+		for ; word != 0; word &= word - 1 {
+			if err := interrupt(ctx); err != nil {
+				return err
+			}
+			id := w*64 + bits.TrailingZeros64(word)
+			analyzeCluster(cd, cd.CC[id], st, res, buf)
 		}
 	}
-	restorePassOrder(res)
 	return nil
 }
 
@@ -307,15 +312,15 @@ func interrupt(ctx context.Context) error {
 	return nil
 }
 
-// resetDirty marks the named clusters in the state's reusable bitset,
-// resets every slack they own to +Inf and drops their old pass details in
-// one filter pass. The dirty set is the state's bitset — incremental
-// sweeps recompute once per sweep, so a per-call map allocation here is
-// hot-path garbage.
+// resetDirty marks the named clusters in the state's reusable bitset and
+// resets every slack they own to +Inf; their pass slots are rewritten by
+// the kernel or the reuse. The dirty set is the state's bitset —
+// incremental sweeps recompute once per sweep, so a per-call map
+// allocation here is hot-path garbage.
 func resetDirty(cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int) {
-	st.clearDirty()
+	st.dirty.clear()
 	for _, id := range clusterIDs {
-		st.markDirty(id)
+		st.dirty.set(id)
 		cl := cd.Network.Clusters[id]
 		for _, in := range cl.Inputs {
 			res.OutSlack[in.Elem] = posInf
@@ -327,29 +332,57 @@ func resetDirty(cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clus
 			res.NetSlack[n] = posInf
 		}
 	}
-	kept := res.Passes[:0]
-	for _, p := range res.Passes {
-		if !st.isDirty(p.Cluster) {
-			kept = append(kept, p)
-		}
-	}
-	res.Passes = kept
 }
 
-// restorePassOrder keeps the pass list in Analyze's (cluster, pass) order
-// so a result maintained by RecomputeContext stays interchangeable with a
-// fresh analysis. The kept run and the appended details are each already
-// ordered, so an insertion pass restores the global order; unlike
-// sort.Slice it does not allocate, and a recompute runs once per
-// incremental sweep.
-func restorePassOrder(res *Result) {
-	ps := res.Passes
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && (ps[j].Cluster < ps[j-1].Cluster ||
-			(ps[j].Cluster == ps[j-1].Cluster && ps[j].Pass < ps[j-1].Pass)); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
+// reuse copies from the state's reference every dirty cluster whose kernel
+// inputs are unchanged — it is not stale, and every input- and
+// output-element offset equals the reference's — and drops it from the
+// dirty set. The copy shares the reference's pass-detail vectors. It
+// returns how many clusters it copied.
+func reuse(cd *cluster.CompiledDesign, st *AnalysisState, res *Result) int {
+	ref, odz := st.ref, st.refOdz
+	reused := 0
+	for w, word := range st.dirty {
+		for ; word != 0; word &= word - 1 {
+			id := w*64 + bits.TrailingZeros64(word)
+			cc := cd.CC[id]
+			if st.stale.has(id) || !sameOffsets(cc, st.Odz, odz) {
+				continue
+			}
+			for _, in := range cc.Inputs {
+				res.OutSlack[in.Elem] = ref.OutSlack[in.Elem]
+			}
+			for _, out := range cc.Outputs {
+				res.InSlack[out.Elem] = ref.InSlack[out.Elem]
+			}
+			for _, n := range cc.Nets {
+				res.NetSlack[n] = ref.NetSlack[n]
+			}
+			lo, hi := cd.PassStart[id], cd.PassStart[id+1]
+			copy(res.Passes[lo:hi], ref.Passes[lo:hi])
+			st.dirty.unset(id)
+			reused++
 		}
 	}
+	mClustersReused.Add(int64(reused))
+	return reused
+}
+
+// sameOffsets reports whether every element on the cluster's boundary —
+// the launching elements of its inputs and the capturing elements of its
+// outputs — holds the same offset in odz as in ref.
+func sameOffsets(cc *cluster.CompiledCluster, odz, ref []clock.Time) bool {
+	for _, in := range cc.Inputs {
+		if odz[in.Elem] != ref[in.Elem] {
+			return false
+		}
+	}
+	for _, out := range cc.Outputs {
+		if odz[out.Elem] != ref[out.Elem] {
+			return false
+		}
+	}
+	return true
 }
 
 func newResult(cd *cluster.CompiledDesign) *Result {
@@ -362,24 +395,25 @@ func newResult(cd *cluster.CompiledDesign) *Result {
 		InSlack:  backing[:nE:nE],
 		OutSlack: backing[nE : 2*nE : 2*nE],
 		NetSlack: backing[2*nE:],
+		Passes:   make([]PassDetail, cd.PassStart[len(cd.CC)]),
 	}
 }
 
 // analyzeCluster is the per-cluster kernel: it runs every pass of one
 // cluster against a caller-owned scratch arena (≥ 4×MaxClusterNets
-// entries), writes the cluster's slacks into res and appends its pass
-// details to dst. Appending into the caller's pass list lets a recompute
-// whose cloned Result already has the capacity rebuild dirty clusters
-// without growing it; the detail vectors themselves are one backing
-// allocation per cluster however many passes it runs. They escape into
-// the caller's Result (reports hold them), so they cannot come from the
-// pooled scratch.
-func analyzeCluster(cd *cluster.CompiledDesign, cc *cluster.CompiledCluster, st *AnalysisState, res *Result, dst []PassDetail, buf *[]clock.Time) []PassDetail {
+// entries) and writes the cluster's slacks and its pass slots
+// (res.Passes[PassStart[id]:PassStart[id+1]]) into res. Nothing else in
+// res is touched, so concurrent calls on distinct clusters need no
+// synchronisation. The detail vectors are one fresh backing allocation per
+// cluster however many passes it runs: they escape into the caller's
+// Result (reports and later results share them), so they cannot come from
+// the pooled scratch and are never written after this call.
+func analyzeCluster(cd *cluster.CompiledDesign, cc *cluster.CompiledCluster, st *AnalysisState, res *Result, buf *[]clock.Time) {
 	mClustersAnalyzed.Inc()
 	mPasses.Add(int64(len(cc.Plan.Breaks)))
 	T := cd.Clocks.Overall()
 	n := len(cc.Nets)
-	details := dst
+	slots := res.Passes[cd.PassStart[cc.ID]:cd.PassStart[cc.ID+1]]
 	db := make([]clock.Time, 4*n*len(cc.Plan.Breaks))
 	scratch := (*buf)[:4*n]
 	readyR := scratch[0*n : 1*n]
@@ -488,18 +522,17 @@ func analyzeCluster(cd *cluster.CompiledDesign, cc *cluster.CompiledCluster, st 
 		copy(pb[1*n:2*n], readyF)
 		copy(pb[2*n:3*n], reqR)
 		copy(pb[3*n:4*n], reqF)
-		details = append(details, PassDetail{
+		slots[pi] = PassDetail{
 			Cluster: cc.ID, Pass: pi, Beta: beta,
 			Nets:   cc.Nets,
 			ReadyR: pb[0*n : 1*n : 1*n],
 			ReadyF: pb[1*n : 2*n : 2*n],
 			ReqR:   pb[2*n : 3*n : 3*n],
 			ReqF:   pb[3*n : 4*n : 4*n],
-		})
+		}
 	}
 	// Clusters may legitimately have zero passes (no outputs): element
 	// output terminals feeding them keep +Inf slack.
-	return details
 }
 
 // arcForward maps input ready times through an arc's unateness to the

@@ -29,15 +29,24 @@ type AnalysisState struct {
 	// dirty is the reusable bitset of the clusters the next driver run
 	// analyzes (all of them for a full analysis), so incremental sweeps
 	// stop allocating on the hot path.
-	dirty []uint64
+	dirty bitset
+
+	// ref, refOdz and stale are the optional reference RecomputeContext
+	// reuses clusters from (see SetReference); ref is nil when none is
+	// installed.
+	ref    *Result
+	refOdz []clock.Time
+	stale  bitset
 }
 
 // NewState returns a fresh analysis state at the design's initial offsets.
 func NewState(cd *cluster.CompiledDesign) *AnalysisState {
+	words := (len(cd.Network.Clusters) + 63) / 64
 	st := &AnalysisState{
 		cd:    cd,
 		Odz:   make([]clock.Time, len(cd.Elems)),
-		dirty: make([]uint64, (len(cd.Network.Clusters)+63)/64),
+		dirty: make(bitset, words),
+		stale: make(bitset, words),
 	}
 	scratchLen := 4 * cd.MaxClusterNets
 	st.scratch.New = func() any {
@@ -74,6 +83,25 @@ func (st *AnalysisState) SnapshotOffsets(dst []clock.Time) []clock.Time {
 // RestoreOffsets copies a snapshot back into the state.
 func (st *AnalysisState) RestoreOffsets(src []clock.Time) { copy(st.Odz, src) }
 
+// SetReference installs a previous block analysis of the same compiled
+// design for RecomputeContext to reuse: res, the offsets odz it was
+// computed at, and the clusters whose arc delays changed since. Until
+// ClearReference, a recomputed cluster outside stale whose input- and
+// output-element offsets all equal odz's copies its slacks and pass
+// details from res instead of re-running the kernel. The kernel reads
+// nothing else, so the copy is exact. res and odz must not change while
+// installed; res's pass-detail vectors are shared, never written.
+func (st *AnalysisState) SetReference(res *Result, odz []clock.Time, stale []int) {
+	st.ref, st.refOdz = res, odz
+	st.stale.clear()
+	for _, id := range stale {
+		st.stale.set(id)
+	}
+}
+
+// ClearReference removes the installed reference, if any.
+func (st *AnalysisState) ClearReference() { st.ref, st.refOdz = nil, nil }
+
 // getScratch borrows one per-cluster scratch arena (4×MaxClusterNets).
 func (st *AnalysisState) getScratch() *[]clock.Time {
 	return st.scratch.Get().(*[]clock.Time)
@@ -81,17 +109,12 @@ func (st *AnalysisState) getScratch() *[]clock.Time {
 
 func (st *AnalysisState) putScratch(buf *[]clock.Time) { st.scratch.Put(buf) }
 
-// markDirty sets cluster id in the reusable bitset.
-func (st *AnalysisState) markDirty(id int) { st.dirty[id>>6] |= 1 << (uint(id) & 63) }
+// bitset is a reusable set of cluster ids.
+type bitset []uint64
 
-// isDirty reports whether cluster id is marked.
-func (st *AnalysisState) isDirty(id int) bool {
-	return st.dirty[id>>6]&(1<<(uint(id)&63)) != 0
-}
+func (b bitset) set(id int)      { b[id>>6] |= 1 << (uint(id) & 63) }
+func (b bitset) unset(id int)    { b[id>>6] &^= 1 << (uint(id) & 63) }
+func (b bitset) has(id int) bool { return b[id>>6]&(1<<(uint(id)&63)) != 0 }
 
-// clearDirty zeroes the bitset (compiled to a memclr).
-func (st *AnalysisState) clearDirty() {
-	for i := range st.dirty {
-		st.dirty[i] = 0
-	}
-}
+// clear empties the set (compiled to a memclr).
+func (b bitset) clear() { clear(b) }
