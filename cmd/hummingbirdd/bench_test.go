@@ -13,48 +13,56 @@ import (
 	"hummingbird/internal/workload"
 )
 
-// benchDesign serialises the ALU workload back to netlist text so the
-// session-open benchmarks exercise a realistically sized design rather
-// than the toy pipe fixture.
-func benchDesign(b *testing.B) string {
-	b.Helper()
-	d, err := workload.ALU()
+// designText serialises a workload back to netlist text so the session
+// benchmarks exercise a realistically sized design rather than the toy
+// pipe fixture.
+func designText(tb testing.TB, gen func() (*netlist.Design, error)) string {
+	tb.Helper()
+	d, err := gen()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var sb strings.Builder
 	if err := netlist.Write(&sb, d); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return sb.String()
 }
 
-// do drives a handler directly (no TCP) and fails the benchmark on an
-// unexpected status.
-func do(b *testing.B, h http.Handler, method, path, body string, want int) map[string]any {
-	b.Helper()
+// benchDesign is the ALU workload's netlist text.
+func benchDesign(b *testing.B) string { return designText(b, workload.ALU) }
+
+// do drives a handler directly (no TCP) and fails the test or benchmark
+// on an unexpected status.
+func do(tb testing.TB, h http.Handler, method, path, body string, want int) map[string]any {
+	tb.Helper()
 	req := httptest.NewRequest(method, path, bytes.NewReader([]byte(body)))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != want {
-		b.Fatalf("%s %s: status %d, want %d: %s", method, path, rec.Code, want, rec.Body.String())
+		tb.Fatalf("%s %s: status %d, want %d: %s", method, path, rec.Code, want, rec.Body.String())
 	}
 	m := map[string]any{}
 	if rec.Body.Len() > 0 {
 		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-			b.Fatalf("decode %s: %v", rec.Body.Bytes(), err)
+			tb.Fatalf("decode %s: %v", rec.Body.Bytes(), err)
 		}
 	}
 	return m
 }
 
-func openBody(b *testing.B, design string) string {
-	b.Helper()
-	body, err := json.Marshal(map[string]any{"design": design})
+// mustJSON marshals a request body.
+func mustJSON(tb testing.TB, v any) string {
+	tb.Helper()
+	body, err := json.Marshal(v)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return string(body)
+}
+
+func openBody(b *testing.B, design string) string {
+	return mustJSON(b, map[string]any{"design": design})
 }
 
 // BenchmarkSessionOpen_Cold is the pre-sharing baseline: every open pays a
@@ -110,5 +118,34 @@ func BenchmarkSessionOpen_ParkResume(b *testing.B) {
 			b.Fatalf("open did not resume the parked state: %v", m)
 		}
 		do(b, h, "DELETE", "/v1/sessions/"+m["session"].(string), "", http.StatusOK)
+	}
+}
+
+// desGate is a combinational DES gate outside every clock cone: edits to
+// its delays are delay-only.
+const desGate = "g_s7l2w11"
+
+// BenchmarkSessionEdit_DES is the handler-level guard on the served edit
+// path: one DES session on the handler (no TCP, no journal), each
+// iteration posting one edit_delay — a ±100 ps adjust on a delay-local
+// gate — through decode, the session lock, the engine, the slack-delta
+// build and encoding.
+func BenchmarkSessionEdit_DES(b *testing.B) {
+	srv := newServer(celllib.Default(), serverConfig{maxSessions: 4, cacheSize: 0})
+	h := srv.handler()
+	m := do(b, h, "POST", "/v1/sessions", openBody(b, designText(b, workload.DES)), http.StatusCreated)
+	path := "/v1/sessions/" + m["session"].(string) + "/edits"
+	bodies := [2]string{}
+	for i, delta := range []string{"100ps", "-100ps"} {
+		bodies[i] = mustJSON(b, map[string]any{"edits": []map[string]any{
+			{"op": "adjust", "inst": desGate, "delta": delta}}})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out := do(b, h, "POST", path, bodies[i%2], http.StatusOK)
+		if i == 0 && out["incremental"] != true {
+			b.Fatalf("adjust on %s fell back to a full analysis: %v", desGate, out)
+		}
 	}
 }

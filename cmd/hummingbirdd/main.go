@@ -94,6 +94,7 @@ import (
 	"hummingbird/internal/journal"
 	"hummingbird/internal/netlist"
 	"hummingbird/internal/report"
+	"hummingbird/internal/sta"
 	"hummingbird/internal/telemetry"
 	"hummingbird/internal/telemetry/flight"
 	"hummingbird/internal/telemetry/span"
@@ -384,10 +385,11 @@ type sess struct {
 	// reported in the replication inventory so a reconciling router can
 	// re-pin the session without replaying its journal.
 	designKey string
-	// prevSlack maps net name → slack after the previous analysis, for
-	// delta reports (by name so full rebuilds that renumber nets still
-	// diff correctly).
-	prevSlack map[string]clock.Time
+	// prevRes is the result of the previous analysis and prevNets the net
+	// table it is indexed by, for delta reports. Results an engine hands
+	// out are never written again, so holding the pointer is a snapshot.
+	prevRes  *sta.Result
+	prevNets []string
 	// lastTrace is the finished span tree of the session's most recent
 	// guarded request (served at /trace/last). It dies with the session.
 	lastTrace *span.Trace
@@ -1515,46 +1517,58 @@ func writeAnalysisError(w http.ResponseWriter, op string, err error) {
 	}
 }
 
-// rememberSlacks snapshots per-net slacks for the next delta report;
-// callers hold ss.mu.
+// rememberSlacks keeps the current result as the base of the next delta
+// report; callers hold ss.mu.
 func (ss *sess) rememberSlacks() {
-	rep := ss.eng.Report()
-	if rep == nil {
-		ss.prevSlack = nil
-		return
+	ss.prevRes, ss.prevNets = nil, nil
+	if rep := ss.eng.Report(); rep != nil {
+		ss.prevRes, ss.prevNets = rep.Result, ss.eng.Analyzer().CD.Nets
 	}
-	nw := ss.eng.Analyzer().CD.Network
-	m := make(map[string]clock.Time, len(nw.Nets))
-	for i, name := range nw.Nets {
-		m[name] = rep.Result.NetSlack[i]
-	}
-	ss.prevSlack = m
 }
 
 // slackDeltas lists the nets whose slack moved since the previous
-// analysis, tightest new slack first, capped at 20 entries.
+// analysis, tightest new slack first, capped at 20 entries. While the
+// compiled design still uses the previous net table — delay-only edits
+// keep it and copy-on-write twins share it — the slacks are compared
+// index by index; after a topology rebuild renumbers the nets they are
+// matched by name.
 func (ss *sess) slackDeltas() []map[string]any {
 	rep := ss.eng.Report()
 	if rep == nil {
 		return nil
 	}
-	nw := ss.eng.Analyzer().CD.Network
+	nets := ss.eng.Analyzer().CD.Nets
 	type delta struct {
 		net      string
 		now, was clock.Time
 		hasWas   bool
 	}
 	var ds []delta
-	for i, name := range nw.Nets {
-		now := rep.Result.NetSlack[i]
-		was, ok := ss.prevSlack[name]
-		if ok && was == now {
-			continue
+	if prev := ss.prevRes; prev != nil && sameNetTable(nets, ss.prevNets) {
+		for i, now := range rep.Result.NetSlack {
+			if was := prev.NetSlack[i]; was != now {
+				ds = append(ds, delta{net: nets[i], now: now, was: was, hasWas: true})
+			}
 		}
-		if !ok && now == clock.Inf {
-			continue
+	} else {
+		var prevSlack map[string]clock.Time
+		if prev != nil {
+			prevSlack = make(map[string]clock.Time, len(ss.prevNets))
+			for i, name := range ss.prevNets {
+				prevSlack[name] = prev.NetSlack[i]
+			}
 		}
-		ds = append(ds, delta{net: name, now: now, was: was, hasWas: ok})
+		for i, name := range nets {
+			now := rep.Result.NetSlack[i]
+			was, ok := prevSlack[name]
+			if ok && was == now {
+				continue
+			}
+			if !ok && now == clock.Inf {
+				continue
+			}
+			ds = append(ds, delta{net: name, now: now, was: was, hasWas: ok})
+		}
 	}
 	sort.Slice(ds, func(i, j int) bool {
 		if ds[i].now != ds[j].now {
@@ -1578,6 +1592,12 @@ func (ss *sess) slackDeltas() []map[string]any {
 		out = append(out, map[string]any{"truncated": total - len(ds)})
 	}
 	return out
+}
+
+// sameNetTable reports whether a and b are the same net table: one backing
+// array, not merely equal names.
+func sameNetTable(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {

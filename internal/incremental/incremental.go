@@ -150,19 +150,19 @@ type Engine struct {
 	an     *core.Analyzer
 	// base is the block analysis at the *initial* offsets (ResetOffsets
 	// state) for the current design and delays: the cached sta.Result that
-	// delay-only edits bring up to date with sta.RecomputeContext instead
-	// of re-running every cluster.
+	// delay-only edits patch in place with sta.RecomputeContext, over just
+	// the clusters whose delays changed, instead of re-running every
+	// cluster. It is never handed out; each edit's working result is one
+	// Clone of it.
 	base *sta.Result
-	// spare is a retired base buffer recycled by the next rebase: the
-	// delay-only path double-buffers e.base through sta.(*Result).CloneInto
-	// so steady-state edits rebase without allocating.
-	spare *sta.Result
 	// Reusable applyDelayOnly scratch (cleared, never reallocated, so
-	// steady-state delay edits stay off the allocator).
+	// steady-state delay edits stay off the allocator). scrBase saves what
+	// the patched clusters owned in base, for the rollback.
 	scrArcs map[arcRef]bool
 	scrNets map[string]bool
 	scrUndo []undoStep
 	scrIDs  []int
+	scrBase sta.ClusterUndo
 	rep     *core.Report
 	cons    *core.Constraints
 	// odz snapshots the Algorithm-1 fixed-point offsets so Constraints()
@@ -511,10 +511,11 @@ type undoStep struct {
 }
 
 // applyDelayOnly patches arc delays in place and recomputes only the dirty
-// clusters against the cached initial-offset result. Every error path runs
-// the undo log, so a failed batch (cancellation, non-convergence, a failed
+// clusters in the cached initial-offset result. Every error path runs the
+// undo log, so a failed batch (cancellation, non-convergence, a failed
 // checksum-fallback rebuild) leaves the engine bit-identical to its state
-// before the call — including the still-valid previous report.
+// before the call — including the cached base and the still-valid
+// previous report.
 func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, error) {
 	// Delay-only edits mutate arc delays and the delay calculator — never
 	// a shared compiled design. Unshare (copy-on-write) first.
@@ -529,8 +530,8 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 	clear(e.scrNets)
 	affectedNets := e.scrNets
 	dirtyArcs := e.scrArcs
-	oldBase := e.base
 	undo := e.scrUndo[:0]
+	patched := false // e.base holds the recomputed dirty clusters
 	rollback := func() {
 		for i := len(undo) - 1; i >= 0; i-- {
 			u := undo[i]
@@ -549,7 +550,9 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 		for r := range dirtyArcs {
 			e.reevalArc(r)
 		}
-		e.base = oldBase
+		if patched {
+			e.scrBase.Restore(e.an.CD, e.base)
+		}
 		e.restoreOffsets()
 	}
 	// topo tracks the checksum across the batch: the sum-composed
@@ -624,24 +627,25 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 	mCacheHits.Inc()
 	mDirtyClusters.Add(int64(len(ids)))
 
-	// Replay the from-scratch computation: initial offsets, cached base
-	// result with just the dirty clusters recomputed, then the incremental
-	// Algorithm 1 fixed point. Any interruption rolls the patches back —
-	// the previous report and base cache stay live, and the caller can
-	// retry the identical batch.
+	// Replay the from-scratch computation: initial offsets, the cached base
+	// result with just the dirty clusters recomputed in place, then the
+	// incremental Algorithm 1 fixed point on one clone of it. Any
+	// interruption rolls the patches back — the base's dirty clusters are
+	// restored from scrBase, the previous report stays live, and the
+	// caller can retry the identical batch.
 	e.an.ResetOffsets()
-	res := e.base.Clone()
 	if len(ids) > 0 {
+		e.scrBase.Save(e.an.CD, e.base, ids)
+		patched = true
 		// Large dirty sets (≥ the sta threshold) ride the level-scheduled
 		// parallel walk when the engine was opened with Options.Workers;
 		// small ones stay on the inline allocation-free path.
-		if err := sta.RecomputeContext(ctx, e.an.CD, e.an.St, res, ids, e.opts.Workers); err != nil {
+		if err := sta.RecomputeContext(ctx, e.an.CD, e.an.St, e.base, ids, e.opts.Workers); err != nil {
 			rollback()
 			return nil, err
 		}
-		e.base = res.CloneInto(e.spare)
-		e.spare = nil
 	}
+	res := e.base.Clone()
 	// The previous fixed point is the replay's reference: a cluster the
 	// sweeps dirty whose delays are unchanged and whose boundary offsets
 	// land back on their previous fixed-point values is copied from it
@@ -654,9 +658,6 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 		return nil, err
 	}
 	e.rep, e.cons = rep, nil
-	if oldBase != e.base {
-		e.spare = oldBase // recycle the retired base for the next rebase
-	}
 	e.snapshotOffsets()
 	return &Outcome{Incremental: true, DirtyClusters: len(ids), Report: rep}, nil
 }

@@ -125,24 +125,30 @@ func (d *Design) ClockSet() (*clock.Set, error) {
 // NetNames returns every net name referenced by the design — port nets,
 // clock nets and instance connections — sorted.
 func (d *Design) NetNames() []string {
-	seen := map[string]bool{}
-	for _, c := range d.Clocks {
-		seen[c.Name] = true
-	}
-	for _, p := range d.Ports {
-		seen[p.Name] = true
-	}
-	for _, inst := range d.Instances {
-		for _, net := range inst.Conns {
-			seen[net] = true
-		}
-	}
+	seen := d.netSet()
 	nets := make([]string, 0, len(seen))
 	for n := range seen {
 		nets = append(nets, n)
 	}
 	sort.Strings(nets)
 	return nets
+}
+
+// netSet returns the set of net names NetNames lists.
+func (d *Design) netSet() map[string]struct{} {
+	seen := map[string]struct{}{}
+	for _, c := range d.Clocks {
+		seen[c.Name] = struct{}{}
+	}
+	for _, p := range d.Ports {
+		seen[p.Name] = struct{}{}
+	}
+	for _, inst := range d.Instances {
+		for _, net := range inst.Conns {
+			seen[net] = struct{}{}
+		}
+	}
+	return seen
 }
 
 // Stats summarises a design for Table-1-style reporting.
@@ -153,10 +159,18 @@ type Stats struct {
 	Latches int // synchronising elements (leaf, flattened count)
 }
 
-// Stats computes design statistics against the given library.
+// Stats computes design statistics against the given library. The net
+// count is len(NetNames()), counted without building the sorted list.
 func (d *Design) Stats(lib *celllib.Library) Stats {
+	s := d.CellStats(lib)
+	s.Nets = len(d.netSet())
+	return s
+}
+
+// CellStats is Stats without the net count, for callers that already hold
+// the design's net table (an elaborated network lists every net).
+func (d *Design) CellStats(lib *celllib.Library) Stats {
 	var s Stats
-	s.Nets = len(d.NetNames())
 	var count func(des *Design, mult int)
 	count = func(des *Design, mult int) {
 		for _, inst := range des.Instances {

@@ -66,10 +66,10 @@ type JSONPlan struct {
 
 // BuildJSON assembles the export structure.
 func BuildJSON(a *core.Analyzer, rep *core.Report) *JSONResult {
-	st := a.Design.Stats(a.Lib)
+	st := a.Design.CellStats(a.Lib)
 	out := &JSONResult{
 		Design: a.Design.Name, OK: rep.OK, WorstPs: int64(rep.WorstSlack()),
-		Cells: st.Cells, Nets: st.Nets,
+		Cells: st.Cells, Nets: len(a.CD.Nets),
 		Elements: len(a.CD.Elems), Clusters: len(a.CD.Clusters),
 		Passes:      a.CD.TotalPasses(),
 		Sweeps:      JSONSweeps{Forward: rep.ForwardSweeps, Backward: rep.BackwardSweeps},

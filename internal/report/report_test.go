@@ -206,6 +206,39 @@ func TestStatsLine(t *testing.T) {
 	}
 }
 
+// TestNetCountMatchesNetTable: the reports take the net count from the
+// elaborated network's net table instead of re-deriving it, so for every
+// workload generator — SM1H's hierarchy included — Stats' count, the
+// sorted NetNames list and the compiled design's Nets must agree.
+func TestNetCountMatchesNetTable(t *testing.T) {
+	lib := celllib.Default()
+	gen := func(d *netlist.Design, err error) *netlist.Design {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	designs := []*netlist.Design{
+		gen(workload.Pipeline(workload.PipeConfig{Name: "pipe", Stages: 8, Width: 6, Depth: 3, Seed: 7})),
+		gen(workload.DES()), gen(workload.ALU()),
+		workload.SM1F(), workload.SM1H(), workload.Figure1(),
+		gen(workload.Scaling(2000, 1)),
+		gen(workload.DESGated()), gen(workload.DESMultiFreq()),
+		gen(workload.SoC(8, 8, 4, 3)), gen(workload.SoCCells(2000, 1)),
+	}
+	for _, d := range designs {
+		a, err := core.Load(lib, d, core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		stats, names, table := d.Stats(lib).Nets, len(d.NetNames()), len(a.CD.Nets)
+		if stats != names || names != table {
+			t.Errorf("%s: Stats counts %d nets, NetNames lists %d, the compiled net table %d", d.Name, stats, names, table)
+		}
+	}
+}
+
 func TestWriteJSON(t *testing.T) {
 	a, rep := loadFig1(t)
 	var sb strings.Builder

@@ -89,78 +89,28 @@ type Result struct {
 	Passes []PassDetail
 }
 
-// Clone returns a deep copy of the result. The per-pass Nets slices are
-// shared with the original: they alias the owning cluster's member list,
-// which no analysis mutates. All time vectors — the three slack vectors
-// and every pass's four views — share ONE backing allocation, so a Clone
-// is exactly three allocations (struct, backing, Passes slice) regardless
-// of pass count. Clone runs on every Constraints() call and engine
-// rebase, so its allocation count matters.
+// Clone returns a copy of the result that later analyses may update
+// without touching the original: the three slack vectors are copied into
+// one fresh backing and the pass list's headers into a fresh slice, so a
+// Clone is three allocations and O(elements + nets + passes) however many
+// nets the passes cover. Pass-detail vectors are write-once —
+// analyzeCluster allocates them fresh and nothing writes them afterwards —
+// so the copy shares them with the original, as reuse and the constraint
+// snapshots do.
 func (r *Result) Clone() *Result {
 	nE, nN := len(r.InSlack), len(r.NetSlack)
-	total := 2*nE + nN
-	for i := range r.Passes {
-		total += 4 * len(r.Passes[i].Nets)
-	}
-	backing := make([]clock.Time, total)
+	backing := make([]clock.Time, 2*nE+nN)
 	c := &Result{
 		InSlack:  backing[:nE:nE],
 		OutSlack: backing[nE : 2*nE : 2*nE],
-		NetSlack: backing[2*nE : 2*nE+nN : 2*nE+nN],
+		NetSlack: backing[2*nE:],
 		Passes:   make([]PassDetail, len(r.Passes)),
 	}
+	copy(c.Passes, r.Passes)
 	copy(c.InSlack, r.InSlack)
 	copy(c.OutSlack, r.OutSlack)
 	copy(c.NetSlack, r.NetSlack)
-	off := 2*nE + nN
-	for i, p := range r.Passes {
-		n := len(p.Nets)
-		pb := backing[off : off+4*n : off+4*n]
-		off += 4 * n
-		copy(pb[0*n:1*n], p.ReadyR)
-		copy(pb[1*n:2*n], p.ReadyF)
-		copy(pb[2*n:3*n], p.ReqR)
-		copy(pb[3*n:4*n], p.ReqF)
-		c.Passes[i] = PassDetail{
-			Cluster: p.Cluster, Pass: p.Pass, Beta: p.Beta,
-			Nets:   p.Nets,
-			ReadyR: pb[0*n : 1*n : 1*n],
-			ReadyF: pb[1*n : 2*n : 2*n],
-			ReqR:   pb[2*n : 3*n : 3*n],
-			ReqF:   pb[3*n : 4*n : 4*n],
-		}
-	}
 	return c
-}
-
-// CloneInto copies r into dst, reusing dst's existing vectors when the
-// shapes match (same element/net counts and identical pass layout — always
-// true across delay-only edits, where topology is frozen). When dst is nil
-// or shaped differently it falls back to Clone. The incremental engine
-// double-buffers its cached base result through this to rebase without
-// allocating.
-func (r *Result) CloneInto(dst *Result) *Result {
-	if dst == nil || len(dst.InSlack) != len(r.InSlack) ||
-		len(dst.NetSlack) != len(r.NetSlack) || len(dst.Passes) != len(r.Passes) {
-		return r.Clone()
-	}
-	for i := range r.Passes {
-		if len(dst.Passes[i].Nets) != len(r.Passes[i].Nets) {
-			return r.Clone()
-		}
-	}
-	copy(dst.InSlack, r.InSlack)
-	copy(dst.OutSlack, r.OutSlack)
-	copy(dst.NetSlack, r.NetSlack)
-	for i := range r.Passes {
-		p, q := &r.Passes[i], &dst.Passes[i]
-		q.Cluster, q.Pass, q.Beta, q.Nets = p.Cluster, p.Pass, p.Beta, p.Nets
-		copy(q.ReadyR, p.ReadyR)
-		copy(q.ReadyF, p.ReadyF)
-		copy(q.ReqR, p.ReqR)
-		copy(q.ReqF, p.ReqF)
-	}
-	return dst
 }
 
 // MinElemSlack returns the smaller of the element's terminal slacks.
@@ -237,22 +187,22 @@ const recomputeParallelThreshold = 64
 // state (SetReference), a named cluster whose arc delays and boundary
 // offsets match the reference is copied from it instead of analyzed. Only
 // sets of at least recomputeParallelThreshold clusters left to analyze
-// are spread across the workers. On a non-nil error res has been
-// partially rebuilt and must be discarded by the caller — slacks of the
-// untouched clusters are intact but the interrupted clusters' are reset
-// to +Inf.
+// are spread across the workers. res must be the caller's own working
+// result, never one already handed out: results returned to callers are
+// not written again. On a non-nil error res has been partially rebuilt
+// and must be discarded or restored by the caller (ClusterUndo) — slacks
+// of the untouched clusters are intact but the interrupted clusters' are
+// reset to +Inf.
 func RecomputeContext(ctx context.Context, cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int, workers int) error {
 	mRecomputes.Inc()
 	_, sp := span.Start(ctx, "sta.recompute")
 	sp.AnnotateInt("clusters", len(clusterIDs))
 	defer sp.End()
-	resetDirty(cd, st, res, clusterIDs)
-	n := len(clusterIDs)
+	reused := markDirty(cd, st, res, clusterIDs)
 	if st.ref != nil {
-		reused := reuse(cd, st, res)
 		sp.AnnotateInt("reused", reused)
-		n -= reused
 	}
+	n := len(clusterIDs) - reused
 	if n < recomputeParallelThreshold {
 		workers = 1
 	}
@@ -312,43 +262,23 @@ func interrupt(ctx context.Context) error {
 	return nil
 }
 
-// resetDirty marks the named clusters in the state's reusable bitset and
-// resets every slack they own to +Inf; their pass slots are rewritten by
-// the kernel or the reuse. The dirty set is the state's bitset —
-// incremental sweeps recompute once per sweep, so a per-call map
-// allocation here is hot-path garbage.
-func resetDirty(cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int) {
-	st.dirty.clear()
-	for _, id := range clusterIDs {
-		st.dirty.set(id)
-		cl := cd.Network.Clusters[id]
-		for _, in := range cl.Inputs {
-			res.OutSlack[in.Elem] = posInf
-		}
-		for _, out := range cl.Outputs {
-			res.InSlack[out.Elem] = posInf
-		}
-		for _, n := range cl.Nets {
-			res.NetSlack[n] = posInf
-		}
-	}
-}
-
-// reuse copies from the state's reference every dirty cluster whose kernel
-// inputs are unchanged — it is not stale, and every input- and
-// output-element offset equals the reference's — and drops it from the
-// dirty set. The copy shares the reference's pass-detail vectors. It
+// markDirty decides, in one pass over the named clusters, which of them
+// the driver analyzes. A cluster whose kernel inputs match the state's
+// reference — it is not stale, and every input- and output-element offset
+// equals the reference's — is copied from it: its slacks and its pass
+// slots, which share the reference's write-once pass-detail vectors. Every
+// other one is marked in the state's reusable bitset (incremental sweeps
+// recompute once per sweep, so a per-call set is hot-path garbage) with
+// its slacks reset to +Inf for the kernel to fold into; the kernel
+// rewrites its pass slots. Each slack is written once either way. It
 // returns how many clusters it copied.
-func reuse(cd *cluster.CompiledDesign, st *AnalysisState, res *Result) int {
-	ref, odz := st.ref, st.refOdz
+func markDirty(cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int) int {
+	st.dirty.clear()
+	ref, refOdz := st.ref, st.refOdz
 	reused := 0
-	for w, word := range st.dirty {
-		for ; word != 0; word &= word - 1 {
-			id := w*64 + bits.TrailingZeros64(word)
-			cc := cd.CC[id]
-			if st.stale.has(id) || !sameOffsets(cc, st.Odz, odz) {
-				continue
-			}
+	for _, id := range clusterIDs {
+		cc := cd.CC[id]
+		if ref != nil && !st.stale.has(id) && sameOffsets(cc, st.Odz, refOdz) {
 			for _, in := range cc.Inputs {
 				res.OutSlack[in.Elem] = ref.OutSlack[in.Elem]
 			}
@@ -360,8 +290,18 @@ func reuse(cd *cluster.CompiledDesign, st *AnalysisState, res *Result) int {
 			}
 			lo, hi := cd.PassStart[id], cd.PassStart[id+1]
 			copy(res.Passes[lo:hi], ref.Passes[lo:hi])
-			st.dirty.unset(id)
 			reused++
+			continue
+		}
+		st.dirty.set(id)
+		for _, in := range cc.Inputs {
+			res.OutSlack[in.Elem] = posInf
+		}
+		for _, out := range cc.Outputs {
+			res.InSlack[out.Elem] = posInf
+		}
+		for _, n := range cc.Nets {
+			res.NetSlack[n] = posInf
 		}
 	}
 	mClustersReused.Add(int64(reused))
@@ -383,6 +323,56 @@ func sameOffsets(cc *cluster.CompiledCluster, odz, ref []clock.Time) bool {
 		}
 	}
 	return true
+}
+
+// ClusterUndo saves what a set of clusters owns in one result — their
+// slacks and pass slots — so a caller that recomputes those clusters in
+// place can put the result back if the recompute or a later step fails.
+// Its buffers are reused across saves, so a steady-state save allocates
+// nothing. The saved pass slots keep the old pass-detail vectors alive;
+// being write-once, they need no copy.
+type ClusterUndo struct {
+	ids    []int
+	slacks []clock.Time
+	passes []PassDetail
+}
+
+// Save records the slacks and pass slots the named clusters own in res,
+// replacing any earlier save.
+func (u *ClusterUndo) Save(cd *cluster.CompiledDesign, res *Result, clusterIDs []int) {
+	u.ids = append(u.ids[:0], clusterIDs...)
+	u.slacks, u.passes = u.slacks[:0], u.passes[:0]
+	for _, id := range clusterIDs {
+		cc := cd.CC[id]
+		for _, in := range cc.Inputs {
+			u.slacks = append(u.slacks, res.OutSlack[in.Elem])
+		}
+		for _, out := range cc.Outputs {
+			u.slacks = append(u.slacks, res.InSlack[out.Elem])
+		}
+		for _, n := range cc.Nets {
+			u.slacks = append(u.slacks, res.NetSlack[n])
+		}
+		u.passes = append(u.passes, res.Passes[cd.PassStart[id]:cd.PassStart[id+1]]...)
+	}
+}
+
+// Restore writes the last save back into res.
+func (u *ClusterUndo) Restore(cd *cluster.CompiledDesign, res *Result) {
+	s, p := u.slacks, u.passes
+	for _, id := range u.ids {
+		cc := cd.CC[id]
+		for _, in := range cc.Inputs {
+			res.OutSlack[in.Elem], s = s[0], s[1:]
+		}
+		for _, out := range cc.Outputs {
+			res.InSlack[out.Elem], s = s[0], s[1:]
+		}
+		for _, n := range cc.Nets {
+			res.NetSlack[n], s = s[0], s[1:]
+		}
+		p = p[copy(res.Passes[cd.PassStart[id]:cd.PassStart[id+1]], p):]
+	}
 }
 
 func newResult(cd *cluster.CompiledDesign) *Result {

@@ -113,7 +113,6 @@ func (st *AnalysisState) putScratch(buf *[]clock.Time) { st.scratch.Put(buf) }
 type bitset []uint64
 
 func (b bitset) set(id int)      { b[id>>6] |= 1 << (uint(id) & 63) }
-func (b bitset) unset(id int)    { b[id>>6] &^= 1 << (uint(id) & 63) }
 func (b bitset) has(id int) bool { return b[id>>6]&(1<<(uint(id)&63)) != 0 }
 
 // clear empties the set (compiled to a memclr).
