@@ -101,9 +101,9 @@ func TestKitchenSinkEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cl := range a.CD.Clusters {
-		for _, arc := range cl.Arcs {
+		for ai, arc := range cl.Arcs {
 			if b := c.Allowed(arc.From, arc.To); b < arc.D.Max() {
-				t.Fatalf("budget %v below arc delay %v on %s", b, arc.D.Max(), arc.Inst)
+				t.Fatalf("budget %v below arc delay %v on %s", b, arc.D.Max(), a.CD.ArcInst(cl, ai))
 			}
 		}
 	}

@@ -185,12 +185,20 @@ type Cell struct {
 
 // Pin returns the named pin, or nil.
 func (c *Cell) Pin(name string) *Pin {
-	for i := range c.Pins {
-		if c.Pins[i].Name == name {
-			return &c.Pins[i]
-		}
+	if i := c.PinIndex(name); i >= 0 {
+		return &c.Pins[i]
 	}
 	return nil
+}
+
+// PinIndex returns the position of the named pin within Pins, or -1.
+func (c *Cell) PinIndex(name string) int {
+	for i := range c.Pins {
+		if c.Pins[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Inputs returns the input pin names in declaration order.

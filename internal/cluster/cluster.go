@@ -31,14 +31,23 @@ import (
 )
 
 // Arc is one combinational timing arc between two nets, carrying its
-// evaluated delays.
+// evaluated delays: the hot half every analysis kernel streams, 56 bytes
+// and pointer-free. Its owning instance and cell arc live in the cold
+// ArcSource table alongside (Cluster.Src).
 type Arc struct {
-	Inst     string // owning instance, for reporting and re-synthesis
-	FromPin  string
-	ToPin    string
 	From, To int // net ids
 	Sense    celllib.Sense
 	D        delaycalc.Delays
+}
+
+// ArcSource is an arc's cold half: the owning instance, as an index into
+// Network.Design.Instances, and the cell arc it was evaluated from as
+// elaborated. Reporting, diagnostics and the incremental engine read names
+// from it; the pin names stay those of the elaborated cell even after an
+// interface-preserving resize swaps the instance's Ref in place.
+type ArcSource struct {
+	Inst int32
+	Arc  *celllib.Arc
 }
 
 // In is a cluster input: one generic-element occurrence asserting onto a
@@ -61,6 +70,8 @@ type Cluster struct {
 	ID   int
 	Nets []int // member net ids, sorted
 	Arcs []Arc
+	// Src is the cold half of Arcs, parallel to it.
+	Src []ArcSource
 	// Order is a topological order of the member nets (net ids).
 	Order   []int
 	Inputs  []In
@@ -73,20 +84,34 @@ type Cluster struct {
 	// position within Outputs.
 	Plan *breakopen.Plan
 
-	local map[int]int // net id -> index in Nets
-	adj   map[int][]int
+	// ArcStart/ArcIdx are the CSR adjacency of arcs leaving each member
+	// net: arcs out of local index li (the net's position within Nets) are
+	// ArcIdx[ArcStart[li]:ArcStart[li+1]], each an index into Arcs, in arc
+	// order.
+	ArcStart []int32
+	ArcIdx   []int32
+
+	// netCluster/netLocal are the network's Network.NetCluster and
+	// Network.NetLocal tables.
+	netCluster, netLocal []int32
 }
 
 // LocalIndex returns the position of net id within Nets, or -1.
 func (c *Cluster) LocalIndex(net int) int {
-	if i, ok := c.local[net]; ok {
-		return i
+	if net >= 0 && net < len(c.netCluster) && int(c.netCluster[net]) == c.ID {
+		return int(c.netLocal[net])
 	}
 	return -1
 }
 
 // ArcsFrom returns the indices into Arcs of arcs leaving the given net.
-func (c *Cluster) ArcsFrom(net int) []int { return c.adj[net] }
+func (c *Cluster) ArcsFrom(net int) []int32 {
+	li := c.LocalIndex(net)
+	if li < 0 {
+		return nil
+	}
+	return c.ArcIdx[c.ArcStart[li]:c.ArcStart[li+1]]
+}
 
 // SyncSite is one physical synchronisation point: a latch/FF/tristate
 // instance, a primary port, or a virtual enable-capture endpoint, expanded
@@ -114,8 +139,14 @@ type Network struct {
 	Clocks *clock.Set
 	Calc   *delaycalc.Calc
 
+	// Nets and NetIdx are the net table of Calc's binding: sorted names,
+	// a net's id being its index.
 	Nets   []string
 	NetIdx map[string]int
+	// NetCluster[n] is the id of the cluster net n is a member of, or -1;
+	// NetLocal[n] is n's position within that cluster's Nets.
+	NetCluster []int32
+	NetLocal   []int32
 
 	Sites []SyncSite
 	// Elems holds every generic element occurrence; Elems[i].Inst matches
@@ -130,7 +161,19 @@ type Network struct {
 	// ctrlNets marks the pure clock-cone nets (clock sources, buffers and
 	// gating-gate outputs); enable-side nets stay false and remain data.
 	ctrlNets []bool
+
+	// arcs and src back every cluster's Arcs and Src, laid out in cluster
+	// order; Compile adopts them as CompiledDesign.Arcs and .Src.
+	arcs []Arc
+	src  []ArcSource
 }
+
+// ArcInst returns the name of the instance owning arc ai of cl.
+func (nw *Network) ArcInst(cl *Cluster, ai int) string {
+	return nw.instName(cl.Src[ai])
+}
+
+func (nw *Network) instName(s ArcSource) string { return nw.Design.Instances[s.Inst].Name }
 
 // IsControlNet reports whether the net (global id) lies in a pure clock
 // cone: a clock source, buffered clock or gating-gate output. Edits that
@@ -148,14 +191,15 @@ type enableIn struct {
 }
 
 // Build elaborates a resolved design (every instance reference must resolve
-// in lib — flatten or roll up hierarchy first).
+// in lib — flatten or roll up hierarchy first). calc must have been built
+// for this design and library: the network adopts its binding's net table
+// and reads every pin connection from it.
 func Build(lib *celllib.Library, design *netlist.Design, cs *clock.Set, calc *delaycalc.Calc) (*Network, error) {
-	nw := &Network{Lib: lib, Design: design, Clocks: cs, Calc: calc}
-	nw.Nets = design.NetNames()
-	nw.NetIdx = make(map[string]int, len(nw.Nets))
-	for i, n := range nw.Nets {
-		nw.NetIdx[n] = i
+	if calc.Design() != design || calc.Library() != lib {
+		return nil, fmt.Errorf("cluster: design %s: the delay calculator was built for another design or library", design.Name)
 	}
+	b := calc.Binding()
+	nw := &Network{Lib: lib, Design: design, Clocks: cs, Calc: calc, Nets: b.Nets, NetIdx: b.NetIdx}
 	seen := map[clock.Time]bool{}
 	for _, e := range cs.Edges() {
 		if !seen[e.At] {
@@ -165,48 +209,46 @@ func Build(lib *celllib.Library, design *netlist.Design, cs *clock.Set, calc *de
 	}
 	sort.Slice(nw.EdgeTimes, func(i, j int) bool { return nw.EdgeTimes[i] < nw.EdgeTimes[j] })
 
-	combArcs, err := nw.collectArcs()
-	if err != nil {
+	arcs, src := nw.collectArcs()
+	if err := nw.buildSites(arcs, src); err != nil {
 		return nil, err
 	}
-	if err := nw.buildSites(combArcs); err != nil {
-		return nil, err
-	}
-	if err := nw.extractClusters(combArcs); err != nil {
+	if err := nw.extractClusters(arcs, src); err != nil {
 		return nil, err
 	}
 	return nw, nil
 }
 
 // collectArcs gathers every combinational timing arc (arcs of sync cells are
-// handled through the element model instead).
-func (nw *Network) collectArcs() ([]Arc, error) {
-	var arcs []Arc
+// handled through the element model instead), with its cold half.
+func (nw *Network) collectArcs() ([]Arc, []ArcSource) {
+	bind := nw.Calc.Binding()
+	// Every arc runs input→output, so for single-output cells the pin
+	// count less one per instance bounds the arc count.
+	est := len(bind.PinNet) - len(nw.Design.Instances)
+	arcs := make([]Arc, 0, est)
+	src := make([]ArcSource, 0, est)
 	for i := range nw.Design.Instances {
 		inst := &nw.Design.Instances[i]
-		cell := nw.Lib.Cell(inst.Ref)
-		if cell == nil {
-			return nil, fmt.Errorf("cluster: instance %s: unresolved reference %q (flatten or roll up first)", inst.Name, inst.Ref)
-		}
+		cell := bind.Cells[i]
 		if cell.IsSync() {
 			continue
 		}
+		pins := bind.Pins(i)
 		for ai := range cell.Arcs {
 			arc := &cell.Arcs[ai]
-			fromNet, ok1 := inst.Conns[arc.From]
-			toNet, ok2 := inst.Conns[arc.To]
-			if !ok1 || !ok2 {
+			from, to := pins[cell.PinIndex(arc.From)], pins[cell.PinIndex(arc.To)]
+			if from < 0 || to < 0 {
 				continue
 			}
 			arcs = append(arcs, Arc{
-				Inst: inst.Name, FromPin: arc.From, ToPin: arc.To,
-				From: nw.NetIdx[fromNet], To: nw.NetIdx[toNet],
-				Sense: arc.Sense,
-				D:     nw.Calc.ArcDelays(inst, arc),
+				From: int(from), To: int(to), Sense: arc.Sense,
+				D: nw.Calc.ArcDelaysOn(inst, arc, int(to)),
 			})
+			src = append(src, ArcSource{Inst: int32(i), Arc: arc})
 		}
 	}
-	return arcs, nil
+	return arcs, src
 }
 
 // ctrlInfo is the memoized control-path analysis result for one net.
@@ -226,31 +268,34 @@ type ctrlInfo struct {
 // buildSites identifies synchronising instances and ports, analyses their
 // control paths (including enable-path classification) and builds the
 // generic elements.
-func (nw *Network) buildSites(arcs []Arc) error {
-	inArcs := make(map[int][]*Arc)
-	for i := range arcs {
-		inArcs[arcs[i].To] = append(inArcs[arcs[i].To], &arcs[i])
-	}
+func (nw *Network) buildSites(arcs []Arc, src []ArcSource) error {
+	// The arcs entering each net, in arc order.
+	n := len(nw.Nets)
+	inStart, inIdx := bucket(len(arcs), n, func(i int) int32 { return int32(arcs[i].To) })
+	inArcs := func(net int) []int32 { return inIdx[inStart[net]:inStart[net+1]] }
+
 	clockNet := map[int]int{} // net id -> clock signal index
 	for ci, c := range nw.Design.Clocks {
 		if n, ok := nw.NetIdx[c.Name]; ok {
 			clockNet[n] = ci
 		}
 	}
-	syncOut := map[int]string{} // nets driven by sync outputs
+	bind := nw.Calc.Binding()
+	syncOut := make([]bool, n) // nets driven by sync outputs
+	nSync := 0
 	for i := range nw.Design.Instances {
-		inst := &nw.Design.Instances[i]
-		cell := nw.Lib.Cell(inst.Ref)
-		if cell == nil || !cell.IsSync() {
+		cell := bind.Cells[i]
+		if !cell.IsSync() {
 			continue
 		}
-		for _, op := range cell.Outputs() {
-			if net, ok := inst.Conns[op]; ok {
-				syncOut[nw.NetIdx[net]] = inst.Name
+		nSync++
+		for k, net := range bind.Pins(i) {
+			if net >= 0 && cell.Pins[k].Dir == celllib.Out {
+				syncOut[net] = true
 			}
 		}
 	}
-	piNet := map[int]bool{}
+	piNet := make([]bool, n)
 	for _, p := range nw.Design.Ports {
 		if p.Dir == netlist.Input {
 			piNet[nw.NetIdx[p.Name]] = true
@@ -275,22 +320,19 @@ func (nw *Network) buildSites(arcs []Arc) error {
 		}
 		// Synchronising-element outputs and primary inputs terminate the
 		// cone on its data side: the net is an enable (§4).
-		if _, ok := syncOut[net]; ok {
+		if syncOut[net] || piNet[net] {
 			ci.isEnable = true
 			return ci, nil
 		}
-		if piNet[net] {
-			ci.isEnable = true
-			return ci, nil
-		}
-		preds := inArcs[net]
+		preds := inArcs(net)
 		if len(preds) == 0 {
 			return nil, fmt.Errorf("cluster: control input traces back to undriven net %q", nw.Nets[net])
 		}
 		ci.visiting = true
 		sawClock := false
 		first := true
-		for _, a := range preds {
+		for _, ai := range preds {
+			a := &arcs[ai]
 			up, err := trace(a.From)
 			if err != nil {
 				return nil, err
@@ -300,7 +342,7 @@ func (nw *Network) buildSites(arcs []Arc) error {
 			}
 			sawClock = true
 			if a.Sense == celllib.NonUnate {
-				return nil, fmt.Errorf("cluster: control path through instance %s is non-monotonic in the clock (non-unate arc); violates the §3 control assumption", a.Inst)
+				return nil, fmt.Errorf("cluster: control path through instance %s is non-monotonic in the clock (non-unate arc); violates the §3 control assumption", nw.instName(src[ai]))
 			}
 			if ci.sig == -1 {
 				ci.sig = up.sig
@@ -344,7 +386,8 @@ func (nw *Network) buildSites(arcs []Arc) error {
 			net := work[len(work)-1]
 			work = work[:len(work)-1]
 			acc := downTo[net]
-			for _, a := range inArcs[net] {
+			for _, ai := range inArcs(net) {
+				a := &arcs[ai]
 				up := memo[a.From]
 				if up == nil {
 					continue
@@ -370,6 +413,10 @@ func (nw *Network) buildSites(arcs []Arc) error {
 		return out
 	}
 
+	sites := nSync + len(nw.Design.Ports)
+	nw.Sites = make([]SyncSite, 0, sites)
+	nw.Elems = make([]*syncelem.Element, 0, sites)
+	nw.SiteOf = make([]int, 0, sites)
 	addSite := func(site SyncSite, elems []*syncelem.Element) {
 		siteIdx := len(nw.Sites)
 		for _, e := range elems {
@@ -382,16 +429,30 @@ func (nw *Network) buildSites(arcs []Arc) error {
 
 	for i := range nw.Design.Instances {
 		inst := &nw.Design.Instances[i]
-		cell := nw.Lib.Cell(inst.Ref)
-		if cell == nil || !cell.IsSync() {
+		cell := bind.Cells[i]
+		if !cell.IsSync() {
 			continue
 		}
-		ctrlPin := cell.ControlPin()
-		ctrlNetName, ok := inst.Conns[ctrlPin]
-		if !ok {
-			return fmt.Errorf("cluster: %s: control pin %s unconnected", inst.Name, ctrlPin)
+		// The control, data and (first) output pins, by position.
+		ctrl, data, out, nData := -1, -1, -1, 0
+		for k, p := range cell.Pins {
+			switch {
+			case p.Role == celllib.Control:
+				if ctrl < 0 {
+					ctrl = k
+				}
+			case p.Dir == celllib.In:
+				data = k
+				nData++
+			case out < 0:
+				out = k
+			}
 		}
-		ctrlNet := nw.NetIdx[ctrlNetName]
+		pins := bind.Pins(i)
+		ctrlNet := int(pins[ctrl])
+		if ctrlNet < 0 {
+			return fmt.Errorf("cluster: %s: control pin %s unconnected", inst.Name, cell.Pins[ctrl].Name)
+		}
 		ci, err := trace(ctrlNet)
 		if err != nil {
 			return fmt.Errorf("%w (control input of %s)", err, inst.Name)
@@ -399,20 +460,14 @@ func (nw *Network) buildSites(arcs []Arc) error {
 		if ci.isEnable || ci.sig < 0 {
 			return fmt.Errorf("cluster: control input of %s is not a function of any clock", inst.Name)
 		}
-		dataPins := cell.DataPins()
-		if len(dataPins) != 1 {
-			return fmt.Errorf("cluster: %s (%s): synchronising elements must have exactly one data input, found %d", inst.Name, inst.Ref, len(dataPins))
+		if nData != 1 {
+			return fmt.Errorf("cluster: %s (%s): synchronising elements must have exactly one data input, found %d", inst.Name, inst.Ref, nData)
 		}
-		dataNet := -1
-		if n, ok := inst.Conns[dataPins[0]]; ok {
-			dataNet = nw.NetIdx[n]
-		} else {
-			return fmt.Errorf("cluster: %s: data pin %s unconnected", inst.Name, dataPins[0])
+		dataNet := int(pins[data])
+		if dataNet < 0 {
+			return fmt.Errorf("cluster: %s: data pin %s unconnected", inst.Name, cell.Pins[data].Name)
 		}
-		outNet := -1
-		if n, ok := inst.Conns[cell.Outputs()[0]]; ok {
-			outNet = nw.NetIdx[n]
-		}
+		outNet := int(pins[out])
 		inverted := ci.parityOdd
 		elems, err := syncelem.Build(inst.Name, cell.Kind, cell.Sync, nw.Clocks, ci.sig, inverted, ci.maxDelay, ci.minDelay)
 		if err != nil {
@@ -491,12 +546,11 @@ func (nw *Network) buildSites(arcs []Arc) error {
 
 // extractClusters partitions the combinational arcs into maximal connected
 // clusters, excluding the pure clock cones, and pre-processes each.
-func (nw *Network) extractClusters(arcs []Arc) error {
+// Clusters are numbered by their smallest member net; every table is a
+// slice indexed by net, cluster or arc id.
+func (nw *Network) extractClusters(arcs []Arc, src []ArcSource) error {
 	n := len(nw.Nets)
 	isCtrl := nw.ctrlNets
-	if isCtrl == nil {
-		isCtrl = make([]bool, n)
-	}
 	// A clock-cone net consumed as data is outside the supported class.
 	for _, s := range nw.Sites {
 		if s.DataNet >= 0 && isCtrl[s.DataNet] {
@@ -505,36 +559,19 @@ func (nw *Network) extractClusters(arcs []Arc) error {
 	}
 	for i := range arcs {
 		if isCtrl[arcs[i].From] && !isCtrl[arcs[i].To] {
-			return fmt.Errorf("cluster: control net %q feeds data logic through instance %s", nw.Nets[arcs[i].From], arcs[i].Inst)
+			return fmt.Errorf("cluster: control net %q feeds data logic through instance %s", nw.Nets[arcs[i].From], nw.instName(src[i]))
 		}
 	}
+	data := func(a *Arc) bool { return !isCtrl[a.From] && !isCtrl[a.To] }
 
-	// Union of data nets: weak components over data arcs.
-	g := graph.New(n)
-	for i := range arcs {
-		if isCtrl[arcs[i].From] || isCtrl[arcs[i].To] {
-			continue
-		}
-		if err := g.AddEdge(arcs[i].From, arcs[i].To); err != nil {
-			return fmt.Errorf("cluster: arc of instance %s: %w", arcs[i].Inst, err)
-		}
-	}
-	comp, _ := g.UndirectedComponents()
-	byComp := make(map[int]*Cluster)
-	getCluster := func(c int) *Cluster {
-		cl, ok := byComp[c]
-		if !ok {
-			cl = &Cluster{ID: len(byComp), local: map[int]int{}, adj: map[int][]int{}}
-			byComp[c] = cl
-		}
-		return cl
-	}
-	// Member nets: nets that carry data arcs or touch a sync terminal.
+	// Weak components over the data arcs (union-find), and the member
+	// nets: nets that carry data arcs or touch a sync terminal.
+	comps := graph.NewComponents(n)
 	touches := make([]bool, n)
 	for i := range arcs {
-		if !isCtrl[arcs[i].From] && !isCtrl[arcs[i].To] {
-			touches[arcs[i].From] = true
-			touches[arcs[i].To] = true
+		if a := &arcs[i]; data(a) {
+			touches[a.From], touches[a.To] = true, true
+			comps.Union(int32(a.From), int32(a.To))
 		}
 	}
 	for _, s := range nw.Sites {
@@ -545,49 +582,58 @@ func (nw *Network) extractClusters(arcs []Arc) error {
 			touches[s.DataNet] = true
 		}
 	}
+
+	// Number the clusters by first member net, their component's root.
+	nw.NetCluster = make([]int32, n)
+	nw.NetLocal = make([]int32, n)
+	var clusters []*Cluster
 	for net := 0; net < n; net++ {
+		nw.NetCluster[net] = -1
 		if !touches[net] || isCtrl[net] {
 			continue
 		}
-		cl := getCluster(comp[net])
-		cl.local[net] = len(cl.Nets)
+		if r := comps.Root(int32(net)); r == int32(net) {
+			nw.NetCluster[net] = int32(len(clusters))
+			clusters = append(clusters, &Cluster{ID: len(clusters), netCluster: nw.NetCluster, netLocal: nw.NetLocal})
+		} else {
+			nw.NetCluster[net] = nw.NetCluster[r]
+		}
+		cl := clusters[nw.NetCluster[net]]
+		nw.NetLocal[net] = int32(len(cl.Nets))
 		cl.Nets = append(cl.Nets, net)
 	}
-	for i := range arcs {
-		if isCtrl[arcs[i].From] || isCtrl[arcs[i].To] {
-			continue
+	// The data arcs, laid out in cluster order (arc order within a
+	// cluster), each cluster's a subslice; then each cluster's adjacency.
+	start, order := bucket(len(arcs), len(clusters), func(i int) int32 {
+		if !data(&arcs[i]) {
+			return -1
 		}
-		cl := getCluster(comp[arcs[i].From])
-		cl.adj[arcs[i].From] = append(cl.adj[arcs[i].From], len(cl.Arcs))
-		cl.Arcs = append(cl.Arcs, arcs[i])
+		return nw.NetCluster[arcs[i].From]
+	})
+	nw.arcs, nw.src = make([]Arc, len(order)), make([]ArcSource, len(order))
+	for k, i := range order {
+		nw.arcs[k], nw.src[k] = arcs[i], src[i]
 	}
-	// Endpoints.
+	for c, cl := range clusters {
+		lo, hi := start[c], start[c+1]
+		cl.Arcs, cl.Src = nw.arcs[lo:hi:hi], nw.src[lo:hi:hi]
+		cl.ArcStart, cl.ArcIdx = bucket(len(cl.Arcs), len(cl.Nets), func(ai int) int32 {
+			return nw.NetLocal[cl.Arcs[ai].From]
+		})
+	}
+	// Endpoints, in element order.
 	for ei := range nw.Elems {
 		site := nw.Sites[nw.SiteOf[ei]]
 		if site.OutNet >= 0 && touches[site.OutNet] && !isCtrl[site.OutNet] {
-			cl := getCluster(comp[site.OutNet])
+			cl := clusters[nw.NetCluster[site.OutNet]]
 			cl.Inputs = append(cl.Inputs, In{Elem: ei, Net: site.OutNet})
 		}
 		if site.DataNet >= 0 && touches[site.DataNet] {
-			cl := getCluster(comp[site.DataNet])
+			cl := clusters[nw.NetCluster[site.DataNet]]
 			cl.Outputs = append(cl.Outputs, Out{Elem: ei, Net: site.DataNet})
 		}
 	}
-	// Deterministic cluster order: by smallest member net id.
-	var clusters []*Cluster
-	for _, cl := range byComp {
-		sort.Ints(cl.Nets)
-		// Rebuild local index after sorting.
-		for i, netID := range cl.Nets {
-			cl.local[netID] = i
-		}
-		clusters = append(clusters, cl)
-	}
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i].Nets[0] < clusters[j].Nets[0] })
-	for i, cl := range clusters {
-		cl.ID = i
-		sort.Slice(cl.Inputs, func(a, b int) bool { return cl.Inputs[a].Elem < cl.Inputs[b].Elem })
-		sort.Slice(cl.Outputs, func(a, b int) bool { return cl.Outputs[a].Elem < cl.Outputs[b].Elem })
+	for _, cl := range clusters {
 		if err := nw.preprocess(cl); err != nil {
 			return err
 		}
@@ -596,17 +642,44 @@ func (nw *Network) extractClusters(arcs []Arc) error {
 	return nil
 }
 
+// bucket is a stable counting sort of the items 0..n-1 into nb buckets:
+// the items keyed b are order[start[b]:start[b+1]], ascending. Items keyed
+// -1 are left out.
+func bucket(n, nb int, key func(i int) int32) (start, order []int32) {
+	start = make([]int32, nb+1)
+	for i := 0; i < n; i++ {
+		if b := key(i); b >= 0 {
+			start[b+1]++
+		}
+	}
+	for b := 0; b < nb; b++ {
+		start[b+1] += start[b]
+	}
+	order = make([]int32, start[nb])
+	fill := append([]int32(nil), start[:nb]...)
+	for i := 0; i < n; i++ {
+		if b := key(i); b >= 0 {
+			order[fill[b]] = int32(i)
+			fill[b]++
+		}
+	}
+	return start, order
+}
+
 // preprocess checks acyclicity, orders the cluster, computes input→output
 // reachability and solves the break-open plan (§7).
 func (nw *Network) preprocess(cl *Cluster) error {
-	local := graph.New(len(cl.Nets))
-	for _, a := range cl.Arcs {
-		if err := local.AddEdge(cl.local[a.From], cl.local[a.To]); err != nil {
-			return fmt.Errorf("cluster %d: arc of instance %s: %w", cl.ID, a.Inst, err)
-		}
+	// Successor lists by local net, straight off the arc CSR.
+	succ := make([]int32, len(cl.ArcIdx))
+	for k, ai := range cl.ArcIdx {
+		succ[k] = nw.NetLocal[cl.Arcs[ai].To]
 	}
-	orderLocal, err := local.TopoSort()
+	orderLocal, err := graph.TopoSortCSR(cl.ArcStart, succ)
 	if err != nil {
+		local := graph.New(len(cl.Nets))
+		for _, a := range cl.Arcs {
+			_ = local.AddEdge(int(nw.NetLocal[a.From]), int(nw.NetLocal[a.To])) // local indices are in range
+		}
 		cyc := local.FindCycle()
 		names := make([]string, len(cyc))
 		for i, v := range cyc {
@@ -618,15 +691,22 @@ func (nw *Network) preprocess(cl *Cluster) error {
 	for i, v := range orderLocal {
 		cl.Order[i] = cl.Nets[v]
 	}
-	// Reachability input→output.
+	// Reachability input→output: one walk per input over a reused mask,
+	// cleared through the walk's own list of visited nets.
+	seen := make([]bool, len(cl.Nets))
+	var visited []int32
+	rows := make([]bool, len(cl.Inputs)*len(cl.Outputs))
 	cl.Reach = make([][]bool, len(cl.Inputs))
 	for ii, in := range cl.Inputs {
-		mask := local.ReachableFrom(cl.local[in.Net])
-		row := make([]bool, len(cl.Outputs))
+		visited = graph.ReachCSR(cl.ArcStart, succ, nw.NetLocal[in.Net], seen, visited)
+		row := rows[ii*len(cl.Outputs) : (ii+1)*len(cl.Outputs) : (ii+1)*len(cl.Outputs)]
 		for oi, out := range cl.Outputs {
-			row[oi] = mask[cl.local[out.Net]]
+			row[oi] = seen[nw.NetLocal[out.Net]]
 		}
 		cl.Reach[ii] = row
+		for _, v := range visited {
+			seen[v] = false
+		}
 	}
 	// Break-open outputs.
 	outs := make([]breakopen.Output, len(cl.Outputs))

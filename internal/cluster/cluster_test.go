@@ -140,9 +140,9 @@ func TestControlPathBufferedInverted(t *testing.T) {
 	}
 	// Clock-cone gates must not appear in data clusters.
 	for _, cl := range nw.Clusters {
-		for _, a := range cl.Arcs {
-			if a.Inst == "cb1" || a.Inst == "cb2" {
-				t.Fatalf("control gate %s leaked into cluster %d", a.Inst, cl.ID)
+		for ai := range cl.Arcs {
+			if inst := nw.ArcInst(cl, ai); inst == "cb1" || inst == "cb2" {
+				t.Fatalf("control gate %s leaked into cluster %d", inst, cl.ID)
 			}
 		}
 	}
@@ -350,17 +350,24 @@ func TestEdgeTimesDistinctSorted(t *testing.T) {
 	}
 }
 
+// TestUnresolvedReferenceError checks the two ways elaboration meets a
+// reference it cannot resolve: delaycalc.New, which binds every name,
+// rejects the unresolved instance, and Build rejects a calculator built
+// for another design rather than evaluate delays against its loads.
 func TestUnresolvedReferenceError(t *testing.T) {
 	d := netlist.New("u")
 	d.AddClock(clock.Signal{Name: "phi", Period: 100, RiseAt: 0, FallAt: 40})
 	d.AddInstance(netlist.Instance{Name: "x", Ref: "GHOST", Conns: map[string]string{}})
 	cs, _ := d.ClockSet()
-	calc, err := delaycalc.New(lib, netlist.New("empty-but-valid"), delaycalc.DefaultOptions())
+	if _, err := delaycalc.New(lib, d, delaycalc.DefaultOptions()); err == nil || !strings.Contains(err.Error(), `unresolved component "GHOST"`) {
+		t.Fatalf("unresolved reference: error %v", err)
+	}
+	other, err := delaycalc.New(lib, netlist.New("empty-but-valid"), delaycalc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(lib, d, cs, calc); err == nil {
-		t.Fatal("unresolved reference accepted")
+	if _, err := Build(lib, d, cs, other); err == nil || !strings.Contains(err.Error(), "another design") {
+		t.Fatalf("calculator of another design: error %v", err)
 	}
 }
 

@@ -12,13 +12,9 @@ type CompiledCluster struct {
 	*Cluster
 
 	// OrderLocal is Cluster.Order with every net id replaced by its local
-	// index within Nets.
+	// index within Nets. The arc adjacency the kernels walk is the
+	// cluster's own CSR (Cluster.ArcStart/ArcIdx).
 	OrderLocal []int32
-	// ArcStart/ArcIdx are the CSR adjacency of arcs leaving each local net:
-	// arcs out of local index li are ArcIdx[ArcStart[li]:ArcStart[li+1]],
-	// each entry an index into Cluster.Arcs.
-	ArcStart []int32
-	ArcIdx   []int32
 	// FromLocal/ToLocal give each arc's endpoints as local net indices,
 	// parallel to Cluster.Arcs.
 	FromLocal []int32
@@ -46,6 +42,9 @@ type CompiledDesign struct {
 	// is a subslice of it, laid out in cluster order. CloneArcs copies this
 	// one backing to unshare delays.
 	Arcs []Arc
+	// Src is the cold half of Arcs, parallel to it (every cluster's Src is
+	// a subslice). It never changes, so CloneArcs twins share it.
+	Src []ArcSource
 
 	// CC holds the compiled view of each cluster, parallel to
 	// Network.Clusters.
@@ -95,34 +94,24 @@ type CompiledDesign struct {
 // NumLevels returns the number of topological levels in the cluster DAG.
 func (cd *CompiledDesign) NumLevels() int { return len(cd.LevelStart) - 1 }
 
-// Compile freezes an elaborated network into its analysis-ready form. The
-// network's per-cluster arc slices are re-laid into one contiguous backing
-// (cl.Arcs become subslices of cd.Arcs; within-cluster arc order — and so
-// every arc index — is preserved), and the CSR index arrays, element→cluster
-// map and initial offset vector are precomputed. After Compile the network
-// structure must not change; delay edits go through CloneArcs.
+// Compile freezes an elaborated network into its analysis-ready form. It
+// adopts the network's arc backing, which Build lays out in cluster order
+// (cl.Arcs are subslices of cd.Arcs), and precomputes the local index
+// arrays, element→cluster map and initial offset vector. After Compile the
+// network structure must not change; delay edits go through CloneArcs.
 func Compile(nw *Network) *CompiledDesign {
 	cd := &CompiledDesign{
 		Network:      nw,
+		Arcs:         nw.arcs,
+		Src:          nw.src,
 		CC:           make([]*CompiledCluster, len(nw.Clusters)),
 		ElemClusters: make([][]int, len(nw.Elems)),
 		InitialOdz:   make([]clock.Time, len(nw.Elems)),
 		PassStart:    make([]int32, len(nw.Clusters)+1),
 	}
 
-	total := 0
-	for _, cl := range nw.Clusters {
-		total += len(cl.Arcs)
-	}
-	cd.Arcs = make([]Arc, 0, total)
-	for _, cl := range nw.Clusters {
-		start := len(cd.Arcs)
-		cd.Arcs = append(cd.Arcs, cl.Arcs...)
-		cl.Arcs = cd.Arcs[start : start+len(cl.Arcs) : start+len(cl.Arcs)]
-	}
-
 	for i, cl := range nw.Clusters {
-		cd.CC[i] = compileCluster(cl)
+		cd.CC[i] = nw.compileCluster(cl)
 		if n := len(cl.Nets); n > cd.MaxClusterNets {
 			cd.MaxClusterNets = n
 		}
@@ -253,44 +242,27 @@ func (cd *CompiledDesign) levelize() {
 	}
 }
 
-func compileCluster(cl *Cluster) *CompiledCluster {
-	n := len(cl.Nets)
+func (nw *Network) compileCluster(cl *Cluster) *CompiledCluster {
 	cc := &CompiledCluster{
 		Cluster:    cl,
 		OrderLocal: make([]int32, len(cl.Order)),
-		ArcStart:   make([]int32, n+1),
-		ArcIdx:     make([]int32, len(cl.Arcs)),
 		FromLocal:  make([]int32, len(cl.Arcs)),
 		ToLocal:    make([]int32, len(cl.Arcs)),
 		InLocal:    make([]int32, len(cl.Inputs)),
 		OutLocal:   make([]int32, len(cl.Outputs)),
 	}
 	for i, netID := range cl.Order {
-		cc.OrderLocal[i] = int32(cl.LocalIndex(netID))
+		cc.OrderLocal[i] = nw.NetLocal[netID]
 	}
 	for ai := range cl.Arcs {
-		cc.FromLocal[ai] = int32(cl.LocalIndex(cl.Arcs[ai].From))
-		cc.ToLocal[ai] = int32(cl.LocalIndex(cl.Arcs[ai].To))
-	}
-	// CSR over the existing adjacency: count, prefix-sum, fill.
-	for li, netID := range cl.Nets {
-		cc.ArcStart[li+1] = int32(len(cl.ArcsFrom(netID)))
-	}
-	for li := 0; li < n; li++ {
-		cc.ArcStart[li+1] += cc.ArcStart[li]
-	}
-	fill := append([]int32(nil), cc.ArcStart[:n]...)
-	for li, netID := range cl.Nets {
-		for _, ai := range cl.ArcsFrom(netID) {
-			cc.ArcIdx[fill[li]] = int32(ai)
-			fill[li]++
-		}
+		cc.FromLocal[ai] = nw.NetLocal[cl.Arcs[ai].From]
+		cc.ToLocal[ai] = nw.NetLocal[cl.Arcs[ai].To]
 	}
 	for i, in := range cl.Inputs {
-		cc.InLocal[i] = int32(cl.LocalIndex(in.Net))
+		cc.InLocal[i] = nw.NetLocal[in.Net]
 	}
 	for i, out := range cl.Outputs {
-		cc.OutLocal[i] = int32(cl.LocalIndex(out.Net))
+		cc.OutLocal[i] = nw.NetLocal[out.Net]
 	}
 	return cc
 }
@@ -298,10 +270,10 @@ func compileCluster(cl *Cluster) *CompiledCluster {
 // CloneArcs returns a copy-on-write twin of the design whose arc delays can
 // be edited without affecting sharers: the flat arc backing is copied once
 // and every cluster is re-pointed at its subslice of the copy. Everything
-// else — nets, sites, elements, orders, plans, CSR arrays — stays shared,
-// since delay edits never change them. The clusters themselves are
-// shallow-copied (their Arcs field differs); the compiled views are rebuilt
-// as cheap wrappers sharing the index arrays.
+// else — nets, sites, elements, orders, plans, CSR arrays, the cold arc
+// sources — stays shared, since delay edits never change them. The
+// clusters themselves are shallow-copied (their Arcs field differs); the
+// compiled views are rebuilt as cheap wrappers sharing the index arrays.
 //
 // The clone carries the receiver's Calc pointer; a caller that will re-run
 // delay calculation must install its own private Calc before doing so.
@@ -312,6 +284,7 @@ func (cd *CompiledDesign) CloneArcs() *CompiledDesign {
 	cd2 := &CompiledDesign{
 		Network:        &nw2,
 		Arcs:           append([]Arc(nil), cd.Arcs...),
+		Src:            cd.Src,
 		CC:             make([]*CompiledCluster, len(cd.CC)),
 		ElemClusters:   cd.ElemClusters,
 		InitialOdz:     cd.InitialOdz,
@@ -321,6 +294,7 @@ func (cd *CompiledDesign) CloneArcs() *CompiledDesign {
 		LevelStart:     cd.LevelStart,
 		LevelOrder:     cd.LevelOrder,
 	}
+	nw2.arcs = cd2.Arcs
 	off := 0
 	for i, cl := range cd.Network.Clusters {
 		cl2 := *cl

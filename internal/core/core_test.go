@@ -431,11 +431,11 @@ func TestGenerateConstraintsFastDesign(t *testing.T) {
 	// §3 guarantee on fast designs: for every arc, required(to) − ready(from)
 	// exceeds the arc delay.
 	for _, cl := range a.CD.Clusters {
-		for _, arc := range cl.Arcs {
+		for ai, arc := range cl.Arcs {
 			budget := c.Allowed(arc.From, arc.To)
 			if budget < arc.D.Max() {
 				t.Fatalf("arc %s %s->%s: budget %v < delay %v",
-					arc.Inst, a.CD.Nets[arc.From], a.CD.Nets[arc.To], budget, arc.D.Max())
+					a.CD.ArcInst(cl, ai), a.CD.Nets[arc.From], a.CD.Nets[arc.To], budget, arc.D.Max())
 			}
 		}
 	}
@@ -542,7 +542,7 @@ func TestConstraintsSufficiency(t *testing.T) {
 	target := budget - 1*clock.Ns
 	for _, cl := range nw2.Clusters {
 		for ai := range cl.Arcs {
-			if cl.Arcs[ai].Inst == "g1" {
+			if nw2.ArcInst(cl, ai) == "g1" {
 				cl.Arcs[ai].D.MaxRise, cl.Arcs[ai].D.MaxFall = target, target
 				cl.Arcs[ai].D.MinRise, cl.Arcs[ai].D.MinFall = target/2, target/2
 			}
@@ -584,7 +584,7 @@ func TestConstraintsSlowdownBound(t *testing.T) {
 		a2 := build()
 		for _, cl := range a2.CD.Clusters {
 			for ai := range cl.Arcs {
-				if cl.Arcs[ai].Inst == "g2" {
+				if a2.CD.ArcInst(cl, ai) == "g2" {
 					cl.Arcs[ai].D.MaxRise, cl.Arcs[ai].D.MaxFall = target, target
 					cl.Arcs[ai].D.MinRise, cl.Arcs[ai].D.MinFall = target/2, target/2
 				}

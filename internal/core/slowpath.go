@@ -128,7 +128,7 @@ func (a *Analyzer) traceOne(cl *cluster.Cluster, d *sta.PassDetail, inArcs map[i
 			}
 			if src+delay == target {
 				nets = append(nets, arc.From)
-				insts = append(insts, arc.Inst)
+				insts = append(insts, nw.ArcInst(cl, int(ai)))
 				cur = arc.From
 				rise = srcRise
 				advanced = true

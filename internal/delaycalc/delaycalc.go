@@ -75,61 +75,76 @@ func DefaultOptions() Options {
 type Calc struct {
 	lib    *celllib.Library
 	design *netlist.Design
+	bind   *netlist.Binding
 	opts   Options
-	loads  map[string]celllib.Cap
+	loads  []celllib.Cap // by net id
 	// adjust holds per-instance additive delay adjustments (interactive
 	// mode, §8: "Adjustments may also be made to component delays").
 	adjust map[string]clock.Time
 }
 
-// New builds a calculator, computing every net's capacitive load.
+// New binds the design's names (netlist.Design.Bind) and computes every
+// net's capacitive load.
 func New(lib *celllib.Library, design *netlist.Design, opts Options) (*Calc, error) {
-	c := &Calc{lib: lib, design: design, opts: opts,
-		loads:  make(map[string]celllib.Cap),
+	b, err := design.Bind(lib)
+	if err != nil {
+		return nil, fmt.Errorf("delaycalc: %w", err)
+	}
+	c := &Calc{lib: lib, design: design, bind: b, opts: opts,
+		loads:  make([]celllib.Cap, len(b.Nets)),
 		adjust: make(map[string]clock.Time)}
-	sinkCount := map[string]int{}
-	pinCap := map[string]celllib.Cap{}
-	for _, inst := range design.Instances {
-		cell := lib.Cell(inst.Ref)
-		if cell == nil {
-			return nil, fmt.Errorf("delaycalc: instance %s references unresolved component %q", inst.Name, inst.Ref)
-		}
-		for pin, net := range inst.Conns {
-			p := cell.Pin(pin)
-			if p == nil {
-				return nil, fmt.Errorf("delaycalc: instance %s (%s): unknown pin %q", inst.Name, inst.Ref, pin)
-			}
-			if p.Dir == celllib.In {
-				sinkCount[net]++
-				pinCap[net] += p.C
+	sinks := make([]int32, len(b.Nets))
+	for i := range design.Instances {
+		pins := b.Cells[i].Pins
+		for k, net := range b.Pins(i) {
+			if net >= 0 && pins[k].Dir == celllib.In {
+				sinks[net]++
+				c.loads[net] += pins[k].C
 			}
 		}
 	}
 	for _, p := range design.Ports {
 		if p.Dir == netlist.Output {
-			sinkCount[p.Name]++
-			pinCap[p.Name] += opts.DefaultPortLoad
+			net := b.NetIdx[p.Name]
+			sinks[net]++
+			c.loads[net] += opts.DefaultPortLoad
 		}
 	}
-	for _, net := range design.NetNames() {
-		load := pinCap[net]
-		if n := sinkCount[net]; n > 0 {
-			load += c.opts.WireCapBase + celllib.Cap(n)*c.opts.WireCapPerFanout
+	for net, n := range sinks {
+		if n > 0 {
+			c.loads[net] += opts.WireCapBase + celllib.Cap(n)*opts.WireCapPerFanout
 		}
-		c.loads[net] = load
 	}
 	return c, nil
 }
+
+// Library returns the library the calculator resolves cells in.
+func (c *Calc) Library() *celllib.Library { return c.lib }
+
+// Design returns the design the calculator was built for.
+func (c *Calc) Design() *netlist.Design { return c.design }
+
+// Binding returns the design's name binding, built once by New.
+func (c *Calc) Binding() *netlist.Binding { return c.bind }
 
 // ShiftLoad adds delta to the capacitive load of the named net. The
 // incremental engine calls it when an interface-preserving resize changes
 // an input pin's capacitance: every pin stays connected, so the net's sink
 // count — and with it the wire-load term — is unchanged, and the load
 // moves by exactly the pin's capacitance difference.
-func (c *Calc) ShiftLoad(net string, delta celllib.Cap) { c.loads[net] += delta }
+func (c *Calc) ShiftLoad(net string, delta celllib.Cap) {
+	if id, ok := c.bind.NetIdx[net]; ok {
+		c.loads[id] += delta
+	}
+}
 
 // NetLoad returns the total capacitive load on the named net.
-func (c *Calc) NetLoad(net string) celllib.Cap { return c.loads[net] }
+func (c *Calc) NetLoad(net string) celllib.Cap {
+	if id, ok := c.bind.NetIdx[net]; ok {
+		return c.loads[id]
+	}
+	return 0
+}
 
 // Adjust adds delta picoseconds to every max/min arc delay of the named
 // instance (negative deltas speed the instance up; min delays are floored
@@ -141,13 +156,28 @@ func (c *Calc) Adjust(instName string, delta clock.Time) {
 // Adjustment returns the current additive adjustment of an instance.
 func (c *Calc) Adjustment(instName string) clock.Time { return c.adjust[instName] }
 
-// ArcDelays evaluates one arc of one instance at its connected load.
+// ArcDelays evaluates one arc of one instance at its connected load,
+// resolving the arc's output pin by name.
 func (c *Calc) ArcDelays(inst *netlist.Instance, arc *celllib.Arc) Delays {
-	mEvals.Inc()
 	load := c.opts.DefaultPortLoad
 	if net, ok := inst.Conns[arc.To]; ok {
-		load = c.loads[net]
+		load = c.NetLoad(net)
 	}
+	return c.eval(inst, arc, load)
+}
+
+// ArcDelaysOn is ArcDelays for an arc whose output pin drives net id to
+// (-1: unconnected, evaluated at the default port load).
+func (c *Calc) ArcDelaysOn(inst *netlist.Instance, arc *celllib.Arc, to int) Delays {
+	load := c.opts.DefaultPortLoad
+	if to >= 0 {
+		load = c.loads[to]
+	}
+	return c.eval(inst, arc, load)
+}
+
+func (c *Calc) eval(inst *netlist.Instance, arc *celllib.Arc, load celllib.Cap) Delays {
+	mEvals.Inc()
 	adj := c.adjust[inst.Name]
 	d := Delays{
 		MaxRise: arc.Delay.MaxRise.Eval(load) + adj,
@@ -206,11 +236,7 @@ func rollUp(lib *celllib.Library, m *netlist.Design, opts Options) (*celllib.Cel
 		return nil, err
 	}
 	// Net-level DAG: node per net; arcs per instance input→output.
-	nets := m.NetNames()
-	id := make(map[string]int, len(nets))
-	for i, n := range nets {
-		id[n] = i
-	}
+	nets, id := calc.bind.Nets, calc.bind.NetIdx
 	g := graph.New(len(nets))
 	type edge struct {
 		from, to int

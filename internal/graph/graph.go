@@ -78,26 +78,54 @@ var ErrCycle = errors.New("graph: directed cycle detected")
 // smallest index is emitted first (Kahn's algorithm with an ordered
 // frontier), so repeated runs over the same graph agree.
 func (g *Digraph) TopoSort() ([]int, error) {
-	n := len(g.out)
-	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		indeg[v] = len(g.in[v])
+	order32, err := TopoSortCSR(g.CSR())
+	if err != nil {
+		return nil, err
 	}
-	// Min-heap frontier for determinism.
+	order := make([]int, len(order32))
+	for i, v := range order32 {
+		order[i] = int(v)
+	}
+	return order, nil
+}
+
+// CSR returns the successor lists in compressed sparse row form: the
+// successors of node u are succ[start[u]:start[u+1]], in insertion order.
+func (g *Digraph) CSR() (start, succ []int32) {
+	start = make([]int32, len(g.out)+1)
+	succ = make([]int32, 0, g.m)
+	for u, vs := range g.out {
+		for _, v := range vs {
+			succ = append(succ, int32(v))
+		}
+		start[u+1] = int32(len(succ))
+	}
+	return start, succ
+}
+
+// TopoSortCSR is TopoSort for a graph in compressed sparse row form: the
+// successors of node u are succ[start[u]:start[u+1]] (parallel edges
+// allowed), over len(start)-1 nodes. Among ready nodes the smallest is
+// emitted first, so the order depends only on the edge set.
+func TopoSortCSR(start, succ []int32) ([]int32, error) {
+	n := len(start) - 1
+	indeg := make([]int32, n)
+	for _, v := range succ {
+		indeg[v]++
+	}
 	h := &intHeap{}
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
 			h.push(v)
 		}
 	}
-	order := make([]int, 0, n)
+	order := make([]int32, 0, n)
 	for h.len() > 0 {
 		u := h.pop()
-		order = append(order, u)
-		for _, v := range g.out[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				h.push(v)
+		order = append(order, int32(u))
+		for _, v := range succ[start[u]:start[u+1]] {
+			if indeg[v]--; indeg[v] == 0 {
+				h.push(int(v))
 			}
 		}
 	}
@@ -185,28 +213,28 @@ func (g *Digraph) FindCycle() []int {
 	return nil
 }
 
-// ReachableFrom returns the set of nodes reachable from any of the given
-// sources (sources included), as a boolean mask indexed by node.
-func (g *Digraph) ReachableFrom(sources ...int) []bool {
-	seen := make([]bool, len(g.out))
-	stack := make([]int, 0, len(sources))
-	for _, s := range sources {
-		if !seen[s] {
-			seen[s] = true
-			stack = append(stack, s)
-		}
+// ReachCSR walks the graph in CSR form (see TopoSortCSR) from src and
+// returns the nodes it enters, src first, appended to visited[:0]. It marks
+// each entered node in seen and does not enter a node already marked, so
+// walks from several sources over one mask cover their union; clearing
+// seen through the returned list readies the mask for an unrelated walk.
+func ReachCSR(start, succ []int32, src int32, seen []bool, visited []int32) []int32 {
+	visited = visited[:0]
+	if seen[src] {
+		return visited
 	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.out[u] {
+	seen[src] = true
+	visited = append(visited, src)
+	for k := 0; k < len(visited); k++ {
+		u := visited[k]
+		for _, v := range succ[start[u]:start[u+1]] {
 			if !seen[v] {
 				seen[v] = true
-				stack = append(stack, v)
+				visited = append(visited, v)
 			}
 		}
 	}
-	return seen
+	return visited
 }
 
 // CoReachableTo returns the set of nodes from which any of the given sinks is
@@ -233,43 +261,37 @@ func (g *Digraph) CoReachableTo(sinks ...int) []bool {
 	return seen
 }
 
-// UndirectedComponents partitions the nodes into weakly connected components,
-// ignoring edge direction. Component ids are dense, assigned in increasing
-// order of the smallest node index they contain. Used by cluster extraction
-// ("a cluster is a maximal connected network of combinational logic
-// elements", §7).
-func (g *Digraph) UndirectedComponents() (comp []int, count int) {
-	n := len(g.out)
-	comp = make([]int, n)
-	for i := range comp {
-		comp[i] = -1
+// Components partitions nodes 0..n-1 into weakly connected components as
+// edges are added, ignoring their direction (union-find with path
+// halving). A component's root is always its smallest node, so numbering
+// the roots in node order numbers the components by smallest member. Used
+// by cluster extraction ("a cluster is a maximal connected network of
+// combinational logic elements", §7).
+type Components []int32
+
+// NewComponents returns n singleton components.
+func NewComponents(n int) Components {
+	c := make(Components, n)
+	for v := range c {
+		c[v] = int32(v)
 	}
-	var stack []int
-	for s := 0; s < n; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		comp[s] = count
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range g.out[u] {
-				if comp[v] == -1 {
-					comp[v] = count
-					stack = append(stack, v)
-				}
-			}
-			for _, v := range g.in[u] {
-				if comp[v] == -1 {
-					comp[v] = count
-					stack = append(stack, v)
-				}
-			}
-		}
-		count++
+	return c
+}
+
+// Root returns the smallest node of v's component.
+func (c Components) Root(v int32) int32 {
+	for c[v] != v {
+		c[v] = c[c[v]]
+		v = c[v]
 	}
-	return comp, count
+	return v
+}
+
+// Union joins the components of u and v.
+func (c Components) Union(u, v int32) {
+	if r, q := c.Root(u), c.Root(v); r != q {
+		c[max(r, q)] = min(r, q)
+	}
 }
 
 // SCC computes strongly connected components (Tarjan, iterative). The result

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -164,16 +165,33 @@ func TestSelfLoopCycle(t *testing.T) {
 	}
 }
 
+// reach returns the nodes reachable from the sources as a mask, one
+// ReachCSR walk per source over a shared mask.
+func reach(g *Digraph, sources ...int) []bool {
+	start, succ := g.CSR()
+	seen := make([]bool, g.N())
+	for _, s := range sources {
+		ReachCSR(start, succ, int32(s), seen, nil)
+	}
+	return seen
+}
+
 func TestReachableFrom(t *testing.T) {
 	g := mk(6, [][2]int{{0, 1}, {1, 2}, {3, 4}})
-	r := g.ReachableFrom(0)
-	want := []bool{true, true, true, false, false, false}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("reach = %v, want %v", r, want)
-		}
+	start, succ := g.CSR()
+	seen := make([]bool, g.N())
+	visited := ReachCSR(start, succ, 0, seen, nil)
+	if !reflect.DeepEqual(visited, []int32{0, 1, 2}) {
+		t.Fatalf("visited = %v, want [0 1 2]", visited)
 	}
-	r2 := g.ReachableFrom(0, 3)
+	want := []bool{true, true, true, false, false, false}
+	if !reflect.DeepEqual(seen, want) {
+		t.Fatalf("reach = %v, want %v", seen, want)
+	}
+	if again := ReachCSR(start, succ, 1, seen, visited); len(again) != 0 {
+		t.Fatalf("walk from a marked node entered %v", again)
+	}
+	r2 := reach(g, 0, 3)
 	if !r2[4] || r2[5] {
 		t.Fatalf("multi-source reach = %v", r2)
 	}
@@ -191,7 +209,7 @@ func TestCoReachableTo(t *testing.T) {
 }
 
 func TestReachCoReachDual(t *testing.T) {
-	// Property: v in ReachableFrom(u) <=> u in CoReachableTo(v).
+	// Property: v reachable from u <=> u in CoReachableTo(v).
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(20)
@@ -200,7 +218,7 @@ func TestReachCoReachDual(t *testing.T) {
 			g.AddEdge(r.Intn(n), r.Intn(n))
 		}
 		u, v := r.Intn(n), r.Intn(n)
-		return g.ReachableFrom(u)[v] == g.CoReachableTo(v)[u]
+		return reach(g, u)[v] == g.CoReachableTo(v)[u]
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -208,23 +226,18 @@ func TestReachCoReachDual(t *testing.T) {
 }
 
 func TestUndirectedComponents(t *testing.T) {
-	g := mk(7, [][2]int{{0, 1}, {2, 1}, {3, 4}, {5, 5}})
-	comp, n := g.UndirectedComponents()
-	if n != 4 {
-		t.Fatalf("count = %d, want 4 (comps %v)", n, comp)
+	c := NewComponents(7)
+	for _, e := range [][2]int32{{0, 1}, {2, 1}, {4, 3}, {5, 5}} {
+		c.Union(e[0], e[1])
 	}
-	if comp[0] != comp[1] || comp[1] != comp[2] {
-		t.Fatalf("0,1,2 should share a component: %v", comp)
+	roots := make([]int32, 7)
+	for v := range roots {
+		roots[v] = c.Root(int32(v))
 	}
-	if comp[3] != comp[4] {
-		t.Fatalf("3,4 should share a component: %v", comp)
-	}
-	if comp[5] == comp[0] || comp[6] == comp[0] || comp[5] == comp[6] {
-		t.Fatalf("5 and 6 should be singletons: %v", comp)
-	}
-	// Dense ids assigned by smallest contained node.
-	if comp[0] != 0 || comp[3] != 1 || comp[5] != 2 || comp[6] != 3 {
-		t.Fatalf("component id ordering: %v", comp)
+	// Each component's root is its smallest node, whichever way its edges
+	// point.
+	if want := []int32{0, 0, 0, 3, 3, 5, 6}; !reflect.DeepEqual(roots, want) {
+		t.Fatalf("roots = %v, want %v", roots, want)
 	}
 }
 

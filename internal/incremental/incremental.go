@@ -663,22 +663,33 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 }
 
 // reevalArc re-evaluates one cluster arc's delays at the current loads and
-// adjustments.
+// adjustments. An instance still on the cell it was bound to evaluates the
+// elaborated arc itself. After a resize, its current cell may list its pins
+// and arcs in another order, so the arc is found by the elaborated arc's
+// pin names.
 func (e *Engine) reevalArc(r arcRef) {
-	cl := e.an.CD.Network.Clusters[r.cluster]
-	a := &cl.Arcs[r.arc]
-	inst := &e.design.Instances[e.instIdx[a.Inst]]
+	cd := e.an.CD
+	cl := cd.Network.Clusters[r.cluster]
+	src := cl.Src[r.arc]
+	inst := &e.design.Instances[e.instIdx[cd.ArcInst(cl, r.arc)]]
 	cell := e.an.Lib.Cell(inst.Ref)
 	if cell == nil {
 		return
 	}
-	for ai := range cell.Arcs {
-		ca := &cell.Arcs[ai]
-		if ca.From == a.FromPin && ca.To == a.ToPin {
-			a.D = e.an.CD.Calc.ArcDelays(inst, ca)
+	ca := src.Arc
+	if cell != cd.Calc.Binding().Cells[src.Inst] {
+		ca = nil
+		for ai := range cell.Arcs {
+			if cell.Arcs[ai].From == src.Arc.From && cell.Arcs[ai].To == src.Arc.To {
+				ca = &cell.Arcs[ai]
+				break
+			}
+		}
+		if ca == nil {
 			return
 		}
 	}
+	cl.Arcs[r.arc].D = cd.Calc.ArcDelaysOn(inst, ca, cl.Arcs[r.arc].To)
 }
 
 // shiftPinLoads moves the load of each net on one of inst's input pins by
@@ -803,11 +814,12 @@ func (e *Engine) buildIndexes() {
 	}
 	e.arcsByInst = map[string][]arcRef{}
 	e.arcsByTo = map[int][]arcRef{}
-	for ci, cl := range e.an.CD.Network.Clusters {
+	cd := e.an.CD
+	for ci, cl := range cd.Network.Clusters {
 		for ai := range cl.Arcs {
-			a := &cl.Arcs[ai]
-			e.arcsByInst[a.Inst] = append(e.arcsByInst[a.Inst], arcRef{ci, ai})
-			e.arcsByTo[a.To] = append(e.arcsByTo[a.To], arcRef{ci, ai})
+			name := cd.ArcInst(cl, ai)
+			e.arcsByInst[name] = append(e.arcsByInst[name], arcRef{ci, ai})
+			e.arcsByTo[cl.Arcs[ai].To] = append(e.arcsByTo[cl.Arcs[ai].To], arcRef{ci, ai})
 		}
 	}
 }

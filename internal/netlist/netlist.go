@@ -12,6 +12,7 @@
 package netlist
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -249,11 +250,11 @@ func (d *Design) Validate(lib *celllib.Library) error {
 				return fmt.Errorf("design %s: module %s contains synchronising element %s (%s)", d.Name, name, inst.Name, inst.Ref)
 			}
 		}
-		if err := m.checkConnectivity(lib, nil); err != nil {
+		if err := m.checkConnectivity(lib, false); err != nil {
 			return fmt.Errorf("design %s: module %s: %w", d.Name, name, err)
 		}
 	}
-	return d.checkConnectivity(lib, clockNames)
+	return d.checkConnectivity(lib, true)
 }
 
 // checkConnectivity verifies instance references, connection completeness
@@ -262,107 +263,194 @@ func (d *Design) Validate(lib *celllib.Library) error {
 // are all clocked tristate drivers ("Clocked tristate drivers are modeled
 // in the same way as transparent latches", §5) may have any number of
 // them, on the assumption that the enabling clock phases are disjoint.
-func (d *Design) checkConnectivity(lib *celllib.Library, clockNets map[string]bool) error {
-	instNames := map[string]bool{}
-	drivers := map[string]string{} // net -> driver description
-	triOnly := map[string]bool{}   // net -> all drivers so far are tristate
-	for n := range clockNets {
-		drivers[n] = "clock generator " + n
+//
+// One pass over the instances hashes each connected net name once into a
+// single net table; descriptions for the error messages are formatted only
+// on the error path.
+func (d *Design) checkConnectivity(lib *celllib.Library, clocks bool) error {
+	var modPins map[string][]celllib.Pin
+	if len(d.Modules) > 0 {
+		modPins = make(map[string][]celllib.Pin, len(d.Modules))
+		for name, m := range d.Modules {
+			pins := make([]celllib.Pin, len(m.Ports))
+			for k, p := range m.Ports {
+				pins[k] = celllib.Pin{Name: p.Name, Dir: celllib.Out}
+				if p.Dir == Input {
+					pins[k].Dir = celllib.In
+				}
+			}
+			modPins[name] = pins
+		}
+	}
+	// iface returns the pins of the instance's component: a library cell
+	// (preferred, as elsewhere; cell is nil for a module) or a module's
+	// ports. ok is false when ref names neither.
+	iface := func(ref string) (pins []celllib.Pin, cell *celllib.Cell, ok bool) {
+		if c := lib.Cell(ref); c != nil {
+			return c.Pins, c, true
+		}
+		pins, ok = modPins[ref]
+		return pins, nil, ok
+	}
+	// driver describes a net's recorded driver (error path only).
+	driver := func(u *netUse, net string) string {
+		switch u.drv {
+		case drvClock:
+			return "clock generator " + net
+		case drvPort:
+			return "primary input " + net
+		}
+		inst := &d.Instances[u.drv]
+		pins, _, _ := iface(inst.Ref)
+		return fmt.Sprintf("instance %s pin %s", inst.Name, pins[u.drvPin].Name)
+	}
+
+	instNames := make(map[string]struct{}, len(d.Instances))
+	hint := len(d.Instances) + len(d.Ports) + len(d.Clocks)
+	netIdx := make(map[string]int32, hint)
+	nets := make([]netUse, 0, hint)
+	net := func(name string) *netUse {
+		id, ok := netIdx[name]
+		if !ok {
+			id = int32(len(nets))
+			netIdx[name] = id
+			nets = append(nets, netUse{drv: drvNone, use: -1})
+		}
+		return &nets[id]
+	}
+	if clocks {
+		for _, c := range d.Clocks {
+			net(c.Name).drv = drvClock
+		}
 	}
 	for _, p := range d.Ports {
 		if p.Dir == Input {
-			drivers[p.Name] = "primary input " + p.Name
+			net(p.Name).drv = drvPort
 		}
 	}
-	for _, inst := range d.Instances {
+	for i := range d.Instances {
+		inst := &d.Instances[i]
 		if inst.Name == "" {
 			return fmt.Errorf("instance with empty name (ref %q)", inst.Ref)
 		}
-		if instNames[inst.Name] {
+		if _, dup := instNames[inst.Name]; dup {
 			return fmt.Errorf("duplicate instance %q", inst.Name)
 		}
-		instNames[inst.Name] = true
-
-		var inputs, outputs []string
-		if c := lib.Cell(inst.Ref); c != nil {
-			inputs, outputs = c.Inputs(), c.Outputs()
-		} else if m, ok := d.Modules[inst.Ref]; ok {
-			for _, p := range m.Ports {
-				if p.Dir == Input {
-					inputs = append(inputs, p.Name)
-				} else {
-					outputs = append(outputs, p.Name)
-				}
-			}
-		} else {
+		instNames[inst.Name] = struct{}{}
+		pins, cell, ok := iface(inst.Ref)
+		isTri := cell != nil && cell.Kind == celllib.Tristate
+		if !ok {
 			return fmt.Errorf("instance %s references unknown cell/module %q", inst.Name, inst.Ref)
 		}
-		known := map[string]bool{}
-		for _, p := range inputs {
-			known[p] = true
-		}
-		for _, p := range outputs {
-			known[p] = true
-		}
-		for pin, net := range inst.Conns {
-			if !known[pin] {
-				return fmt.Errorf("instance %s (%s): unknown pin %q", inst.Name, inst.Ref, pin)
-			}
-			if net == "" {
-				return fmt.Errorf("instance %s (%s): pin %q connected to empty net name", inst.Name, inst.Ref, pin)
-			}
-		}
-		for _, pin := range inputs {
-			if _, ok := inst.Conns[pin]; !ok {
-				return fmt.Errorf("instance %s (%s): input pin %q unconnected", inst.Name, inst.Ref, pin)
-			}
-		}
-		isTri := false
-		if c := lib.Cell(inst.Ref); c != nil && c.Kind == celllib.Tristate {
-			isTri = true
-		}
-		for _, pin := range outputs {
-			net, ok := inst.Conns[pin]
+		// One pass over the pins records uses and drivers; the instance's
+		// errors are reported afterwards in the order the checks rank
+		// them: connections, open inputs, then the first double driver.
+		found, empty, open, clash := 0, false, -1, ""
+		for k := range pins {
+			name, ok := inst.Conns[pins[k].Name]
 			if !ok {
+				if pins[k].Dir == celllib.In && open < 0 {
+					open = k
+				}
 				continue // dangling outputs are permitted
 			}
-			if prev, taken := drivers[net]; taken {
-				if !(isTri && triOnly[net]) {
-					return fmt.Errorf("net %q driven by both %s and instance %s pin %s", net, prev, inst.Name, pin)
+			found++
+			empty = empty || name == ""
+			u := net(name)
+			if pins[k].Dir == celllib.In {
+				if u.use < 0 {
+					u.use, u.usePin = int32(i), int32(k)
 				}
+				continue
 			}
-			drivers[net] = fmt.Sprintf("instance %s pin %s", inst.Name, pin)
-			if _, seen := triOnly[net]; !seen {
-				triOnly[net] = isTri
-			} else {
-				triOnly[net] = triOnly[net] && isTri
+			if u.drv != drvNone && !(isTri && u.tri) {
+				if clash == "" {
+					clash = fmt.Sprintf("net %q driven by both %s and instance %s pin %s", name, driver(u, name), inst.Name, pins[k].Name)
+				}
+				continue
 			}
+			if u.drv == drvNone {
+				u.tri = isTri
+			}
+			u.drv, u.drvPin = int32(i), int32(k)
+		}
+		// A library cell's pin names are distinct, so the count shows an
+		// unknown pin; a module may list a port twice, so its connections
+		// are checked by name.
+		if found != len(inst.Conns) || empty || cell == nil {
+			if err := connError(inst, pins); err != nil {
+				return err
+			}
+		}
+		if open >= 0 {
+			return fmt.Errorf("instance %s (%s): input pin %q unconnected", inst.Name, inst.Ref, pins[open].Name)
+		}
+		if clash != "" {
+			return errors.New(clash)
 		}
 	}
-	// Every net that is consumed must have a driver.
-	for _, inst := range d.Instances {
-		var inputs []string
-		if c := lib.Cell(inst.Ref); c != nil {
-			inputs = c.Inputs()
-		} else if m, ok := d.Modules[inst.Ref]; ok {
-			for _, p := range m.Ports {
-				if p.Dir == Input {
-					inputs = append(inputs, p.Name)
-				}
-			}
+	// Every net that is consumed must have a driver; report the first
+	// consumer in instance and pin order.
+	var undriven *netUse
+	for k := range nets {
+		u := &nets[k]
+		if u.drv == drvNone && u.use >= 0 && (undriven == nil || u.use < undriven.use ||
+			u.use == undriven.use && u.usePin < undriven.usePin) {
+			undriven = u
 		}
-		for _, pin := range inputs {
-			net := inst.Conns[pin]
-			if _, ok := drivers[net]; !ok {
-				return fmt.Errorf("instance %s pin %s: net %q has no driver", inst.Name, pin, net)
-			}
-		}
+	}
+	if undriven != nil {
+		inst := &d.Instances[undriven.use]
+		pins, _, _ := iface(inst.Ref)
+		pin := pins[undriven.usePin].Name
+		return fmt.Errorf("instance %s pin %s: net %q has no driver", inst.Name, pin, inst.Conns[pin])
 	}
 	for _, p := range d.Ports {
 		if p.Dir == Output {
-			if _, ok := drivers[p.Name]; !ok {
+			if id, ok := netIdx[p.Name]; !ok || nets[id].drv == drvNone {
 				return fmt.Errorf("primary output %q has no driver", p.Name)
 			}
+		}
+	}
+	return nil
+}
+
+// netUse is checkConnectivity's record of one net: its latest driver, and
+// its first consumer for the no-driver diagnostic.
+type netUse struct {
+	// drv is the driving instance's index, or drvNone, drvClock, drvPort;
+	// drvPin indexes the driving instance's pins.
+	drv, drvPin int32
+	// use/usePin are the first consuming instance and its pin, -1 if none.
+	use, usePin int32
+	// tri reports that every instance driving the net is a tristate.
+	tri bool
+}
+
+const (
+	drvNone  = -1
+	drvClock = -2
+	drvPort  = -3
+)
+
+// connError reports the first connection, in pin-name order, that names a
+// pin the component lacks or an empty net (error path only).
+func connError(inst *Instance, pins []celllib.Pin) error {
+	names := make([]string, 0, len(inst.Conns))
+	for pin := range inst.Conns {
+		names = append(names, pin)
+	}
+	sort.Strings(names)
+	for _, pin := range names {
+		known := false
+		for k := range pins {
+			known = known || pins[k].Name == pin
+		}
+		if !known {
+			return fmt.Errorf("instance %s (%s): unknown pin %q", inst.Name, inst.Ref, pin)
+		}
+		if inst.Conns[pin] == "" {
+			return fmt.Errorf("instance %s (%s): pin %q connected to empty net name", inst.Name, inst.Ref, pin)
 		}
 	}
 	return nil

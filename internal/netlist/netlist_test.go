@@ -32,6 +32,16 @@ func TestValidateGood(t *testing.T) {
 	}
 }
 
+// dupPortModule is a combinational module that lists its input A twice.
+func dupPortModule() *Design {
+	m := New("DUP")
+	m.AddPort(Port{Name: "A", Dir: Input})
+	m.AddPort(Port{Name: "A", Dir: Input})
+	m.AddPort(Port{Name: "Y", Dir: Output})
+	m.AddInstance(Instance{Name: "m1", Ref: "INV_X1", Conns: map[string]string{"A": "A", "Y": "Y"}})
+	return m
+}
+
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -51,17 +61,34 @@ func TestValidateRejections(t *testing.T) {
 		{"port clock collision", func(d *Design) { d.AddPort(Port{Name: "phi1", Dir: Input}) }, "collides with clock"},
 		{"bad port clock ref", func(d *Design) { d.Ports[0].RefClock = "nope" }, "unknown clock"},
 		{"empty instance name", func(d *Design) { d.Instances[0].Name = "" }, "empty name"},
+		{"empty net name", func(d *Design) { d.Instances[0].Conns["Y"] = "" }, "empty net name"},
+		{"driven clock", func(d *Design) { d.Instances[0].Conns["Y"] = "phi1" }, "clock generator"},
+		{"undriven output", func(d *Design) { delete(d.Instances[3].Conns, "Q") }, "primary output"},
+		{"defect after a module listing a port twice", func(d *Design) {
+			d.AddModule(dupPortModule())
+			d.AddInstance(Instance{Name: "u", Ref: "DUP", Conns: map[string]string{"A": "IN", "Y": "x"}})
+			d.AddInstance(Instance{Name: "bad", Ref: "NOPE", Conns: map[string]string{}})
+		}, "unknown cell/module"},
+		{"unknown pin on a module listing a port twice", func(d *Design) {
+			d.AddModule(dupPortModule())
+			d.AddInstance(Instance{Name: "u", Ref: "DUP", Conns: map[string]string{"A": "IN", "Y": "x", "Z": "IN"}})
+		}, "unknown pin"},
 	}
+	// Each case has one defect, so the reference's message is
+	// deterministic and the rewrite must reproduce it exactly.
 	for _, c := range cases {
 		d := smallDesign()
 		c.mutate(d)
-		err := d.Validate(lib)
-		if err == nil {
-			t.Errorf("%s: accepted", c.name)
+		err, ref := d.Validate(lib), refValidate(d, lib)
+		if err == nil || ref == nil {
+			t.Errorf("%s: accepted (reference error %v)", c.name, ref)
 			continue
 		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		if err.Error() != ref.Error() {
+			t.Errorf("%s: error %q, reference %q", c.name, err, ref)
+		}
+		if !strings.Contains(ref.Error(), c.want) {
+			t.Errorf("%s: reference error %q does not mention %q", c.name, ref, c.want)
 		}
 	}
 }

@@ -1,8 +1,11 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"strconv"
 
 	"hummingbird/internal/clock"
 	"hummingbird/internal/core"
@@ -13,22 +16,102 @@ import (
 // slacks, per-endpoint slacks, traced paths and the pass plan. Times are
 // integer picoseconds; infinite (unconstrained) slacks are omitted.
 type JSONResult struct {
-	Design    string           `json:"design"`
-	OK        bool             `json:"ok"`
-	WorstPs   int64            `json:"worstPs"`
-	Cells     int              `json:"cells"`
-	Nets      int              `json:"nets"`
-	Elements  int              `json:"elements"`
-	Clusters  int              `json:"clusters"`
-	Passes    int              `json:"passes"`
-	Sweeps    JSONSweeps       `json:"sweeps"`
-	NetSlacks map[string]int64 `json:"netSlacksPs"`
-	Endpoints []JSONEndpoint   `json:"endpoints"`
-	SlowPaths []JSONPath       `json:"slowPaths,omitempty"`
-	PlanByID  []JSONPlan       `json:"plan"`
+	Design    string         `json:"design"`
+	OK        bool           `json:"ok"`
+	WorstPs   int64          `json:"worstPs"`
+	Cells     int            `json:"cells"`
+	Nets      int            `json:"nets"`
+	Elements  int            `json:"elements"`
+	Clusters  int            `json:"clusters"`
+	Passes    int            `json:"passes"`
+	Sweeps    JSONSweeps     `json:"sweeps"`
+	NetSlacks NetSlacks      `json:"netSlacksPs"`
+	Endpoints []JSONEndpoint `json:"endpoints"`
+	SlowPaths []JSONPath     `json:"slowPaths,omitempty"`
+	PlanByID  []JSONPlan     `json:"plan"`
 	// Convergence is the fixed-point trajectory, one event per sweep.
 	// Present only when the analysis ran with a convergence tracer.
 	Convergence []telemetry.SweepEvent `json:"convergence,omitempty"`
+}
+
+// NetSlacks is the netSlacksPs object: finite per-net slacks in net-id
+// order. Net ids follow sorted net names, so it encodes as the JSON object
+// a name-keyed map would — the same keys in the same order — without a
+// map or a key sort.
+type NetSlacks []NetSlack
+
+// NetSlack is one net's slack.
+type NetSlack struct {
+	Net     string
+	SlackPs int64
+}
+
+// MarshalJSON writes the object in slice order. Names made only of
+// printable ASCII needing no escape are copied verbatim; others go through
+// encoding/json's string encoder (HTML-safe, as the report encoder is).
+func (s NetSlacks) MarshalJSON() ([]byte, error) {
+	size := 2
+	for _, ns := range s {
+		size += len(ns.Net) + 24
+	}
+	b := make([]byte, 0, size)
+	b = append(b, '{')
+	for i, ns := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if plainJSON(ns.Net) {
+			b = append(b, '"')
+			b = append(b, ns.Net...)
+			b = append(b, '"')
+		} else {
+			q, err := json.Marshal(ns.Net)
+			if err != nil {
+				return nil, err
+			}
+			b = append(b, q...)
+		}
+		b = append(b, ':')
+		b = strconv.AppendInt(b, ns.SlackPs, 10)
+	}
+	return append(b, '}'), nil
+}
+
+// plainJSON reports whether s encodes as a JSON string unchanged.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// UnmarshalJSON reads the object back in document order.
+func (s *NetSlacks) UnmarshalJSON(data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	tok, err := dec.Token()
+	if err != nil || tok == nil {
+		return err
+	}
+	if tok != json.Delim('{') {
+		return fmt.Errorf("report: netSlacksPs: want an object, got %v", tok)
+	}
+	out := (*s)[:0]
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		ns := NetSlack{Net: key.(string)}
+		if err := dec.Decode(&ns.SlackPs); err != nil {
+			return err
+		}
+		out = append(out, ns)
+	}
+	*s = out
+	_, err = dec.Token()
+	return err
 }
 
 // JSONSweeps records the Algorithm 1 iteration counts.
@@ -73,12 +156,13 @@ func BuildJSON(a *core.Analyzer, rep *core.Report) *JSONResult {
 		Elements: len(a.CD.Elems), Clusters: len(a.CD.Clusters),
 		Passes:      a.CD.TotalPasses(),
 		Sweeps:      JSONSweeps{Forward: rep.ForwardSweeps, Backward: rep.BackwardSweeps},
-		NetSlacks:   map[string]int64{},
+		NetSlacks:   make(NetSlacks, 0, len(rep.Result.NetSlack)),
+		Endpoints:   make([]JSONEndpoint, 0, 2*len(a.CD.Elems)),
 		Convergence: rep.Trajectory,
 	}
 	for n, s := range rep.Result.NetSlack {
 		if s != clock.Inf {
-			out.NetSlacks[a.CD.Nets[n]] = int64(s)
+			out.NetSlacks = append(out.NetSlacks, NetSlack{Net: a.CD.Nets[n], SlackPs: int64(s)})
 		}
 	}
 	for ei, e := range a.CD.Elems {

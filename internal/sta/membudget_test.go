@@ -9,13 +9,15 @@ import (
 )
 
 // memBudgetBytesPerCell pins the steady-state footprint of the analysis
-// engine: the compiled design (shared CSR arc backing, per-cluster index
-// arrays, level schedule, pass slots) plus one analysis state (offset
-// vector, dirty and stale bitsets, one scratch arena), per leaf cell, on the 100k-cell SoC grid.
-// The value holds ~50% headroom over the measured figure (~220 B/cell)
-// so it trips on a representation regression — a duplicated arc backing,
-// a per-arc map, per-cluster level copies — not on layout jitter.
-const memBudgetBytesPerCell = 330
+// engine: the compiled design (shared CSR arc backing and its cold source
+// table, per-cluster index arrays, net→cluster tables, the name binding,
+// level schedule, pass slots) plus one analysis state (offset vector,
+// dirty and stale bitsets, one scratch arena), per leaf cell, on the
+// 100k-cell SoC grid. The value holds ~30% headroom over the measured
+// figure (242 B/cell) so it trips on a representation regression — strings
+// back in the arc, a duplicated arc backing, a per-arc map, per-cluster
+// level copies — not on layout jitter.
+const memBudgetBytesPerCell = 315
 
 // compiledFootprint sums the backing arrays of the compiled design and
 // analysis state. Heap deltas cannot measure this: Compile rebinds the
@@ -25,6 +27,20 @@ func compiledFootprint(cd *cluster.CompiledDesign, st *AnalysisState) int64 {
 	var total int64
 	slice := func(n, elem int) { total += int64(24 + n*elem) }
 	slice(len(cd.Arcs), int(unsafe.Sizeof(cluster.Arc{})))
+	slice(len(cd.Src), int(unsafe.Sizeof(cluster.ArcSource{})))
+	// The binding: the net table's string headers (the names themselves
+	// belong to the design), the name index — estimated as swiss-table
+	// slots of key, value and control byte at the 7/8 maximum load — the
+	// per-instance cells and the pin CSR; then the network's net→cluster
+	// tables.
+	b := cd.Calc.Binding()
+	slice(len(b.Nets), 16)
+	total += int64(len(b.NetIdx)) * 8 / 7 * (16 + 8 + 1)
+	slice(len(b.Cells), 8)
+	slice(len(b.PinStart), 4)
+	slice(len(b.PinNet), 4)
+	slice(len(cd.NetCluster), 4)
+	slice(len(cd.NetLocal), 4)
 	for _, cc := range cd.CC {
 		total += int64(unsafe.Sizeof(*cc))
 		for _, s := range [][]int32{cc.OrderLocal, cc.ArcStart, cc.ArcIdx,

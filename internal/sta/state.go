@@ -23,8 +23,11 @@ type AnalysisState struct {
 	// scratch pools per-cluster ready/required arenas: each item is one
 	// []clock.Time of 4×MaxClusterNets, sliced into the four views by
 	// analyzeCluster. A sync.Pool keeps the scheduler's workers from
-	// contending on a single buffer.
-	scratch sync.Pool
+	// contending on a single buffer. It is allocated apart from the state:
+	// the runtime's pool registry points at every pool that has been used,
+	// and a pool embedded here would keep a dropped state — with its
+	// compiled design — reachable until a second garbage collection.
+	scratch *sync.Pool
 
 	// dirty is the reusable bitset of the clusters the next driver run
 	// analyzes (all of them for a full analysis), so incremental sweeps
@@ -49,10 +52,10 @@ func NewState(cd *cluster.CompiledDesign) *AnalysisState {
 		stale: make(bitset, words),
 	}
 	scratchLen := 4 * cd.MaxClusterNets
-	st.scratch.New = func() any {
+	st.scratch = &sync.Pool{New: func() any {
 		buf := make([]clock.Time, scratchLen)
 		return &buf
-	}
+	}}
 	copy(st.Odz, cd.InitialOdz)
 	return st
 }
