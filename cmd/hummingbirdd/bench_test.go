@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -125,21 +126,28 @@ func BenchmarkSessionOpen_ParkResume(b *testing.B) {
 // its delays are delay-only.
 const desGate = "g_s7l2w11"
 
-// BenchmarkSessionEdit_DES is the handler-level guard on the served edit
-// path: one DES session on the handler (no TCP, no journal), each
-// iteration posting one edit_delay — a ±100 ps adjust on a delay-local
-// gate — through decode, the session lock, the engine, the slack-delta
-// build and encoding.
-func BenchmarkSessionEdit_DES(b *testing.B) {
+// desEditSession opens one DES session on a handler (no TCP, no journal)
+// and returns the handler, the session's edits path and the two request
+// bodies of an edit_delay pair: a +100 ps and a -100 ps adjust on a
+// delay-local gate, so alternating them keeps the design in place.
+func desEditSession(tb testing.TB) (http.Handler, string, [2]string) {
 	srv := newServer(celllib.Default(), serverConfig{maxSessions: 4, cacheSize: 0})
 	h := srv.handler()
-	m := do(b, h, "POST", "/v1/sessions", openBody(b, designText(b, workload.DES)), http.StatusCreated)
+	m := do(tb, h, "POST", "/v1/sessions", mustJSON(tb, map[string]any{"design": designText(tb, workload.DES)}), http.StatusCreated)
 	path := "/v1/sessions/" + m["session"].(string) + "/edits"
-	bodies := [2]string{}
+	var bodies [2]string
 	for i, delta := range []string{"100ps", "-100ps"} {
-		bodies[i] = mustJSON(b, map[string]any{"edits": []map[string]any{
+		bodies[i] = mustJSON(tb, map[string]any{"edits": []map[string]any{
 			{"op": "adjust", "inst": desGate, "delta": delta}}})
 	}
+	return h, path, bodies
+}
+
+// BenchmarkSessionEdit_DES is the handler-level benchmark of the served
+// edit path: each iteration posts one edit_delay through decode, the
+// session lock, the engine, the slack-delta build and encoding.
+func BenchmarkSessionEdit_DES(b *testing.B) {
+	h, path, bodies := desEditSession(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -147,5 +155,44 @@ func BenchmarkSessionEdit_DES(b *testing.B) {
 		if i == 0 && out["incremental"] != true {
 			b.Fatalf("adjust on %s fell back to a full analysis: %v", desGate, out)
 		}
+	}
+}
+
+// Bounds on one served DES edit_delay, request construction and response
+// decoding included: ~1.25× the 262 allocations and 31.4 KB measured (269
+// and 37.9 KB under -race). They trip on anything that allocates per net
+// — a per-net allocation in the slack-delta build adds thousands — or
+// copies a whole result's slacks (70 KB per edit on DES).
+const (
+	sessionEditAllocs = 330
+	sessionEditBytes  = 40_000
+)
+
+// TestSessionEditAllocs holds the served delay edit to its allocation and
+// byte budgets.
+func TestSessionEditAllocs(t *testing.T) {
+	h, path, bodies := desEditSession(t)
+	i := 0
+	edit := func() {
+		do(t, h, "POST", path, bodies[i%2], http.StatusOK)
+		i++
+	}
+	edit()
+	edit()
+	allocs := testing.AllocsPerRun(50, edit)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		edit()
+	}
+	runtime.ReadMemStats(&after)
+	perEdit := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%.0f allocs and %d B per served edit_delay", allocs, perEdit)
+	if allocs > sessionEditAllocs {
+		t.Errorf("served edit_delay allocates %.0f times, limit %d", allocs, sessionEditAllocs)
+	}
+	if perEdit > sessionEditBytes {
+		t.Errorf("served edit_delay allocates %d B, limit %d B", perEdit, sessionEditBytes)
 	}
 }

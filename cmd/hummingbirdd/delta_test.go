@@ -25,7 +25,7 @@ func slacksByName(eng *incremental.Engine) map[string]clock.Time {
 	nets := eng.Analyzer().CD.Nets
 	m := make(map[string]clock.Time, len(nets))
 	for i, name := range nets {
-		m[name] = rep.Result.NetSlack[i]
+		m[name] = rep.Result.NetSlack(i)
 	}
 	return m
 }
@@ -46,7 +46,7 @@ func deltasByName(prev map[string]clock.Time, eng *incremental.Engine) []map[str
 	}
 	var ds []delta
 	for i, name := range eng.Analyzer().CD.Nets {
-		now := rep.Result.NetSlack[i]
+		now := rep.Result.NetSlack(i)
 		was, ok := prev[name]
 		if ok && was == now {
 			continue

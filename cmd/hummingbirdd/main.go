@@ -1530,14 +1530,18 @@ func (ss *sess) rememberSlacks() {
 // analysis, tightest new slack first, capped at 20 entries. While the
 // compiled design still uses the previous net table — delay-only edits
 // keep it and copy-on-write twins share it — the slacks are compared
-// index by index; after a topology rebuild renumbers the nets they are
-// matched by name.
+// index by index, and only in the clusters whose result segment differs
+// from the previous result's: a shared segment holds equal slacks, and a
+// net outside every cluster is +Inf in both. The cost then follows the
+// edit, not the net count. After a topology rebuild renumbers the nets
+// they are matched by name.
 func (ss *sess) slackDeltas() []map[string]any {
 	rep := ss.eng.Report()
 	if rep == nil {
 		return nil
 	}
-	nets := ss.eng.Analyzer().CD.Nets
+	cd := ss.eng.Analyzer().CD
+	nets, res := cd.Nets, rep.Result
 	type delta struct {
 		net      string
 		now, was clock.Time
@@ -1545,9 +1549,14 @@ func (ss *sess) slackDeltas() []map[string]any {
 	}
 	var ds []delta
 	if prev := ss.prevRes; prev != nil && sameNetTable(nets, ss.prevNets) {
-		for i, now := range rep.Result.NetSlack {
-			if was := prev.NetSlack[i]; was != now {
-				ds = append(ds, delta{net: nets[i], now: now, was: was, hasWas: true})
+		for c, cl := range cd.Clusters {
+			if res.SameSegment(prev, c) {
+				continue
+			}
+			for _, i := range cl.Nets {
+				if now, was := res.NetSlack(i), prev.NetSlack(i); was != now {
+					ds = append(ds, delta{net: nets[i], now: now, was: was, hasWas: true})
+				}
 			}
 		}
 	} else {
@@ -1555,11 +1564,11 @@ func (ss *sess) slackDeltas() []map[string]any {
 		if prev != nil {
 			prevSlack = make(map[string]clock.Time, len(ss.prevNets))
 			for i, name := range ss.prevNets {
-				prevSlack[name] = prev.NetSlack[i]
+				prevSlack[name] = prev.NetSlack(i)
 			}
 		}
 		for i, name := range nets {
-			now := rep.Result.NetSlack[i]
+			now := res.NetSlack(i)
 			was, ok := prevSlack[name]
 			if ok && was == now {
 				continue

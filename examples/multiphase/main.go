@@ -57,10 +57,8 @@ func main() {
 		}
 		// The two settling times of net m, one per pass.
 		fmt.Println("  settling times of the shared net m:")
-		for _, pd := range rep.Result.Passes {
-			if pd.Cluster != cl.ID {
-				continue
-			}
+		for pi := range cl.Plan.Breaks {
+			pd := rep.Result.Pass(cl.ID, pi)
 			li := cl.LocalIndex(mid)
 			ready := pd.ReadyR[li]
 			if pd.ReadyF[li] > ready {

@@ -168,14 +168,14 @@ func TestNetlistRoundTripPreservesAnalysis(t *testing.T) {
 			r1.OK, r1.WorstSlack(), r2.OK, r2.WorstSlack())
 	}
 	// Per-net slacks identical.
-	for net, s := range r1.Result.NetSlack {
-		name := a1.CD.Nets[net]
+	for net := range r1.Result.NumNets() {
+		s, name := r1.Result.NetSlack(net), a1.CD.Nets[net]
 		id2, ok := a2.CD.NetIdx[name]
 		if !ok {
 			t.Fatalf("net %s lost in round trip", name)
 		}
-		if r2.Result.NetSlack[id2] != s {
-			t.Fatalf("net %s slack %v vs %v", name, s, r2.Result.NetSlack[id2])
+		if r2.Result.NetSlack(id2) != s {
+			t.Fatalf("net %s slack %v vs %v", name, s, r2.Result.NetSlack(id2))
 		}
 	}
 }
@@ -232,11 +232,11 @@ func TestWorkloadAnalysisDeterministic(t *testing.T) {
 	}
 	a1, r1 := runOnce()
 	a2, r2 := runOnce()
-	if len(r1.Result.InSlack) != len(r2.Result.InSlack) {
+	if r1.Result.NumElems() != r2.Result.NumElems() {
 		t.Fatal("element counts differ")
 	}
-	for i := range r1.Result.InSlack {
-		if r1.Result.InSlack[i] != r2.Result.InSlack[i] || r1.Result.OutSlack[i] != r2.Result.OutSlack[i] {
+	for i := range r1.Result.NumElems() {
+		if r1.Result.InSlack(i) != r2.Result.InSlack(i) || r1.Result.OutSlack(i) != r2.Result.OutSlack(i) {
 			t.Fatalf("element %s slacks differ across runs", a1.CD.Elems[i].Name())
 		}
 	}

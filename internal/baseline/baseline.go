@@ -203,8 +203,8 @@ func BlockVsEnum(cd *cluster.CompiledDesign, st *sta.AnalysisState) (mismatches,
 // pay for a second pair of runs.
 func CountMismatches(block *sta.Result, enum *EnumerationResult) int {
 	mismatches := 0
-	for n := range block.NetSlack {
-		b, e := block.NetSlack[n], enum.NetSlack[n]
+	for n := range block.NumNets() {
+		b, e := block.NetSlack(n), enum.NetSlack[n]
 		if b == clock.Inf && e == clock.Inf {
 			continue
 		}

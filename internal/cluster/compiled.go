@@ -50,10 +50,9 @@ type CompiledDesign struct {
 	// Network.Clusters.
 	CC []*CompiledCluster
 
-	// ElemClusters[e] lists the cluster ids owning element e's terminals
-	// (its data-input endpoint and its output endpoint), for incremental
-	// re-analysis after a slack transfer moves that element.
-	ElemClusters [][]int
+	// Layout locates every net and element terminal in the cluster that
+	// owns it; block-analysis results are read through it.
+	Layout *Layout
 
 	// InitialOdz[e] is the offset Algorithm 1 starts element e from
 	// (syncelem.InitialOdz); sta.NewState copies it into each fresh state.
@@ -62,12 +61,6 @@ type CompiledDesign struct {
 	// MaxClusterNets is the largest cluster net count, sizing the pooled
 	// per-cluster scratch arenas.
 	MaxClusterNets int
-
-	// PassStart is the CSR offset of each cluster's analysis passes in a
-	// block analysis' pass list: cluster c owns the slots
-	// PassStart[c]:PassStart[c+1], one per break of its plan, so every
-	// valid result lists all passes in (cluster, pass) order.
-	PassStart []int32
 
 	// Level[c] is cluster c's topological level in the cluster DAG: the
 	// graph whose edge A→B exists when some synchronising element's data
@@ -91,50 +84,82 @@ type CompiledDesign struct {
 	LevelOrder []int32
 }
 
+// Layout is the immutable index through which a block analysis' result is
+// read by owning cluster. Every net belongs to at most one cluster, and so
+// does every element terminal: Build appends an element at most once to
+// Inputs (its output terminal) and at most once to Outputs (its data-input
+// terminal). Each cluster numbers its slack slots: its member nets in
+// local order, then one per Input, then one per Output. Compile builds the
+// layout once; every result of the design and of its CloneArcs twins
+// shares it.
+type Layout struct {
+	// NetCluster/NetLocal are the network's tables: net n is slot
+	// NetLocal[n] of cluster NetCluster[n] (-1: none).
+	NetCluster, NetLocal []int32
+	// InCluster[e]/InSlot[e] locate element e's data-input terminal (an
+	// Output of cluster InCluster[e]); OutCluster[e]/OutSlot[e] its
+	// output terminal (an Input of cluster OutCluster[e]). The cluster is
+	// -1 for a terminal no cluster owns.
+	InCluster, InSlot   []int32
+	OutCluster, OutSlot []int32
+	// Nets[c] and Breaks[c] are cluster c's member nets and its plan's
+	// break points, one analysis pass per break.
+	Nets   [][]int
+	Breaks [][]clock.Time
+}
+
+// newLayout builds the network's layout.
+func newLayout(nw *Network) *Layout {
+	nE, nC := len(nw.Elems), len(nw.Clusters)
+	owners := make([]int32, 4*nE)
+	lay := &Layout{
+		NetCluster: nw.NetCluster, NetLocal: nw.NetLocal,
+		InCluster: owners[0*nE : 1*nE : 1*nE], InSlot: owners[1*nE : 2*nE : 2*nE],
+		OutCluster: owners[2*nE : 3*nE : 3*nE], OutSlot: owners[3*nE:],
+		Nets:   make([][]int, nC),
+		Breaks: make([][]clock.Time, nC),
+	}
+	for e := range nE {
+		lay.InCluster[e], lay.OutCluster[e] = -1, -1
+	}
+	for c, cl := range nw.Clusters {
+		lay.Nets[c], lay.Breaks[c] = cl.Nets, cl.Plan.Breaks
+		slot := int32(len(cl.Nets))
+		for _, in := range cl.Inputs {
+			lay.OutCluster[in.Elem], lay.OutSlot[in.Elem] = int32(c), slot
+			slot++
+		}
+		for _, out := range cl.Outputs {
+			lay.InCluster[out.Elem], lay.InSlot[out.Elem] = int32(c), slot
+			slot++
+		}
+	}
+	return lay
+}
+
 // NumLevels returns the number of topological levels in the cluster DAG.
 func (cd *CompiledDesign) NumLevels() int { return len(cd.LevelStart) - 1 }
 
 // Compile freezes an elaborated network into its analysis-ready form. It
 // adopts the network's arc backing, which Build lays out in cluster order
 // (cl.Arcs are subslices of cd.Arcs), and precomputes the local index
-// arrays, element→cluster map and initial offset vector. After Compile the
+// arrays, the layout and the initial offset vector. After Compile the
 // network structure must not change; delay edits go through CloneArcs.
 func Compile(nw *Network) *CompiledDesign {
 	cd := &CompiledDesign{
-		Network:      nw,
-		Arcs:         nw.arcs,
-		Src:          nw.src,
-		CC:           make([]*CompiledCluster, len(nw.Clusters)),
-		ElemClusters: make([][]int, len(nw.Elems)),
-		InitialOdz:   make([]clock.Time, len(nw.Elems)),
-		PassStart:    make([]int32, len(nw.Clusters)+1),
+		Network:    nw,
+		Arcs:       nw.arcs,
+		Src:        nw.src,
+		CC:         make([]*CompiledCluster, len(nw.Clusters)),
+		Layout:     newLayout(nw),
+		InitialOdz: make([]clock.Time, len(nw.Elems)),
 	}
-
 	for i, cl := range nw.Clusters {
 		cd.CC[i] = nw.compileCluster(cl)
 		if n := len(cl.Nets); n > cd.MaxClusterNets {
 			cd.MaxClusterNets = n
 		}
-		cd.PassStart[i+1] = cd.PassStart[i] + int32(cl.Plan.Passes())
 	}
-
-	add := func(e, cl int) {
-		for _, have := range cd.ElemClusters[e] {
-			if have == cl {
-				return
-			}
-		}
-		cd.ElemClusters[e] = append(cd.ElemClusters[e], cl)
-	}
-	for _, cl := range nw.Clusters {
-		for _, in := range cl.Inputs {
-			add(in.Elem, cl.ID)
-		}
-		for _, out := range cl.Outputs {
-			add(out.Elem, cl.ID)
-		}
-	}
-
 	for i, e := range nw.Elems {
 		cd.InitialOdz[i] = e.InitialOdz()
 	}
@@ -155,34 +180,26 @@ func (cd *CompiledDesign) levelize() {
 		return
 	}
 
-	// producers[e] lists the clusters capturing into element e (e's data
-	// input is one of their Outputs).
-	producers := make(map[int][]int, len(cd.Elems))
-	for _, cl := range cd.Network.Clusters {
-		for _, out := range cl.Outputs {
-			producers[out.Elem] = append(producers[out.Elem], cl.ID)
-		}
-	}
-	// Adjacency producer→consumer, deduplicated; self-loops (a latch whose
-	// input and output touch the same cluster) carry no ordering and are
-	// dropped.
+	// Adjacency producer→consumer, deduplicated: element e's data input is
+	// captured by cluster Layout.InCluster[e], its producer. Self-loops (a
+	// latch whose input and output touch the same cluster) carry no
+	// ordering and are dropped.
 	adj := make([][]int32, nc)
 	indeg := make([]int32, nc)
 	seen := make(map[int64]bool)
 	for _, cl := range cd.Network.Clusters {
 		for _, in := range cl.Inputs {
-			for _, p := range producers[in.Elem] {
-				if p == cl.ID {
-					continue
-				}
-				key := int64(p)<<32 | int64(cl.ID)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				adj[p] = append(adj[p], int32(cl.ID))
-				indeg[cl.ID]++
+			p := int(cd.Layout.InCluster[in.Elem])
+			if p < 0 || p == cl.ID {
+				continue
 			}
+			key := int64(p)<<32 | int64(cl.ID)
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			adj[p] = append(adj[p], int32(cl.ID))
+			indeg[cl.ID]++
 		}
 	}
 
@@ -286,10 +303,9 @@ func (cd *CompiledDesign) CloneArcs() *CompiledDesign {
 		Arcs:           append([]Arc(nil), cd.Arcs...),
 		Src:            cd.Src,
 		CC:             make([]*CompiledCluster, len(cd.CC)),
-		ElemClusters:   cd.ElemClusters,
+		Layout:         cd.Layout,
 		InitialOdz:     cd.InitialOdz,
 		MaxClusterNets: cd.MaxClusterNets,
-		PassStart:      cd.PassStart,
 		Level:          cd.Level,
 		LevelStart:     cd.LevelStart,
 		LevelOrder:     cd.LevelOrder,

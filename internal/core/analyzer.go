@@ -113,16 +113,30 @@ func newAnalyzer(lib *celllib.Library, design *netlist.Design, cd *cluster.Compi
 	}
 }
 
-// sweep applies op to every element against the current result, then
+// transfer is one slack-transfer operation of §6 on an element's offset,
+// given the terminal slack it reads: it returns the new offset and the
+// amount moved. The element's pure *At operations are transfers.
+type transfer func(e *syncelem.Element, odz, slack clock.Time) (clock.Time, clock.Time)
+
+// The terminal slack a transfer reads: the element's data input's or its
+// output's.
+const (
+	inSlack  = true
+	outSlack = false
+)
+
+// sweep applies op once to every element against the current result,
+// reading each element's InSlack (in == inSlack) or OutSlack, then
 // refreshes res — incrementally over the touched clusters unless
-// FullSweeps is set. It returns how many element offsets moved and how
-// many clusters were recomputed. iter and k name the fixed-point
-// iteration and the sweep's index within it, labelling the per-sweep
-// request span (each sweep of a traced request becomes one "core.sweep"
-// child whose own child is the sta recompute it triggered). The
-// re-analysis is abandoned mid-sweep when ctx expires, returning the
+// FullSweeps is set. The clusters a moved element dirties are the owners
+// of its terminals in the result layout. It returns how many element
+// offsets moved and how many clusters were recomputed. iter and k name
+// the fixed-point iteration and the sweep's index within it, labelling
+// the per-sweep request span (each sweep of a traced request becomes one
+// "core.sweep" child whose own child is the sta recompute it triggered).
+// The re-analysis is abandoned mid-sweep when ctx expires, returning the
 // cause — res is then stale and must be discarded.
-func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Result, op func(ei int, e *syncelem.Element) clock.Time) (*sta.Result, int, int, error) {
+func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Result, op transfer, in bool) (*sta.Result, int, int, error) {
 	mSweeps.Inc()
 	sctx, sp := span.Start(ctx, "core.sweep")
 	sp.Annotate("iteration", iter)
@@ -131,16 +145,25 @@ func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Resul
 	// The dirty-cluster set is a reusable bitset on the analyzer: one
 	// sweep runs per fixed-point step, so a per-call map is hot-path
 	// garbage.
-	for i := range a.dirty {
-		a.dirty[i] = 0
+	clear(a.dirty)
+	mark := func(c int32) {
+		if c >= 0 {
+			a.dirty[c>>6] |= 1 << (uint(c) & 63)
+		}
 	}
+	lay, elems, odz := a.CD.Layout, a.CD.Elems, a.St.Odz
 	moved := 0
-	for ei, e := range a.CD.Elems {
-		if op(ei, e) > 0 {
+	for e := range odz {
+		var slack, amt clock.Time
+		if in {
+			slack = res.InSlack(e)
+		} else {
+			slack = res.OutSlack(e)
+		}
+		if odz[e], amt = op(elems[e], odz[e], slack); amt > 0 {
 			moved++
-			for _, cl := range a.CD.ElemClusters[ei] {
-				a.dirty[cl>>6] |= 1 << (uint(cl) & 63)
-			}
+			mark(lay.InCluster[e])
+			mark(lay.OutCluster[e])
 		}
 	}
 	sp.AnnotateInt("moved", moved)
@@ -258,15 +281,9 @@ type Report struct {
 // WorstSlack returns the minimum terminal slack of the final analysis.
 func (r *Report) WorstSlack() clock.Time { return r.Result.WorstSlack() }
 
-// allPositive reports whether every element terminal slack is > 0.
-func allPositive(res *sta.Result) bool {
-	for i := range res.InSlack {
-		if res.InSlack[i] <= 0 || res.OutSlack[i] <= 0 {
-			return false
-		}
-	}
-	return true
-}
+// allPositive reports whether every element terminal slack is > 0: an
+// O(clusters) read of the segment minima.
+func allPositive(res *sta.Result) bool { return res.WorstSlack() > 0 }
 
 // ResetOffsets restores every element's initial offsets (Algorithm 1's
 // "select any set of offsets satisfying the synchronising element
@@ -326,11 +343,7 @@ func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result) (
 		start := a.sweepStart()
 		var moved, recomputed int
 		var err error
-		res, moved, recomputed, err = a.sweep(ctx, "forward", sweep, res, func(ei int, e *syncelem.Element) clock.Time {
-			odz, amt := e.CompleteForwardAt(a.St.Odz[ei], res.InSlack[ei])
-			a.St.Odz[ei] = odz
-			return amt
-		})
+		res, moved, recomputed, err = a.sweep(ctx, "forward", sweep, res, (*syncelem.Element).CompleteForwardAt, inSlack)
 		if err != nil {
 			return nil, a.cancelled("forward", sweep, err)
 		}
@@ -352,11 +365,7 @@ func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result) (
 		start := a.sweepStart()
 		var moved, recomputed int
 		var err error
-		res, moved, recomputed, err = a.sweep(ctx, "backward", sweep, res, func(ei int, e *syncelem.Element) clock.Time {
-			odz, amt := e.CompleteBackwardAt(a.St.Odz[ei], res.OutSlack[ei])
-			a.St.Odz[ei] = odz
-			return amt
-		})
+		res, moved, recomputed, err = a.sweep(ctx, "backward", sweep, res, (*syncelem.Element).CompleteBackwardAt, outSlack)
 		if err != nil {
 			return nil, a.cancelled("backward", sweep, err)
 		}
@@ -374,11 +383,9 @@ func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result) (
 		start := a.sweepStart()
 		var moved, recomputed int
 		var err error
-		res, moved, recomputed, err = a.sweep(ctx, "partial-forward", k, res, func(ei int, e *syncelem.Element) clock.Time {
-			odz, amt := e.PartialForwardAt(a.St.Odz[ei], res.InSlack[ei], a.Opts.PartialDivisor)
-			a.St.Odz[ei] = odz
-			return amt
-		})
+		res, moved, recomputed, err = a.sweep(ctx, "partial-forward", k, res, func(e *syncelem.Element, odz, slack clock.Time) (clock.Time, clock.Time) {
+			return e.PartialForwardAt(odz, slack, a.Opts.PartialDivisor)
+		}, inSlack)
 		if err != nil {
 			return nil, a.cancelled("partial-forward", k, err)
 		}
@@ -388,11 +395,9 @@ func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result) (
 		start := a.sweepStart()
 		var moved, recomputed int
 		var err error
-		res, moved, recomputed, err = a.sweep(ctx, "partial-backward", k, res, func(ei int, e *syncelem.Element) clock.Time {
-			odz, amt := e.PartialBackwardAt(a.St.Odz[ei], res.OutSlack[ei], a.Opts.PartialDivisor)
-			a.St.Odz[ei] = odz
-			return amt
-		})
+		res, moved, recomputed, err = a.sweep(ctx, "partial-backward", k, res, func(e *syncelem.Element, odz, slack clock.Time) (clock.Time, clock.Time) {
+			return e.PartialBackwardAt(odz, slack, a.Opts.PartialDivisor)
+		}, outSlack)
 		if err != nil {
 			return nil, a.cancelled("partial-backward", k, err)
 		}
@@ -410,7 +415,7 @@ func (a *Analyzer) finish(rep *Report, res *sta.Result) (*Report, error) {
 	rep.Trajectory = a.conv.full
 	if !rep.OK {
 		for ei := range a.CD.Elems {
-			if res.InSlack[ei] <= 0 || res.OutSlack[ei] <= 0 {
+			if res.MinElemSlack(ei) <= 0 {
 				rep.SlowElems = append(rep.SlowElems, ei)
 			}
 		}
@@ -423,8 +428,8 @@ func (a *Analyzer) finish(rep *Report, res *sta.Result) (*Report, error) {
 // non-positive — the nets the OCT-flagging option of §8 would mark.
 func (a *Analyzer) SlowNets(res *sta.Result) []string {
 	var out []string
-	for n, s := range res.NetSlack {
-		if s <= 0 {
+	for n := range res.NumNets() {
+		if res.NetSlack(n) <= 0 {
 			out = append(out, a.CD.Nets[n])
 		}
 	}

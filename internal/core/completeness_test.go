@@ -34,8 +34,8 @@ func gridFeasible(t *testing.T, text string, step clock.Time) bool {
 	scan = func(k int) bool {
 		if k == len(dofs) {
 			res := sta.Analyze(cd, st)
-			for i := range res.InSlack {
-				if res.InSlack[i] <= 0 || res.OutSlack[i] <= 0 {
+			for i := range res.NumElems() {
+				if res.InSlack(i) <= 0 || res.OutSlack(i) <= 0 {
 					return false
 				}
 			}

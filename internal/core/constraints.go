@@ -89,17 +89,13 @@ func (a *Analyzer) generateConstraintsFrom(ctx context.Context, res *sta.Result)
 		start := a.sweepStart()
 		var moved, recomputed int
 		var err error
-		res, moved, recomputed, err = a.sweep(ctx, "snatch-backward", sweep, res, func(ei int, e *syncelem.Element) clock.Time {
-			odz, amt := e.SnatchBackwardAt(a.St.Odz[ei], res.InSlack[ei])
-			a.St.Odz[ei] = odz
-			return amt
-		})
+		res, moved, recomputed, err = a.sweep(ctx, "snatch-backward", sweep, res, (*syncelem.Element).SnatchBackwardAt, inSlack)
 		if err != nil {
 			return nil, a.cancelled("snatch-backward", sweep, err)
 		}
 		a.record("snatch-backward", sweep, moved, recomputed, res, start)
 		if moved == 0 {
-			c.Ready = append([]sta.PassDetail(nil), res.Passes...)
+			c.Ready = res.Passes()
 			break
 		}
 	}
@@ -114,17 +110,13 @@ func (a *Analyzer) generateConstraintsFrom(ctx context.Context, res *sta.Result)
 		start := a.sweepStart()
 		var moved, recomputed int
 		var err error
-		res, moved, recomputed, err = a.sweep(ctx, "snatch-forward", sweep, res, func(ei int, e *syncelem.Element) clock.Time {
-			odz, amt := e.SnatchForwardAt(a.St.Odz[ei], res.OutSlack[ei])
-			a.St.Odz[ei] = odz
-			return amt
-		})
+		res, moved, recomputed, err = a.sweep(ctx, "snatch-forward", sweep, res, (*syncelem.Element).SnatchForwardAt, outSlack)
 		if err != nil {
 			return nil, a.cancelled("snatch-forward", sweep, err)
 		}
 		a.record("snatch-forward", sweep, moved, recomputed, res, start)
 		if moved == 0 {
-			c.Required = append([]sta.PassDetail(nil), res.Passes...)
+			c.Required = res.Passes()
 			break
 		}
 	}

@@ -75,8 +75,8 @@ end
 	// Verify the premise: the initial offsets do violate.
 	pre := sta.Analyze(a.CD, a.St)
 	f2 := testlib.Elem(t, a.CD.Network, "f2")
-	if pre.InSlack[f2] > 0 {
-		t.Fatalf("premise broken: initial InSlack(f2) = %v", pre.InSlack[f2])
+	if pre.InSlack(f2) > 0 {
+		t.Fatalf("premise broken: initial InSlack(f2) = %v", pre.InSlack(f2))
 	}
 	rep, err := a.IdentifySlowPaths()
 	if err != nil {
@@ -300,16 +300,16 @@ end
 				di, rInc.OK, rInc.WorstSlack(), rFull.OK, rFull.WorstSlack())
 		}
 		for ei := range aInc.CD.Elems {
-			if rInc.Result.InSlack[ei] != rFull.Result.InSlack[ei] ||
-				rInc.Result.OutSlack[ei] != rFull.Result.OutSlack[ei] {
+			if rInc.Result.InSlack(ei) != rFull.Result.InSlack(ei) ||
+				rInc.Result.OutSlack(ei) != rFull.Result.OutSlack(ei) {
 				t.Fatalf("design %d: element %s slacks differ (%v/%v vs %v/%v)",
 					di, aInc.CD.Elems[ei].Name(),
-					rInc.Result.InSlack[ei], rInc.Result.OutSlack[ei],
-					rFull.Result.InSlack[ei], rFull.Result.OutSlack[ei])
+					rInc.Result.InSlack(ei), rInc.Result.OutSlack(ei),
+					rFull.Result.InSlack(ei), rFull.Result.OutSlack(ei))
 			}
 		}
-		for n := range rInc.Result.NetSlack {
-			if rInc.Result.NetSlack[n] != rFull.Result.NetSlack[n] {
+		for n := range rInc.Result.NumNets() {
+			if rInc.Result.NetSlack(n) != rFull.Result.NetSlack(n) {
 				t.Fatalf("design %d: net %s slack differs", di, aInc.CD.Nets[n])
 			}
 		}
@@ -387,23 +387,23 @@ end
 		e := nw.Elems[ei]
 		switch r.Intn(4) {
 		case 0:
-			st.Odz[ei], _ = e.CompleteForwardAt(st.Odz[ei], before.InSlack[ei])
+			st.Odz[ei], _ = e.CompleteForwardAt(st.Odz[ei], before.InSlack(ei))
 		case 1:
-			st.Odz[ei], _ = e.CompleteBackwardAt(st.Odz[ei], before.OutSlack[ei])
+			st.Odz[ei], _ = e.CompleteBackwardAt(st.Odz[ei], before.OutSlack(ei))
 		case 2:
-			st.Odz[ei], _ = e.PartialForwardAt(st.Odz[ei], before.InSlack[ei], int64(2+r.Intn(3)))
+			st.Odz[ei], _ = e.PartialForwardAt(st.Odz[ei], before.InSlack(ei), int64(2+r.Intn(3)))
 		case 3:
-			st.Odz[ei], _ = e.PartialBackwardAt(st.Odz[ei], before.OutSlack[ei], int64(2+r.Intn(3)))
+			st.Odz[ei], _ = e.PartialBackwardAt(st.Odz[ei], before.OutSlack(ei), int64(2+r.Intn(3)))
 		}
 		after := sta.Analyze(cd, st)
-		for i := range before.InSlack {
-			if before.InSlack[i] >= 0 && after.InSlack[i] < 0 {
+		for i := range before.NumElems() {
+			if before.InSlack(i) >= 0 && after.InSlack(i) < 0 {
 				t.Fatalf("trial %d: input terminal %s lost satisfaction (%v -> %v)",
-					trial, nw.Elems[i].Name(), before.InSlack[i], after.InSlack[i])
+					trial, nw.Elems[i].Name(), before.InSlack(i), after.InSlack(i))
 			}
-			if before.OutSlack[i] >= 0 && after.OutSlack[i] < 0 {
+			if before.OutSlack(i) >= 0 && after.OutSlack(i) < 0 {
 				t.Fatalf("trial %d: output terminal %s lost satisfaction (%v -> %v)",
-					trial, nw.Elems[i].Name(), before.OutSlack[i], after.OutSlack[i])
+					trial, nw.Elems[i].Name(), before.OutSlack(i), after.OutSlack(i))
 			}
 		}
 	}
@@ -832,8 +832,8 @@ func TestWorstPaths(t *testing.T) {
 		}
 	}
 	for _, p := range paths {
-		if p.Slack != rep.Result.InSlack[p.ToElem] {
-			t.Fatalf("path slack %v != endpoint slack %v", p.Slack, rep.Result.InSlack[p.ToElem])
+		if p.Slack != rep.Result.InSlack(p.ToElem) {
+			t.Fatalf("path slack %v != endpoint slack %v", p.Slack, rep.Result.InSlack(p.ToElem))
 		}
 		if p.Slack <= 0 {
 			t.Fatal("passing design produced non-positive path slack")
@@ -901,7 +901,7 @@ end
 	if len(ids) != 1 {
 		t.Fatalf("enable endpoints = %d", len(ids))
 	}
-	s := rep.Result.InSlack[ids[0]]
+	s := rep.Result.InSlack(ids[0])
 	if s == clock.Inf || s <= 0 {
 		t.Fatalf("enable endpoint slack = %v", s)
 	}
@@ -925,7 +925,7 @@ end
 		t.Fatal("slow enable path not flagged")
 	}
 	ids2 := slow.CD.ElemsOf("l1.en0")
-	if rep2.Result.InSlack[ids2[0]] > 0 {
-		t.Fatalf("enable endpoint slack = %v, want <= 0", rep2.Result.InSlack[ids2[0]])
+	if rep2.Result.InSlack(ids2[0]) > 0 {
+		t.Fatalf("enable endpoint slack = %v, want <= 0", rep2.Result.InSlack(ids2[0]))
 	}
 }

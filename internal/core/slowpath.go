@@ -64,15 +64,16 @@ func (a *Analyzer) tracePaths(res *sta.Result, want func(clock.Time) bool) []Slo
 			inArcs[cl.Arcs[ai].To] = append(inArcs[cl.Arcs[ai].To], ai)
 		}
 		for oi, out := range cl.Outputs {
-			if res.InSlack[out.Elem] == clock.Inf || !want(res.InSlack[out.Elem]) {
+			slack := res.InSlack(out.Elem)
+			if slack == clock.Inf || !want(slack) {
 				continue
 			}
 			pi, ok := cl.Plan.Assign[oi]
 			if !ok {
 				continue
 			}
-			detail := &res.Passes[int(a.CD.PassStart[cl.ID])+pi]
-			if p, ok := a.traceOne(cl, detail, inArcs, out, res.InSlack[out.Elem]); ok {
+			detail := res.Pass(cl.ID, pi)
+			if p, ok := a.traceOne(cl, &detail, inArcs, out, slack); ok {
 				paths = append(paths, p)
 			}
 		}

@@ -9,27 +9,25 @@ import (
 	"hummingbird/internal/celllib"
 	"hummingbird/internal/clock"
 	"hummingbird/internal/core"
-	"hummingbird/internal/sta"
 	"hummingbird/internal/workload"
 )
 
 // TestDelayEditAllocs is the allocation-regression guard for incremental
 // edit application: a steady-state delay-only ApplyContext — the call
 // hummingbirdd and the benchmark's edit loop make — must stay within a
-// handful of allocations — the fresh Result and Report handed to the caller
-// (three for the result clone, one backing per re-analyzed cluster's pass
-// details, the report and outcome structs) and nothing per-arc, per-net or
-// per-pass. The engine's scratch maps, undo log, dirty-cluster ids and the
-// saved base clusters are all reused across edits; a regression here (a
-// per-call map, a second result clone, sort.Slice garbage) trips the guard.
+// handful of allocations — two result clones (the patched base and the
+// working result handed to the caller, two each), one segment per
+// re-analyzed cluster, the report and outcome structs — and nothing
+// per-arc, per-net or per-pass. The engine's scratch maps, undo log and
+// dirty-cluster ids are reused across edits; a regression here (a
+// per-call map, a third result clone, sort.Slice garbage) trips the guard.
 // On the SoC every edit's fixed point moves 263 offsets and re-dirties the
-// clusters around them; the replay copies those from the previous fixed
-// point, so re-analyzing them (one pass-detail backing each) trips it too.
-// The SoC row also bounds the bytes an edit allocates: 1.5× one result's
-// slack vectors and pass headers, plus the fresh pass details of the two
-// kernel runs on the edited cluster (in the base, then in the first
-// sweep). The working clone shares the write-once pass-detail vectors, so
-// copying them again — or any other whole-result copy — trips it.
+// clusters around them; the replay reuses those from the previous fixed
+// point, so re-analyzing them (one segment each) trips it too. The SoC row
+// also bounds the bytes an edit allocates: 1.5× two segment slices (one
+// header per cluster) plus the edited cluster's two fresh segments (its
+// kernel runs in the base, then in the first sweep). Clones share
+// segments, so copying slacks — a whole-result copy — trips it.
 func TestDelayEditAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -94,12 +92,14 @@ func TestDelayEditAllocs(t *testing.T) {
 			perEdit := (after.TotalAlloc - before.TotalAlloc) / runs
 			cd := eng.CompiledDesign()
 			word := uint64(unsafe.Sizeof(clock.Time(0)))
-			result := uint64(2*len(cd.Elems)+len(cd.Nets))*word +
-				uint64(cd.PassStart[len(cd.CC)])*uint64(unsafe.Sizeof(sta.PassDetail{}))
-			c := eng.arcsByInst[inst][0].cluster
-			kernel := 2 * 4 * uint64(len(cd.CC[c].Nets)) * uint64(cd.PassStart[c+1]-cd.PassStart[c]) * word
-			t.Logf("%d B per edit; one result's slack vectors and pass headers: %d B; two kernel runs' pass details: %d B", perEdit, result, kernel)
-			if limit := result*3/2 + kernel; perEdit > limit {
+			segs := 2 * uint64(len(cd.CC)) * uint64(unsafe.Sizeof([]clock.Time(nil)))
+			// A segment: the minimum, one slot per net and terminal, and
+			// four detail vectors per pass.
+			cc := cd.CC[eng.arcsByInst[inst][0].cluster]
+			n := len(cc.Nets)
+			fresh := 2 * uint64(1+n+len(cc.Inputs)+len(cc.Outputs)+4*n*cc.Plan.Passes()) * word
+			t.Logf("%d B per edit; two segment slices: %d B; the edited cluster's two segments: %d B", perEdit, segs, fresh)
+			if limit := (segs + fresh) * 3 / 2; perEdit > limit {
 				t.Fatalf("delay-only ApplyContext allocates %d B per run, limit %d B", perEdit, limit)
 			}
 		})

@@ -16,7 +16,7 @@
 //     and re-run the Algorithm 1 fixed point from there. The fixed point
 //     itself is incremental: each sweep recomputes only the clusters
 //     adjacent to elements whose offsets moved (core.Analyzer.sweep), and
-//     of those it copies from the previous fixed point every cluster whose
+//     of those it reuses from the previous fixed point every cluster whose
 //     delays and boundary offsets match it (sta.AnalysisState.SetReference).
 //   - Anything that reshapes the timing network — replacing a cell with a
 //     different interface, adding or removing instances, rewiring pins, or
@@ -150,19 +150,18 @@ type Engine struct {
 	an     *core.Analyzer
 	// base is the block analysis at the *initial* offsets (ResetOffsets
 	// state) for the current design and delays: the cached sta.Result that
-	// delay-only edits patch in place with sta.RecomputeContext, over just
-	// the clusters whose delays changed, instead of re-running every
-	// cluster. It is never handed out; each edit's working result is one
-	// Clone of it.
+	// delay-only edits patch by clone-and-swap — sta.RecomputeContext over
+	// just the clusters whose delays changed, into a clone adopted only
+	// when the whole edit succeeds — instead of re-running every cluster.
+	// It is never handed out; each edit's working result is one Clone of
+	// it.
 	base *sta.Result
 	// Reusable applyDelayOnly scratch (cleared, never reallocated, so
-	// steady-state delay edits stay off the allocator). scrBase saves what
-	// the patched clusters owned in base, for the rollback.
+	// steady-state delay edits stay off the allocator).
 	scrArcs map[arcRef]bool
 	scrNets map[string]bool
 	scrUndo []undoStep
 	scrIDs  []int
-	scrBase sta.ClusterUndo
 	rep     *core.Report
 	cons    *core.Constraints
 	// odz snapshots the Algorithm-1 fixed-point offsets so Constraints()
@@ -511,11 +510,11 @@ type undoStep struct {
 }
 
 // applyDelayOnly patches arc delays in place and recomputes only the dirty
-// clusters in the cached initial-offset result. Every error path runs the
-// undo log, so a failed batch (cancellation, non-convergence, a failed
-// checksum-fallback rebuild) leaves the engine bit-identical to its state
-// before the call — including the cached base and the still-valid
-// previous report.
+// clusters, into a clone of the cached initial-offset result. Every error
+// path runs the undo log, so a failed batch (cancellation, non-convergence,
+// a failed checksum-fallback rebuild) leaves the engine bit-identical to
+// its state before the call — including the cached base, which a failed
+// batch never replaced, and the still-valid previous report.
 func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, error) {
 	// Delay-only edits mutate arc delays and the delay calculator — never
 	// a shared compiled design. Unshare (copy-on-write) first.
@@ -531,7 +530,6 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 	affectedNets := e.scrNets
 	dirtyArcs := e.scrArcs
 	undo := e.scrUndo[:0]
-	patched := false // e.base holds the recomputed dirty clusters
 	rollback := func() {
 		for i := len(undo) - 1; i >= 0; i-- {
 			u := undo[i]
@@ -549,9 +547,6 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 		}
 		for r := range dirtyArcs {
 			e.reevalArc(r)
-		}
-		if patched {
-			e.scrBase.Restore(e.an.CD, e.base)
 		}
 		e.restoreOffsets()
 	}
@@ -627,29 +622,30 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 	mCacheHits.Inc()
 	mDirtyClusters.Add(int64(len(ids)))
 
-	// Replay the from-scratch computation: initial offsets, the cached base
-	// result with just the dirty clusters recomputed in place, then the
-	// incremental Algorithm 1 fixed point on one clone of it. Any
-	// interruption rolls the patches back — the base's dirty clusters are
-	// restored from scrBase, the previous report stays live, and the
-	// caller can retry the identical batch.
+	// Replay the from-scratch computation: initial offsets, a clone of the
+	// cached base with just the dirty clusters recomputed, then the
+	// incremental Algorithm 1 fixed point on one clone of that. Both clones
+	// copy one segment header per cluster. Any interruption rolls the
+	// patches back and drops the clone — the cached base was never
+	// written, the previous report stays live, and the caller can retry
+	// the identical batch.
 	e.an.ResetOffsets()
+	base := e.base
 	if len(ids) > 0 {
-		e.scrBase.Save(e.an.CD, e.base, ids)
-		patched = true
+		base = e.base.Clone()
 		// Large dirty sets (≥ the sta threshold) ride the level-scheduled
 		// parallel walk when the engine was opened with Options.Workers;
-		// small ones stay on the inline allocation-free path.
-		if err := sta.RecomputeContext(ctx, e.an.CD, e.an.St, e.base, ids, e.opts.Workers); err != nil {
+		// small ones stay on the inline path.
+		if err := sta.RecomputeContext(ctx, e.an.CD, e.an.St, base, ids, e.opts.Workers); err != nil {
 			rollback()
 			return nil, err
 		}
 	}
-	res := e.base.Clone()
+	res := base.Clone()
 	// The previous fixed point is the replay's reference: a cluster the
 	// sweeps dirty whose delays are unchanged and whose boundary offsets
-	// land back on their previous fixed-point values is copied from it
-	// rather than re-analyzed (sta.AnalysisState.SetReference).
+	// land back on their previous fixed-point values takes its segment
+	// rather than being re-analyzed (sta.AnalysisState.SetReference).
 	e.an.St.SetReference(e.rep.Result, e.odz, ids)
 	defer e.an.St.ClearReference()
 	rep, err := e.an.IdentifySlowPathsFromCtx(ctx, res)
@@ -657,7 +653,7 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 		rollback()
 		return nil, err
 	}
-	e.rep, e.cons = rep, nil
+	e.base, e.rep, e.cons = base, rep, nil
 	e.snapshotOffsets()
 	return &Outcome{Incremental: true, DirtyClusters: len(ids), Report: rep}, nil
 }

@@ -145,8 +145,8 @@ func FlagSlowPaths(db *DB, a *core.Analyzer, rep *core.Report) {
 	db.Set(DesignObj, "", PropVerdict, StringValue(verdict))
 	db.Set(DesignObj, "", PropWorst, IntValue(int64(rep.WorstSlack())))
 	db.Set(DesignObj, "", PropSlowCount, IntValue(int64(len(rep.SlowPaths))))
-	for n, s := range rep.Result.NetSlack {
-		if s <= 0 {
+	for n := range rep.Result.NumNets() {
+		if s := rep.Result.NetSlack(n); s <= 0 {
 			db.Set(NetObj, a.CD.Nets[n], PropSlack, IntValue(int64(s)))
 		}
 	}

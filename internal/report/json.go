@@ -156,20 +156,20 @@ func BuildJSON(a *core.Analyzer, rep *core.Report) *JSONResult {
 		Elements: len(a.CD.Elems), Clusters: len(a.CD.Clusters),
 		Passes:      a.CD.TotalPasses(),
 		Sweeps:      JSONSweeps{Forward: rep.ForwardSweeps, Backward: rep.BackwardSweeps},
-		NetSlacks:   make(NetSlacks, 0, len(rep.Result.NetSlack)),
+		NetSlacks:   make(NetSlacks, 0, rep.Result.NumNets()),
 		Endpoints:   make([]JSONEndpoint, 0, 2*len(a.CD.Elems)),
 		Convergence: rep.Trajectory,
 	}
-	for n, s := range rep.Result.NetSlack {
-		if s != clock.Inf {
+	for n := range rep.Result.NumNets() {
+		if s := rep.Result.NetSlack(n); s != clock.Inf {
 			out.NetSlacks = append(out.NetSlacks, NetSlack{Net: a.CD.Nets[n], SlackPs: int64(s)})
 		}
 	}
 	for ei, e := range a.CD.Elems {
-		if s := rep.Result.InSlack[ei]; s != clock.Inf {
+		if s := rep.Result.InSlack(ei); s != clock.Inf {
 			out.Endpoints = append(out.Endpoints, JSONEndpoint{Element: e.Name(), Kind: "capture", SlackPs: int64(s)})
 		}
-		if s := rep.Result.OutSlack[ei]; s != clock.Inf {
+		if s := rep.Result.OutSlack(ei); s != clock.Inf {
 			out.Endpoints = append(out.Endpoints, JSONEndpoint{Element: e.Name(), Kind: "launch", SlackPs: int64(s)})
 		}
 	}

@@ -144,8 +144,8 @@ func Slacks(w io.Writer, a *core.Analyzer, res *sta.Result, limit int) {
 		slack clock.Time
 	}
 	var all []ns
-	for n, s := range res.NetSlack {
-		if s != clock.Inf {
+	for n := range res.NumNets() {
+		if s := res.NetSlack(n); s != clock.Inf {
 			all = append(all, ns{n, s})
 		}
 	}
@@ -268,11 +268,11 @@ func Endpoints(w io.Writer, a *core.Analyzer, res *sta.Result, limit int) {
 	}
 	var eps []ep
 	for ei, e := range a.CD.Elems {
-		if res.InSlack[ei] != clock.Inf {
-			eps = append(eps, ep{e.Name(), "capture", res.InSlack[ei]})
+		if s := res.InSlack(ei); s != clock.Inf {
+			eps = append(eps, ep{e.Name(), "capture", s})
 		}
-		if res.OutSlack[ei] != clock.Inf {
-			eps = append(eps, ep{e.Name(), "launch", res.OutSlack[ei]})
+		if s := res.OutSlack(ei); s != clock.Inf {
+			eps = append(eps, ep{e.Name(), "launch", s})
 		}
 	}
 	sort.Slice(eps, func(i, j int) bool {

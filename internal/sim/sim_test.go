@@ -534,7 +534,7 @@ end
 	var staticArrival clock.Time = -1
 	n3 := nw.NetIdx["n3"]
 	f1 := nw.ElemsOf("f1")[0]
-	for _, pd := range rep.Result.Passes {
+	for _, pd := range rep.Result.Passes() {
 		for li, net := range pd.Nets {
 			if net != n3 {
 				continue

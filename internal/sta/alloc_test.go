@@ -11,10 +11,10 @@ import (
 // TestRecomputeAllocs is the allocation-regression guard for the hot
 // incremental path: a steady-state RecomputeContext of one dirty cluster —
 // the inline path every small incremental sweep takes — must stay within a
-// handful of allocations: the per-cluster pass-detail backing and slice
-// growth, nothing else. The dirty bitset, the scratch arenas and the pass
-// ordering are all reused state; a regression here (a per-call map, a
-// per-pass make, a sort.Slice closure) shows up immediately.
+// handful of allocations: the recomputed cluster's fresh segment, nothing
+// else. The dirty bitset and the scratch arenas are reused state; a
+// regression here (a per-call map, a per-pass make, a sort.Slice closure)
+// shows up immediately.
 func TestRecomputeAllocs(t *testing.T) {
 	nw := buildWorkload(t, mustGen(workload.ALU()))
 	cd := cluster.Compile(nw)
@@ -31,8 +31,8 @@ func TestRecomputeAllocs(t *testing.T) {
 	recompute()
 
 	allocs := testing.AllocsPerRun(50, recompute)
-	// One backing per recomputed cluster's pass details (they escape into
-	// the result), plus margin for an occasional pool refill after GC.
+	// One segment per recomputed cluster (it escapes into the result),
+	// plus margin for an occasional pool refill after GC.
 	const limit = 3
 	if allocs > limit {
 		t.Fatalf("RecomputeContext allocates %.1f times per run, limit %d", allocs, limit)

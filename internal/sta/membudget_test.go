@@ -11,12 +11,13 @@ import (
 // memBudgetBytesPerCell pins the steady-state footprint of the analysis
 // engine: the compiled design (shared CSR arc backing and its cold source
 // table, per-cluster index arrays, net→cluster tables, the name binding,
-// level schedule, pass slots) plus one analysis state (offset vector,
-// dirty and stale bitsets, one scratch arena), per leaf cell, on the
-// 100k-cell SoC grid. The value holds ~30% headroom over the measured
-// figure (242 B/cell) so it trips on a representation regression — strings
-// back in the arc, a duplicated arc backing, a per-arc map, per-cluster
-// level copies — not on layout jitter.
+// the result layout's element owner tables, level schedule) plus one
+// analysis state (offset vector, dirty and stale bitsets, one scratch
+// arena), per leaf cell, on the 100k-cell SoC grid. The value holds ~30%
+// headroom over the measured figure (236 B/cell) so it trips on a
+// representation regression — strings back in the arc, a duplicated arc
+// backing, a per-arc map, per-cluster level copies — not on layout
+// jitter.
 const memBudgetBytesPerCell = 315
 
 // compiledFootprint sums the backing arrays of the compiled design and
@@ -48,14 +49,18 @@ func compiledFootprint(cd *cluster.CompiledDesign, st *AnalysisState) int64 {
 			slice(len(s), 4)
 		}
 	}
-	for _, ec := range cd.ElemClusters {
-		slice(len(ec), 8)
-	}
+	// The result layout: the four element owner tables (one backing) and
+	// each cluster's nets and breaks headers; the net tables are the
+	// network's, counted above.
+	lay := cd.Layout
+	total += int64(unsafe.Sizeof(*lay))
+	slice(4*len(lay.InCluster), 4)
+	slice(len(lay.Nets), 24)
+	slice(len(lay.Breaks), 24)
 	slice(len(cd.InitialOdz), 8)
 	slice(len(cd.Level), 4)
 	slice(len(cd.LevelStart), 4)
 	slice(len(cd.LevelOrder), 4)
-	slice(len(cd.PassStart), 4)
 	slice(len(st.Odz), 8)
 	slice(len(st.dirty), 8)
 	slice(len(st.stale), 8)

@@ -15,8 +15,9 @@ import (
 // The compile layer levelizes the cluster DAG (cluster.CompiledDesign's
 // Level/LevelStart/LevelOrder); the scheduler here walks that order with a
 // fixed worker pool. Within one block analysis clusters write disjoint
-// slices of the Result — every net, and every element terminal, belongs to
-// exactly one cluster, and the element offsets the kernels read are frozen
+// slots of the Result, one segment each — every net, and every element
+// terminal, belongs to at most one cluster, and the element offsets the
+// kernels read are frozen
 // for the duration — so the level structure imposes no synchronisation
 // requirement at all: no level barrier is ever *required*, and none is
 // taken. What the levels buy is the traversal order: within a level,
@@ -30,7 +31,7 @@ import (
 // dealt round-robin into per-worker queues; each worker drains its own
 // queue via an atomic cursor, then steals from the other queues' cursors.
 // A fetch-add on a victim's cursor claims a chunk exactly once, so
-// stealing needs no locks; each cluster writes its own fixed pass slots,
+// stealing needs no locks; each cluster installs only its own segment,
 // so the result is the same whichever worker ran it.
 
 // chunk is a contiguous run order[lo:hi] of a level-grouped cluster order.

@@ -57,8 +57,8 @@ func moveOffsets(t *testing.T, cd *cluster.CompiledDesign, st *AnalysisState, ta
 	n := 0
 	for e := 0; e < len(cd.Elems) && n < target; e += 7 {
 		st.Odz[e] += 250
-		for _, id := range cd.ElemClusters[e] {
-			if !dirty[id] {
+		for _, id := range []int32{cd.Layout.InCluster[e], cd.Layout.OutCluster[e]} {
+			if id >= 0 && !dirty[id] {
 				dirty[id] = true
 				n++
 			}

@@ -70,21 +70,22 @@ func TestAnalyzeParallelEquivalence(t *testing.T) {
 	seq := Analyze(cd, st)
 	for _, workers := range []int{1, 2, 4, 8} {
 		par := AnalyzeParallel(cd, st, workers)
-		for i := range seq.InSlack {
-			if par.InSlack[i] != seq.InSlack[i] || par.OutSlack[i] != seq.OutSlack[i] {
+		for i := range seq.NumElems() {
+			if par.InSlack(i) != seq.InSlack(i) || par.OutSlack(i) != seq.OutSlack(i) {
 				t.Fatalf("workers=%d: element %d slacks differ", workers, i)
 			}
 		}
-		for n := range seq.NetSlack {
-			if par.NetSlack[n] != seq.NetSlack[n] {
+		for n := range seq.NumNets() {
+			if par.NetSlack(n) != seq.NetSlack(n) {
 				t.Fatalf("workers=%d: net %d slack differs", workers, n)
 			}
 		}
-		if len(par.Passes) != len(seq.Passes) {
-			t.Fatalf("workers=%d: pass count %d vs %d", workers, len(par.Passes), len(seq.Passes))
+		seqPasses, parPasses := seq.Passes(), par.Passes()
+		if len(parPasses) != len(seqPasses) {
+			t.Fatalf("workers=%d: pass count %d vs %d", workers, len(parPasses), len(seqPasses))
 		}
-		for p := range seq.Passes {
-			a, b := &seq.Passes[p], &par.Passes[p]
+		for p := range seqPasses {
+			a, b := &seqPasses[p], &parPasses[p]
 			if a.Cluster != b.Cluster || a.Pass != b.Pass || a.Beta != b.Beta {
 				t.Fatalf("workers=%d: pass %d identity differs", workers, p)
 			}

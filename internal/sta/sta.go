@@ -17,6 +17,7 @@ import (
 	"context"
 	"math/bits"
 	"runtime"
+	"slices"
 
 	"hummingbird/internal/breakopen"
 	"hummingbird/internal/celllib"
@@ -35,7 +36,8 @@ import (
 // parallel_worker_busy_ns / (parallel_wall_ns × workers). sta.steals
 // counts chunks a worker executed from another worker's queue.
 // sta.clusters_analyzed and sta.passes count kernel runs only; a cluster
-// a recompute copies from its reference counts in sta.clusters_reused.
+// whose segment a recompute takes from its reference counts in
+// sta.clusters_reused.
 var (
 	mAnalyses         = telemetry.NewCounter("sta.analyses")
 	mRecomputes       = telemetry.NewCounter("sta.recomputes")
@@ -71,67 +73,120 @@ type PassDetail struct {
 	ReqF   []clock.Time
 }
 
-// Result is one full analysis of a network at its current offsets.
+// Result is one full analysis of a network at its current offsets, held
+// as one write-once segment per cluster. Every net and every element
+// terminal belongs to at most one cluster (cluster.Layout), so a cluster's
+// segment holds all it contributes: its member nets' slacks, its inputs'
+// OutSlack, its outputs' InSlack, its pass details and the minimum of its
+// terminal slacks. The kernel run that analyzes a cluster allocates its
+// segment and nothing writes it afterwards, so results share segments: a
+// Clone, a cluster reused from a reference and the engine's patched base
+// each copy a slice header per cluster, not slacks. A result's segment
+// slice is written only by the analysis that owns it, before the result
+// is handed out. A result references the design's shared, immutable
+// layout — never the compiled design itself.
 type Result struct {
-	// InSlack[e] is the node slack at element e's data input terminal
-	// (the cluster-output constraint), +Inf if e has no analyzed input.
-	InSlack []clock.Time
-	// OutSlack[e] is the node slack at element e's output terminal: the
-	// tightest constraint over all paths leaving it, +Inf if none.
-	OutSlack []clock.Time
-	// NetSlack[n] is the minimum node slack of net n over all passes and
-	// transitions, +Inf for nets outside any analyzed cluster.
-	NetSlack []clock.Time
-	// Passes carries the per-pass detail used for reporting and for
-	// Algorithm 2's recorded ready/required times: every cluster's passes
-	// in (cluster, pass) order, cluster c's in the fixed slots
-	// Passes[PassStart[c]:PassStart[c+1]] of its compiled design.
-	Passes []PassDetail
+	lay  *cluster.Layout
+	segs []segment
+}
+
+// A segment is one cluster's share of a result, in one vector: [0] is the
+// minimum of its terminal slacks, [1+slot] its slack slots (member nets in
+// local order, then one per Input, then one per Output; see
+// cluster.Layout), and the tail its pass details, 4×nets per pass:
+// ReadyR, ReadyF, ReqR, ReqF. A slot no pass reaches stays +Inf.
+type segment []clock.Time
+
+// pass returns the detail vectors of pass pi of a segment of a cluster of
+// n nets and np passes.
+func (s segment) pass(n, np, pi int) (readyR, readyF, reqR, reqF []clock.Time) {
+	d := s[len(s)-4*n*(np-pi):]
+	return d[0*n : 1*n : 1*n], d[1*n : 2*n : 2*n], d[2*n : 3*n : 3*n], d[3*n : 4*n : 4*n]
+}
+
+// slot returns the value of slack slot i of cluster c, +Inf for c < 0.
+func (r *Result) slot(c, i int32) clock.Time {
+	if c < 0 {
+		return posInf
+	}
+	return r.segs[c][1+i]
+}
+
+// NetSlack returns the minimum node slack of net n over all passes and
+// transitions, +Inf for nets outside any analyzed cluster.
+func (r *Result) NetSlack(n int) clock.Time {
+	return r.slot(r.lay.NetCluster[n], r.lay.NetLocal[n])
+}
+
+// InSlack returns the node slack at element e's data input terminal (the
+// cluster-output constraint), +Inf if e has no analyzed input.
+func (r *Result) InSlack(e int) clock.Time {
+	return r.slot(r.lay.InCluster[e], r.lay.InSlot[e])
+}
+
+// OutSlack returns the node slack at element e's output terminal: the
+// tightest constraint over all paths leaving it, +Inf if none.
+func (r *Result) OutSlack(e int) clock.Time {
+	return r.slot(r.lay.OutCluster[e], r.lay.OutSlot[e])
+}
+
+// NumNets and NumElems return the sizes of the net and element id spaces
+// NetSlack and InSlack/OutSlack index.
+func (r *Result) NumNets() int  { return len(r.lay.NetCluster) }
+func (r *Result) NumElems() int { return len(r.lay.InCluster) }
+
+// Pass returns the detail of pass pi of cluster c. Its vectors are the
+// result's write-once segment; callers must not write them.
+func (r *Result) Pass(c, pi int) PassDetail {
+	nets, breaks := r.lay.Nets[c], r.lay.Breaks[c]
+	d := PassDetail{Cluster: c, Pass: pi, Beta: breaks[pi], Nets: nets}
+	d.ReadyR, d.ReadyF, d.ReqR, d.ReqF = r.segs[c].pass(len(nets), len(breaks), pi)
+	return d
+}
+
+// Passes returns every cluster's pass details in (cluster, pass) order,
+// in a fresh slice whose vectors share the result's write-once segments.
+func (r *Result) Passes() []PassDetail {
+	n := 0
+	for _, b := range r.lay.Breaks {
+		n += len(b)
+	}
+	out := make([]PassDetail, 0, n)
+	for c, b := range r.lay.Breaks {
+		for pi := range b {
+			out = append(out, r.Pass(c, pi))
+		}
+	}
+	return out
+}
+
+// SameSegment reports whether r and o share cluster c's segment, so that
+// every value cluster c owns is equal in both. Results of different
+// layouts never share one.
+func (r *Result) SameSegment(o *Result, c int) bool {
+	return r.lay == o.lay && &r.segs[c][0] == &o.segs[c][0]
 }
 
 // Clone returns a copy of the result that later analyses may update
-// without touching the original: the three slack vectors are copied into
-// one fresh backing and the pass list's headers into a fresh slice, so a
-// Clone is three allocations and O(elements + nets + passes) however many
-// nets the passes cover. Pass-detail vectors are write-once —
-// analyzeCluster allocates them fresh and nothing writes them afterwards —
-// so the copy shares them with the original, as reuse and the constraint
-// snapshots do.
+// without touching the original. Segments are write-once — the kernel run
+// that allocated one is the only writer — so the copy shares them: a Clone
+// is two allocations and copies one slice header per cluster.
 func (r *Result) Clone() *Result {
-	nE, nN := len(r.InSlack), len(r.NetSlack)
-	backing := make([]clock.Time, 2*nE+nN)
-	c := &Result{
-		InSlack:  backing[:nE:nE],
-		OutSlack: backing[nE : 2*nE : 2*nE],
-		NetSlack: backing[2*nE:],
-		Passes:   make([]PassDetail, len(r.Passes)),
-	}
-	copy(c.Passes, r.Passes)
-	copy(c.InSlack, r.InSlack)
-	copy(c.OutSlack, r.OutSlack)
-	copy(c.NetSlack, r.NetSlack)
-	return c
+	return &Result{lay: r.lay, segs: slices.Clone(r.segs)}
 }
 
 // MinElemSlack returns the smaller of the element's terminal slacks.
 func (r *Result) MinElemSlack(e int) clock.Time {
-	s := r.InSlack[e]
-	if r.OutSlack[e] < s {
-		s = r.OutSlack[e]
-	}
-	return s
+	return min(r.InSlack(e), r.OutSlack(e))
 }
 
-// WorstSlack returns the minimum slack over every element terminal.
+// WorstSlack returns the minimum slack over every element terminal: the
+// minimum of the clusters' segment minima, since a terminal outside every
+// cluster reads +Inf.
 func (r *Result) WorstSlack() clock.Time {
 	w := posInf
-	for i := range r.InSlack {
-		if r.InSlack[i] < w {
-			w = r.InSlack[i]
-		}
-		if r.OutSlack[i] < w {
-			w = r.OutSlack[i]
-		}
+	for _, s := range r.segs {
+		w = min(w, s[0])
 	}
 	return w
 }
@@ -179,20 +234,19 @@ func AnalyzeContext(ctx context.Context, cd *cluster.CompiledDesign, st *Analysi
 const recomputeParallelThreshold = 64
 
 // RecomputeContext re-runs the block analysis for just the named clusters,
-// updating res in place. Because every net, and every element terminal,
-// belongs to exactly one cluster, a cluster's contributions to the result
-// can be reset and rebuilt independently — the basis of the incremental
-// mode of Algorithm 1's sweeps: after a slack transfer only the clusters
-// adjacent to the moved element change. With a reference installed on the
-// state (SetReference), a named cluster whose arc delays and boundary
-// offsets match the reference is copied from it instead of analyzed. Only
-// sets of at least recomputeParallelThreshold clusters left to analyze
-// are spread across the workers. res must be the caller's own working
-// result, never one already handed out: results returned to callers are
-// not written again. On a non-nil error res has been partially rebuilt
-// and must be discarded or restored by the caller (ClusterUndo) — slacks
-// of the untouched clusters are intact but the interrupted clusters' are
-// reset to +Inf.
+// installing fresh segments for them in res. Because every net, and every
+// element terminal, belongs to at most one cluster, a cluster's
+// contributions to the result can be rebuilt independently — the basis of
+// the incremental mode of Algorithm 1's sweeps: after a slack transfer
+// only the clusters adjacent to the moved element change. With a
+// reference installed on the state (SetReference), a named cluster whose
+// arc delays and boundary offsets match the reference takes the
+// reference's segment instead of being analyzed. Only sets of at least
+// recomputeParallelThreshold clusters left to analyze are spread across
+// the workers. res must be the caller's own working result, never one
+// already handed out: results returned to callers are not written again.
+// On a non-nil error res holds a mix of old and new segments and must be
+// discarded.
 func RecomputeContext(ctx context.Context, cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int, workers int) error {
 	mRecomputes.Inc()
 	_, sp := span.Start(ctx, "sta.recompute")
@@ -215,7 +269,7 @@ func RecomputeContext(ctx context.Context, cd *cluster.CompiledDesign, st *Analy
 // workers only contend. With one worker the cluster loop runs on the
 // caller's goroutine with one pooled scratch arena; with more, the same
 // kernel goes to the level-scheduled scheduler (parallel.go). Either way
-// each cluster writes only its own slacks and pass slots, so results are
+// each cluster installs only its own segment, so results are
 // byte-identical at every worker count.
 func run(ctx context.Context, sp *span.Span, cd *cluster.CompiledDesign, st *AnalysisState, res *Result, n, workers int) error {
 	workers = max(1, min(workers, n, runtime.GOMAXPROCS(0)))
@@ -265,44 +319,21 @@ func interrupt(ctx context.Context) error {
 // markDirty decides, in one pass over the named clusters, which of them
 // the driver analyzes. A cluster whose kernel inputs match the state's
 // reference — it is not stale, and every input- and output-element offset
-// equals the reference's — is copied from it: its slacks and its pass
-// slots, which share the reference's write-once pass-detail vectors. Every
+// equals the reference's — takes the reference's write-once segment. Every
 // other one is marked in the state's reusable bitset (incremental sweeps
-// recompute once per sweep, so a per-call set is hot-path garbage) with
-// its slacks reset to +Inf for the kernel to fold into; the kernel
-// rewrites its pass slots. Each slack is written once either way. It
-// returns how many clusters it copied.
+// recompute once per sweep, so a per-call set is hot-path garbage) for the
+// kernel to give a fresh segment. It returns how many clusters it reused.
 func markDirty(cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int) int {
 	st.dirty.clear()
 	ref, refOdz := st.ref, st.refOdz
 	reused := 0
 	for _, id := range clusterIDs {
-		cc := cd.CC[id]
-		if ref != nil && !st.stale.has(id) && sameOffsets(cc, st.Odz, refOdz) {
-			for _, in := range cc.Inputs {
-				res.OutSlack[in.Elem] = ref.OutSlack[in.Elem]
-			}
-			for _, out := range cc.Outputs {
-				res.InSlack[out.Elem] = ref.InSlack[out.Elem]
-			}
-			for _, n := range cc.Nets {
-				res.NetSlack[n] = ref.NetSlack[n]
-			}
-			lo, hi := cd.PassStart[id], cd.PassStart[id+1]
-			copy(res.Passes[lo:hi], ref.Passes[lo:hi])
+		if ref != nil && !st.stale.has(id) && sameOffsets(cd.CC[id], st.Odz, refOdz) {
+			res.segs[id] = ref.segs[id]
 			reused++
 			continue
 		}
 		st.dirty.set(id)
-		for _, in := range cc.Inputs {
-			res.OutSlack[in.Elem] = posInf
-		}
-		for _, out := range cc.Outputs {
-			res.InSlack[out.Elem] = posInf
-		}
-		for _, n := range cc.Nets {
-			res.NetSlack[n] = posInf
-		}
 	}
 	mClustersReused.Add(int64(reused))
 	return reused
@@ -325,86 +356,32 @@ func sameOffsets(cc *cluster.CompiledCluster, odz, ref []clock.Time) bool {
 	return true
 }
 
-// ClusterUndo saves what a set of clusters owns in one result — their
-// slacks and pass slots — so a caller that recomputes those clusters in
-// place can put the result back if the recompute or a later step fails.
-// Its buffers are reused across saves, so a steady-state save allocates
-// nothing. The saved pass slots keep the old pass-detail vectors alive;
-// being write-once, they need no copy.
-type ClusterUndo struct {
-	ids    []int
-	slacks []clock.Time
-	passes []PassDetail
-}
-
-// Save records the slacks and pass slots the named clusters own in res,
-// replacing any earlier save.
-func (u *ClusterUndo) Save(cd *cluster.CompiledDesign, res *Result, clusterIDs []int) {
-	u.ids = append(u.ids[:0], clusterIDs...)
-	u.slacks, u.passes = u.slacks[:0], u.passes[:0]
-	for _, id := range clusterIDs {
-		cc := cd.CC[id]
-		for _, in := range cc.Inputs {
-			u.slacks = append(u.slacks, res.OutSlack[in.Elem])
-		}
-		for _, out := range cc.Outputs {
-			u.slacks = append(u.slacks, res.InSlack[out.Elem])
-		}
-		for _, n := range cc.Nets {
-			u.slacks = append(u.slacks, res.NetSlack[n])
-		}
-		u.passes = append(u.passes, res.Passes[cd.PassStart[id]:cd.PassStart[id+1]]...)
-	}
-}
-
-// Restore writes the last save back into res.
-func (u *ClusterUndo) Restore(cd *cluster.CompiledDesign, res *Result) {
-	s, p := u.slacks, u.passes
-	for _, id := range u.ids {
-		cc := cd.CC[id]
-		for _, in := range cc.Inputs {
-			res.OutSlack[in.Elem], s = s[0], s[1:]
-		}
-		for _, out := range cc.Outputs {
-			res.InSlack[out.Elem], s = s[0], s[1:]
-		}
-		for _, n := range cc.Nets {
-			res.NetSlack[n], s = s[0], s[1:]
-		}
-		p = p[copy(res.Passes[cd.PassStart[id]:cd.PassStart[id+1]], p):]
-	}
-}
-
 func newResult(cd *cluster.CompiledDesign) *Result {
-	nE, nN := len(cd.Elems), len(cd.Nets)
-	backing := make([]clock.Time, 2*nE+nN)
-	for i := range backing {
-		backing[i] = posInf
-	}
-	return &Result{
-		InSlack:  backing[:nE:nE],
-		OutSlack: backing[nE : 2*nE : 2*nE],
-		NetSlack: backing[2*nE:],
-		Passes:   make([]PassDetail, cd.PassStart[len(cd.CC)]),
-	}
+	return &Result{lay: cd.Layout, segs: make([]segment, len(cd.CC))}
 }
 
 // analyzeCluster is the per-cluster kernel: it runs every pass of one
 // cluster against a caller-owned scratch arena (≥ 4×MaxClusterNets
-// entries) and writes the cluster's slacks and its pass slots
-// (res.Passes[PassStart[id]:PassStart[id+1]]) into res. Nothing else in
-// res is touched, so concurrent calls on distinct clusters need no
-// synchronisation. The detail vectors are one fresh backing allocation per
-// cluster however many passes it runs: they escape into the caller's
-// Result (reports and later results share them), so they cannot come from
-// the pooled scratch and are never written after this call.
+// entries) into a fresh segment, starting at +Inf, and installs it as the
+// cluster's segment of res. Nothing else in res is touched, so concurrent
+// calls on distinct clusters need no synchronisation. The segment is one
+// allocation however many passes the cluster runs: it escapes into the
+// caller's Result (reports and later results share it), so it cannot come
+// from the pooled scratch and is never written after this call.
 func analyzeCluster(cd *cluster.CompiledDesign, cc *cluster.CompiledCluster, st *AnalysisState, res *Result, buf *[]clock.Time) {
 	mClustersAnalyzed.Inc()
-	mPasses.Add(int64(len(cc.Plan.Breaks)))
+	np := len(cc.Plan.Breaks)
+	mPasses.Add(int64(np))
 	T := cd.Clocks.Overall()
-	n := len(cc.Nets)
-	slots := res.Passes[cd.PassStart[cc.ID]:cd.PassStart[cc.ID+1]]
-	db := make([]clock.Time, 4*n*len(cc.Plan.Breaks))
+	n, nIn := len(cc.Nets), len(cc.Inputs)
+	terms := n + nIn + len(cc.Outputs)
+	seg := make(segment, 1+terms+4*n*np)
+	for i := range seg[:1+terms] {
+		seg[i] = posInf
+	}
+	netSlack := seg[1 : 1+n]
+	outSlack := seg[1+n : 1+n+nIn] // the inputs' launching elements' OutSlack
+	inSlack := seg[1+n+nIn : 1+terms]
 	scratch := (*buf)[:4*n]
 	readyR := scratch[0*n : 1*n]
 	readyF := scratch[1*n : 2*n]
@@ -463,8 +440,8 @@ func analyzeCluster(cd *cluster.CompiledDesign, cc *cluster.CompiledCluster, st 
 			}
 			ready := max(readyR[li], readyF[li])
 			if ready != negInf {
-				if s := c - ready; s < res.InSlack[out.Elem] {
-					res.InSlack[out.Elem] = s
+				if s := c - ready; s < inSlack[oi] {
+					inSlack[oi] = s
 				}
 			}
 		}
@@ -490,12 +467,12 @@ func analyzeCluster(cd *cluster.CompiledDesign, cc *cluster.CompiledCluster, st 
 			li := cc.InLocal[ii]
 			q := min(reqR[li], reqF[li])
 			if q != posInf {
-				if s := q - a; s < res.OutSlack[in.Elem] {
-					res.OutSlack[in.Elem] = s
+				if s := q - a; s < outSlack[ii] {
+					outSlack[ii] = s
 				}
 			}
 		}
-		for i, netID := range cc.Nets {
+		for i := range netSlack {
 			sr, sf := posInf, posInf
 			if readyR[i] != negInf && reqR[i] != posInf {
 				sr = reqR[i] - readyR[i]
@@ -503,26 +480,22 @@ func analyzeCluster(cd *cluster.CompiledDesign, cc *cluster.CompiledCluster, st 
 			if readyF[i] != negInf && reqF[i] != posInf {
 				sf = reqF[i] - readyF[i]
 			}
-			if s := min(sr, sf); s < res.NetSlack[netID] {
-				res.NetSlack[netID] = s
+			if s := min(sr, sf); s < netSlack[i] {
+				netSlack[i] = s
 			}
 		}
-		pb := db[pi*4*n : (pi+1)*4*n : (pi+1)*4*n]
-		copy(pb[0*n:1*n], readyR)
-		copy(pb[1*n:2*n], readyF)
-		copy(pb[2*n:3*n], reqR)
-		copy(pb[3*n:4*n], reqF)
-		slots[pi] = PassDetail{
-			Cluster: cc.ID, Pass: pi, Beta: beta,
-			Nets:   cc.Nets,
-			ReadyR: pb[0*n : 1*n : 1*n],
-			ReadyF: pb[1*n : 2*n : 2*n],
-			ReqR:   pb[2*n : 3*n : 3*n],
-			ReqF:   pb[3*n : 4*n : 4*n],
-		}
+		dR, dF, qR, qF := seg.pass(n, np, pi)
+		copy(dR, readyR)
+		copy(dF, readyF)
+		copy(qR, reqR)
+		copy(qF, reqF)
 	}
 	// Clusters may legitimately have zero passes (no outputs): element
 	// output terminals feeding them keep +Inf slack.
+	for _, s := range seg[1+n : 1+terms] {
+		seg[0] = min(seg[0], s)
+	}
+	res.segs[cc.ID] = seg
 }
 
 // arcForward maps input ready times through an arc's unateness to the

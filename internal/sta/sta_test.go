@@ -135,31 +135,31 @@ func TestTwoPhaseHandComputedSlacks(t *testing.T) {
 	// phi1.fall (40ns) + min(Odc=0, Odz=0) = 40ns, one period later in the
 	// window. Slack = (40ns + 100ns − 90ns) − 100ps = 49.9ns.
 	l1 := elemIdx(t, nw, "l1")
-	if got := res.InSlack[l1]; got != 49900 {
+	if got := res.InSlack(l1); got != 49900 {
 		t.Fatalf("InSlack(l1) = %v, want 49.9ns", got)
 	}
 	in := elemIdx(t, nw, "IN")
-	if got := res.OutSlack[in]; got != 49900 {
+	if got := res.OutSlack(in); got != 49900 {
 		t.Fatalf("OutSlack(IN) = %v, want 49.9ns", got)
 	}
 
 	// Cluster q1→l2.D: l1 asserts at lead(0) + max(Ozc=0, Ozd=W+Odz=40ns)
 	// = 40ns; l2 closes at 90ns. Slack = 90ns − 40ns − 100ps = 49.9ns.
 	l2 := elemIdx(t, nw, "l2")
-	if got := res.InSlack[l2]; got != 49900 {
+	if got := res.InSlack(l2); got != 49900 {
 		t.Fatalf("InSlack(l2) = %v, want 49.9ns", got)
 	}
-	if got := res.OutSlack[l1]; got != 49900 {
+	if got := res.OutSlack(l1); got != 49900 {
 		t.Fatalf("OutSlack(l1) = %v, want 49.9ns", got)
 	}
 
 	// Cluster q2→OUT: l2 asserts at 90ns (trail, Dcz=0); OUT closes at
 	// phi1.rise (0 ≡ 100ns): slack = 10ns − 100ps = 9.9ns.
 	out := elemIdx(t, nw, "OUT")
-	if got := res.InSlack[out]; got != 9900 {
+	if got := res.InSlack(out); got != 9900 {
 		t.Fatalf("InSlack(OUT) = %v, want 9.9ns", got)
 	}
-	if got := res.OutSlack[l2]; got != 9900 {
+	if got := res.OutSlack(l2); got != 9900 {
 		t.Fatalf("OutSlack(l2) = %v, want 9.9ns", got)
 	}
 	if got := res.WorstSlack(); got != 9900 {
@@ -176,10 +176,10 @@ func TestOffsetShiftMovesSlack(t *testing.T) {
 	st := NewState(cd)
 	st.Odz[l1] -= 10000
 	res := Analyze(cd, st)
-	if got := res.InSlack[l1]; got != 39900 {
+	if got := res.InSlack(l1); got != 39900 {
 		t.Fatalf("InSlack(l1) after shift = %v, want 39.9ns", got)
 	}
-	if got := res.InSlack[l2]; got != 59900 {
+	if got := res.InSlack(l2); got != 59900 {
 		t.Fatalf("InSlack(l2) after shift = %v, want 59.9ns", got)
 	}
 }
@@ -202,11 +202,11 @@ end
 	res := analyzeNet(nw)
 	out := elemIdx(t, nw, "OUT")
 	// IN asserts 40ns, OUT closes 90ns: slack = 50ns − 100ps (rise-limited).
-	if got := res.InSlack[out]; got != 49900 {
+	if got := res.InSlack(out); got != 49900 {
 		t.Fatalf("InSlack(OUT) = %v, want 49.9ns", got)
 	}
 	// The net slack of OUT reflects the rise-limited transition too.
-	if got := res.NetSlack[nw.NetIdx["OUT"]]; got != 49900 {
+	if got := res.NetSlack(nw.NetIdx["OUT"]); got != 49900 {
 		t.Fatalf("NetSlack(OUT) = %v", got)
 	}
 }
@@ -227,7 +227,7 @@ end
 `)
 	res := analyzeNet(nw)
 	out := elemIdx(t, nw, "OUT")
-	if got := res.InSlack[out]; got != 50000-160 {
+	if got := res.InSlack(out); got != 50000-160 {
 		t.Fatalf("InSlack(OUT) = %v, want %v", got, 50000-160)
 	}
 }
@@ -247,14 +247,14 @@ end
 	res := analyzeNet(nw)
 	out := elemIdx(t, nw, "OUT")
 	// A asserts at 40ns, B at 0: worst arrival 40ns + 100ps.
-	if got := res.InSlack[out]; got != 50000-100 {
+	if got := res.InSlack(out); got != 50000-100 {
 		t.Fatalf("InSlack(OUT) = %v", got)
 	}
 	// B's own slack is looser: req(B) = 90ns − 100ps, assert 0... but the
 	// ready at OUT is dominated by A; B's output-terminal slack uses the
 	// required time at B: 89.9ns − 0 = 89.9ns.
 	b := elemIdx(t, nw, "B")
-	if got := res.OutSlack[b]; got != 89900 {
+	if got := res.OutSlack(b); got != 89900 {
 		t.Fatalf("OutSlack(B) = %v, want 89.9ns", got)
 	}
 }
@@ -286,7 +286,7 @@ end
 	// Pass structure sanity: the m-cluster runs two passes.
 	mid := nw.NetIdx["m"]
 	var mPasses int
-	for _, p := range res.Passes {
+	for _, p := range res.Passes() {
 		for _, n := range p.Nets {
 			if n == mid {
 				mPasses++
@@ -305,17 +305,17 @@ end
 	// offset 30ns: pos = (0−80)mod200 + 30 = 150ns; posA(lb)=(100−80)+30=50ns;
 	// posC = 200ns. ready(m)=150.1ns, slack(lc) = 49.9ns.
 	lc := elemIdx(t, nw, "lc")
-	if got := res.InSlack[lc]; got != 49900 {
+	if got := res.InSlack(lc); got != 49900 {
 		t.Fatalf("InSlack(lc) = %v, want 49.9ns", got)
 	}
 	// Symmetric for ld (break at 180): posA(la)=(0−180)mod200+30=50,
 	// posA(lb)=(100−180)mod200+30=150, posC=200 → slack 49.9ns.
 	ld := elemIdx(t, nw, "ld")
-	if got := res.InSlack[ld]; got != 49900 {
+	if got := res.InSlack(ld); got != 49900 {
 		t.Fatalf("InSlack(ld) = %v, want 49.9ns", got)
 	}
 	// Net m's merged slack is the min over passes; here symmetric.
-	if got := res.NetSlack[mid]; got != 49900 {
+	if got := res.NetSlack(mid); got != 49900 {
 		t.Fatalf("NetSlack(m) = %v", got)
 	}
 }
@@ -334,10 +334,10 @@ end
 `)
 	res := analyzeNet(nw)
 	l1 := elemIdx(t, nw, "l1")
-	if res.OutSlack[l1] != clock.Inf {
-		t.Fatalf("dangling Q slack = %v, want +Inf", res.OutSlack[l1])
+	if res.OutSlack(l1) != clock.Inf {
+		t.Fatalf("dangling Q slack = %v, want +Inf", res.OutSlack(l1))
 	}
-	if res.InSlack[l1] == clock.Inf {
+	if res.InSlack(l1) == clock.Inf {
 		t.Fatal("l1 input should be constrained")
 	}
 }
@@ -359,7 +359,7 @@ end
 	res := analyzeNet(nw)
 	f2 := elemIdx(t, nw, "f2")
 	// Launch 40ns, capture 40ns+T: slack = 100ns − 100ps.
-	if got := res.InSlack[f2]; got != 100000-100 {
+	if got := res.InSlack(f2); got != 100000-100 {
 		t.Fatalf("InSlack(f2) = %v, want %v", got, 100000-100)
 	}
 }
@@ -409,7 +409,7 @@ end
 	res := analyzeNet(nw)
 	out := elemIdx(t, nw, "OUT")
 	// assert 43ns, close 88ns, delay 100ps: slack 44.9ns.
-	if got := res.InSlack[out]; got != 44900 {
+	if got := res.InSlack(out); got != 44900 {
 		t.Fatalf("InSlack(OUT) = %v, want 44.9ns", got)
 	}
 }
@@ -418,9 +418,9 @@ func TestMinElemSlack(t *testing.T) {
 	nw := buildNet(t, testLib(), twoPhaseText)
 	res := analyzeNet(nw)
 	l1 := elemIdx(t, nw, "l1")
-	want := res.InSlack[l1]
-	if res.OutSlack[l1] < want {
-		want = res.OutSlack[l1]
+	want := res.InSlack(l1)
+	if res.OutSlack(l1) < want {
+		want = res.OutSlack(l1)
 	}
 	if got := res.MinElemSlack(l1); got != want {
 		t.Fatalf("MinElemSlack = %v, want %v", got, want)

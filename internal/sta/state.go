@@ -90,10 +90,10 @@ func (st *AnalysisState) RestoreOffsets(src []clock.Time) { copy(st.Odz, src) }
 // design for RecomputeContext to reuse: res, the offsets odz it was
 // computed at, and the clusters whose arc delays changed since. Until
 // ClearReference, a recomputed cluster outside stale whose input- and
-// output-element offsets all equal odz's copies its slacks and pass
-// details from res instead of re-running the kernel. The kernel reads
-// nothing else, so the copy is exact. res and odz must not change while
-// installed; res's pass-detail vectors are shared, never written.
+// output-element offsets all equal odz's takes its segment from res
+// instead of re-running the kernel. The kernel reads nothing else, so the
+// reuse is exact. odz must not change while installed; res's segments are
+// shared, never written.
 func (st *AnalysisState) SetReference(res *Result, odz []clock.Time, stale []int) {
 	st.ref, st.refOdz = res, odz
 	st.stale.clear()
