@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,18 +53,12 @@ type Config struct {
 	// Client proxies session traffic. nil uses a default with a 60s
 	// timeout (report recomputes on large designs are slow).
 	Client *http.Client
-	// HealthClient probes /readyz and /healthz; nil uses a 2s-timeout
-	// client. Kept separate so a slow proxy cannot starve health checks.
-	HealthClient *http.Client
 	// HealthInterval between member polls (default 500ms).
 	HealthInterval time.Duration
 	// FailAfter is the consecutive probe-failure count that marks a
 	// member down (default 2). Proxy transport errors confirm with a
 	// single /healthz probe instead, so failover latency is one RTT.
 	FailAfter int
-	// MaxBody bounds buffered request/response bodies (default 16 MiB,
-	// matching the daemon's own open limit).
-	MaxBody int64
 	// Standbys is the replication-chain length: each session's journal
 	// streams to this many ring successors (default 2). With fewer
 	// members available the chain is shorter, never padded.
@@ -80,6 +76,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// maxBody bounds buffered request and response bodies, matching the
+// daemon's own open limit.
+const maxBody = 16 << 20
+
 // memberState is the router's view of one replica.
 type memberState struct {
 	Member
@@ -93,12 +93,14 @@ type memberState struct {
 // (the standby members its journal streams to, in ring order). The
 // per-route mutex single-flights failover and migration: concurrent
 // requests against a dying primary elect exactly one re-homing.
+// closing is set while the session's client closes it (see move).
 type sessionRoute struct {
 	mu      sync.Mutex
 	id      string
 	key     string
 	primary string
 	peers   []string
+	closing atomic.Bool
 }
 
 // Router is the fleet front-end: it owns the consistent-hash ring over
@@ -131,17 +133,11 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 60 * time.Second}
 	}
-	if cfg.HealthClient == nil {
-		cfg.HealthClient = &http.Client{Timeout: 2 * time.Second}
-	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 500 * time.Millisecond
 	}
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 2
-	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = 16 << 20
 	}
 	if cfg.Standbys <= 0 {
 		cfg.Standbys = 2
@@ -158,7 +154,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:      cfg,
 		client:   cfg.Client,
-		healthc:  cfg.HealthClient,
+		healthc:  &http.Client{Timeout: 2 * time.Second}, // a slow proxy cannot starve health probes
 		flight:   flight.NewRecorder("router", cfg.EventCapacity),
 		traces:   span.NewRing(cfg.TraceCapacity),
 		members:  make(map[string]*memberState, len(cfg.Members)),
@@ -222,6 +218,20 @@ func (r *Router) Close() {
 	r.wg.Wait()
 }
 
+// setDraining marks a member draining (out of the ring, still serving)
+// or returns it to the ring; ok is false for an unknown member.
+func (r *Router) setDraining(id string, draining bool) (wasUp, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m := r.members[id]
+	if m == nil {
+		return false, false
+	}
+	m.draining = draining
+	r.rebuildRingLocked()
+	return m.up, true
+}
+
 // rebuildRingLocked recomputes the ring from members that are up and
 // not draining. Caller holds r.mu.
 func (r *Router) rebuildRingLocked() {
@@ -234,20 +244,15 @@ func (r *Router) rebuildRingLocked() {
 	r.ring = NewRing(ids, r.cfg.Vnodes)
 }
 
-func (r *Router) member(id string) *memberState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.members[id]
-}
-
-// memberURL returns the base URL for a live member id, or "".
-func (r *Router) memberURL(id string) string {
+// member snapshots one member's state: the health loop rewrites it
+// under r.mu, so callers read the copy, never the shared record.
+func (r *Router) member(id string) (memberState, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m := r.members[id]; m != nil {
-		return m.URL
+		return *m, true
 	}
-	return ""
+	return memberState{}, false
 }
 
 // chainLocked resolves a session's replication chain: the first
@@ -322,12 +327,13 @@ func validTraceID(id string) bool {
 	return true
 }
 
-// releaseStandbys drops the session's standby journal on each member —
-// stale copies from a previous epoch must never pollute the fresh
-// streams an adopt attaches.
-func (r *Router) releaseStandbys(ctx context.Context, sid string, peers []Member) {
-	for _, p := range peers {
-		r.control(ctx, p.URL, http.MethodPost, "/v1/replication/sessions/"+sid+"/release", nil)
+// release drops the session's standby journal on each listed member
+// the router still knows.
+func (r *Router) release(ctx context.Context, sid string, ids ...string) {
+	for _, id := range ids {
+		if m, ok := r.member(id); ok {
+			r.control(ctx, m.URL, http.MethodPost, "/v1/replication/sessions/"+sid+"/release", nil)
+		}
 	}
 }
 
@@ -366,24 +372,6 @@ func (r *Router) markDown(id string) bool {
 	return true
 }
 
-// markUp flips a member up and rebuilds the ring.
-func (r *Router) markUp(id string) {
-	r.mu.Lock()
-	m := r.members[id]
-	if m == nil || m.up {
-		r.mu.Unlock()
-		return
-	}
-	m.up = true
-	m.fails = 0
-	mMemberUp.Inc()
-	r.rebuildRingLocked()
-	r.mu.Unlock()
-	r.cfg.Logf("fleet: member %s up", id)
-	r.flight.Record(flight.Info, "member.up", "", "", "member %s back up", id)
-	go r.reconcileRejoined(id)
-}
-
 // PollOnce probes every member's /readyz once and updates membership.
 func (r *Router) PollOnce() {
 	r.mu.Lock()
@@ -399,7 +387,9 @@ func (r *Router) PollOnce() {
 }
 
 func (r *Router) pollMember(id string) {
-	m := r.member(id)
+	r.mu.Lock()
+	m := r.members[id]
+	r.mu.Unlock()
 	if m == nil {
 		return
 	}
@@ -586,17 +576,11 @@ func (r *Router) handleLeave(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	id := body.ID
-	r.mu.Lock()
-	m := r.members[id]
-	if m == nil {
-		r.mu.Unlock()
+	wasUp, ok := r.setDraining(id, true)
+	if !ok {
 		httpError(w, http.StatusNotFound, "unknown member %q", id)
 		return
 	}
-	wasUp := m.up
-	m.draining = true
-	r.rebuildRingLocked()
-	r.mu.Unlock()
 	var migrated int
 	var errs []string
 	if wasUp {
@@ -604,21 +588,7 @@ func (r *Router) handleLeave(w http.ResponseWriter, req *http.Request) {
 	} else {
 		r.failoverAll(id)
 	}
-	r.mu.Lock()
-	routes := make([]*sessionRoute, 0, len(r.sessions))
-	for _, rt := range r.sessions {
-		routes = append(routes, rt)
-	}
-	r.mu.Unlock()
-	pinned := 0
-	for _, rt := range routes {
-		rt.mu.Lock()
-		if rt.primary == id {
-			pinned++
-		}
-		rt.mu.Unlock()
-	}
-	if pinned > 0 {
+	if pinned := len(r.pinned(primaryIs(id))); pinned > 0 {
 		writeJSON(w, http.StatusConflict, map[string]any{
 			"member": id, "left": false, "migrated": migrated, "pinned": pinned, "errors": errs,
 		})
@@ -645,9 +615,9 @@ func (r *Router) handleReconcile(w http.ResponseWriter, _ *http.Request) {
 // handleOpen routes a session-open by design key, pins the session, and
 // tells the primary where to stream its journal.
 func (r *Router) handleOpen(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, r.cfg.MaxBody+1))
-	if err != nil || int64(len(body)) > r.cfg.MaxBody {
-		httpError(w, http.StatusRequestEntityTooLarge, "open body unreadable or over %d bytes", r.cfg.MaxBody)
+	body, err := io.ReadAll(io.LimitReader(req.Body, maxBody+1))
+	if err != nil || int64(len(body)) > maxBody {
+		httpError(w, http.StatusRequestEntityTooLarge, "open body unreadable or over %d bytes", maxBody)
 		return
 	}
 	key := DesignKey(body)
@@ -722,9 +692,9 @@ func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusNotFound, "session %s is not routed by this fleet", sid)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, r.cfg.MaxBody+1))
-	if err != nil || int64(len(body)) > r.cfg.MaxBody {
-		httpError(w, http.StatusRequestEntityTooLarge, "body unreadable or over %d bytes", r.cfg.MaxBody)
+	body, err := io.ReadAll(io.LimitReader(req.Body, maxBody+1))
+	if err != nil || int64(len(body)) > maxBody {
+		httpError(w, http.StatusRequestEntityTooLarge, "body unreadable or over %d bytes", maxBody)
 		return
 	}
 	uri := req.URL.RequestURI()
@@ -734,9 +704,20 @@ func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
 	rt.mu.Lock()
 	primary := rt.primary
 	rt.mu.Unlock()
-	pm := r.member(primary)
+	if req.Method == http.MethodDelete {
+		// Marked before the close is forwarded, so a bulk move whose park
+		// finds the session already closed skips it (see move). The mark
+		// stays only if the close succeeded and unpinned the session.
+		rt.closing.Store(true)
+		defer func() {
+			r.mu.Lock()
+			rt.closing.Store(r.sessions[sid] != rt)
+			r.mu.Unlock()
+		}()
+	}
+	pm, ok := r.member(primary)
 	attempted := false
-	if pm != nil && pm.up {
+	if ok && pm.up {
 		resp, rerr := r.forward(req.Context(), pm.URL, req.Method, uri, hdr, body)
 		if rerr == nil {
 			r.finishSession(w, req, sid, rt, pm.ID, resp)
@@ -778,8 +759,8 @@ func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusConflict, "session %s re-homed to %s mid-request; retry the batch", sid, newPrimary)
 		return
 	}
-	npm := r.member(newPrimary)
-	if npm == nil {
+	npm, ok := r.member(newPrimary)
+	if !ok {
 		httpError(w, http.StatusServiceUnavailable, "session %s: new primary %s vanished", sid, newPrimary)
 		return
 	}
@@ -805,31 +786,41 @@ func (r *Router) finishSession(w http.ResponseWriter, req *http.Request, sid str
 		r.mu.Unlock()
 		// Best-effort: every chain member's standby journal is garbage
 		// once the session is closed.
-		for _, peer := range peers {
-			if u := r.memberURL(peer); u != "" {
-				r.control(req.Context(), u, http.MethodPost, "/v1/replication/sessions/"+sid+"/release", nil)
-			}
-		}
+		r.release(req.Context(), sid, peers...)
 	}
 	w.Header().Set("X-Hb-Replica", servedBy)
 	resp.writeTo(w)
 }
 
-// failoverAll re-homes every session pinned to a dead member.
-func (r *Router) failoverAll(dead string) {
+// pinned snapshots the pin table: each route whose current primary
+// satisfies match, mapped to that primary.
+func (r *Router) pinned(match func(rt *sessionRoute, primary string) bool) map[*sessionRoute]string {
 	r.mu.Lock()
-	routes := make([]*sessionRoute, 0)
+	routes := make([]*sessionRoute, 0, len(r.sessions))
 	for _, rt := range r.sessions {
 		routes = append(routes, rt)
 	}
 	r.mu.Unlock()
+	out := make(map[*sessionRoute]string)
 	for _, rt := range routes {
 		rt.mu.Lock()
 		primary := rt.primary
 		rt.mu.Unlock()
-		if primary != dead {
-			continue
+		if match(rt, primary) {
+			out[rt] = primary
 		}
+	}
+	return out
+}
+
+// primaryIs matches the routes pinned to one member.
+func primaryIs(id string) func(*sessionRoute, string) bool {
+	return func(_ *sessionRoute, primary string) bool { return primary == id }
+}
+
+// failoverAll re-homes every session pinned to a dead member.
+func (r *Router) failoverAll(dead string) {
+	for rt := range r.pinned(primaryIs(dead)) {
 		if _, err := r.failoverSession(rt.id, rt, dead); err != nil {
 			mFailoverErrors.Inc()
 			r.cfg.Logf("fleet: failover %s off %s: %v", rt.id, dead, err)
@@ -837,97 +828,59 @@ func (r *Router) failoverAll(dead string) {
 	}
 }
 
-// failoverSession moves one session from its dead primary onto its
+// failoverSession re-homes one session off its dead primary onto its
 // replication chain: every reachable chain member is asked how many
-// contiguous frames its standby journal holds, the earliest hop with
-// the highest sequence adopts (promote + replay + compact), and the
-// adopter's onward streams are wired to the key's new successors.
-// Single-flighted per session; returns the (possibly already updated)
-// primary.
-func (r *Router) failoverSession(sid string, rt *sessionRoute, failed string) (target string, err error) {
+// contiguous frames its standby journal holds, and the earliest hop
+// with the highest sequence is the move's target. Single-flighted per
+// session; returns the (possibly already updated) primary.
+func (r *Router) failoverSession(sid string, rt *sessionRoute, failed string) (string, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.primary != failed {
 		return rt.primary, nil // lost the race; someone already re-homed it
 	}
-	ctx, tr, finish := r.startOp("fleet.failover")
-	defer finish()
-	root := span.Current(ctx)
-	root.Annotate("session", sid)
-	root.Annotate("from", failed)
-	r.flight.Record(flight.Warn, "failover.begin", sid, tr.ID(),
-		"primary %s down; probing chain %v", failed, rt.peers)
-	defer func() {
-		if err != nil {
-			root.Annotate("error", err.Error())
-			r.flight.Record(flight.Error, "failover.error", sid, tr.ID(), "%v", err)
+	err := r.moveOp("failover", mFailovers, rt, Member{ID: failed}, false, func(ctx context.Context) (Member, error) {
+		if len(rt.peers) == 0 {
+			return Member{}, fmt.Errorf("no journal peers")
 		}
-	}()
-	if len(rt.peers) == 0 {
-		return "", fmt.Errorf("no journal peers")
-	}
-	var best *memberState
-	var bestNext int64
-	for _, pid := range rt.peers {
-		pctx, ps := span.Start(ctx, "probe")
-		ps.Annotate("peer", pid)
-		m := r.member(pid)
-		if m == nil || !m.up {
-			ps.Annotate("result", "down")
+		var best Member
+		var bestNext int64
+		for _, pid := range rt.peers {
+			pctx, ps := span.Start(ctx, "probe")
+			ps.Annotate("peer", pid)
+			m, ok := r.member(pid)
+			if !ok || !m.up {
+				ps.Annotate("result", "down")
+				ps.End()
+				continue
+			}
+			next, ok := r.probeStandbySeq(pctx, m.URL, sid)
+			if !ok || next < 1 {
+				ps.Annotate("result", "no-journal")
+				ps.End()
+				continue
+			}
+			ps.Annotate("seq", strconv.FormatInt(next, 10))
 			ps.End()
-			continue
+			if next > bestNext {
+				best, bestNext = m.Member, next
+			}
 		}
-		next, ok := r.probeStandbySeq(pctx, m.URL, sid)
-		if !ok || next < 1 {
-			ps.Annotate("result", "no-journal")
-			ps.End()
-			continue
+		if bestNext == 0 {
+			return Member{}, fmt.Errorf("no reachable standby holds session %s (chain %v)", sid, rt.peers)
 		}
-		ps.Annotate("seq", strconv.FormatInt(next, 10))
-		ps.End()
-		if best == nil || next > bestNext {
-			best, bestNext = m, next
-		}
-	}
-	if best == nil {
-		return "", fmt.Errorf("no reachable standby holds session %s (chain %v)", sid, rt.peers)
-	}
-	target = best.ID
-	root.Annotate("target", target)
-	r.mu.Lock()
-	newChain := r.chainLocked(rt.key, target)
-	r.mu.Unlock()
-	// Standby copies from the failed primary's epoch must not pollute the
-	// fresh streams the adopter attaches.
-	rctx, rs := span.Start(ctx, "release")
-	r.releaseStandbys(rctx, sid, newChain)
-	rs.End()
-	actx, as := span.Start(ctx, "adopt")
-	as.Annotate("target", target)
-	hdr := http.Header{}
-	setPeerHeaders(hdr, newChain)
-	resp, err := r.forward(actx, best.URL, http.MethodPost, "/v1/replication/sessions/"+sid+"/adopt", hdr, nil)
-	as.End()
+		return best, nil
+	})
 	if err != nil {
-		return "", fmt.Errorf("adopt on %s: %w", target, err)
+		return "", err
 	}
-	if resp.status != http.StatusOK {
-		return "", fmt.Errorf("adopt on %s: status %d: %s", target, resp.status, truncate(resp.body, 200))
-	}
-	rt.primary, rt.peers = target, memberIDs(newChain)
-	mFailovers.Inc()
-	r.cfg.Logf("fleet: session %s re-homed %s -> %s at seq %d (chain %v)", sid, failed, target, bestNext, rt.peers)
-	r.flight.Record(flight.Info, "failover.end", sid, tr.ID(),
-		"adopted on %s at seq %d (chain %v)", target, bestNext, rt.peers)
-	return target, nil
+	return rt.primary, nil
 }
 
 // drainMember migrates every session off a draining (but still live)
 // member via park → journal hand-off → adopt.
 func (r *Router) drainMember(id string) (migrated int, errs []string) {
-	return r.migrateMatching(func(_ *sessionRoute, primary string) bool {
-		return primary == id
-	})
+	return r.migrateMatching(primaryIs(id))
 }
 
 // rebalance migrates every session whose ring owner changed (a member
@@ -944,26 +897,15 @@ func (r *Router) rebalance() (migrated int, errs []string) {
 
 // migrateMatching bulk-migrates every pinned session whose current
 // primary matches, MigrateConcurrency sessions at a time; each failure
-// rolls that one session back and is reported, the rest proceed.
+// rolls that one session back and is reported, the rest proceed. A
+// session its client closed meanwhile is skipped.
 func (r *Router) migrateMatching(match func(rt *sessionRoute, primary string) bool) (migrated int, errs []string) {
-	r.mu.Lock()
-	routes := make([]*sessionRoute, 0, len(r.sessions))
-	for _, rt := range r.sessions {
-		routes = append(routes, rt)
-	}
-	r.mu.Unlock()
 	var (
 		mu  sync.Mutex
 		wg  sync.WaitGroup
 		sem = make(chan struct{}, r.cfg.MigrateConcurrency)
 	)
-	for _, rt := range routes {
-		rt.mu.Lock()
-		primary := rt.primary
-		rt.mu.Unlock()
-		if !match(rt, primary) {
-			continue
-		}
+	for rt, primary := range r.pinned(match) {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(rt *sessionRoute, from string) {
@@ -972,6 +914,9 @@ func (r *Router) migrateMatching(match func(rt *sessionRoute, primary string) bo
 			err := r.migrateSession(rt, from)
 			mu.Lock()
 			defer mu.Unlock()
+			if errors.Is(err, errClosed) {
+				return // its client closed it: neither moved nor failed
+			}
 			if err != nil {
 				errs = append(errs, fmt.Sprintf("%s: %v", rt.id, err))
 				r.cfg.Logf("fleet: migrate %s off %s: %v", rt.id, from, err)
@@ -984,157 +929,176 @@ func (r *Router) migrateMatching(match func(rt *sessionRoute, primary string) bo
 	return migrated, errs
 }
 
-// migrateSession is the planned (primary still alive) re-homing: park
-// the session on the old primary, make sure the target holds the full
-// journal (streamed standby when caught up, explicit export otherwise),
-// adopt on the target, then forget the journal on the old primary.
-func (r *Router) migrateSession(rt *sessionRoute, from string) (err error) {
+// migrateSession is the planned (primary still alive) re-homing onto
+// the key's ring owner.
+func (r *Router) migrateSession(rt *sessionRoute, from string) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.primary != from {
 		return nil
 	}
-	fm := r.member(from)
-	if fm == nil || !fm.up {
+	fm, ok := r.member(from)
+	if !ok || !fm.up {
 		return fmt.Errorf("old primary %s not reachable; use failover", from)
 	}
 	r.mu.Lock()
-	target := r.ring.Lookup(rt.key)
-	var tm *memberState
-	if target != "" {
-		tm = r.members[target]
-	}
+	tm, ok := r.members[r.ring.Lookup(rt.key)]
 	r.mu.Unlock()
-	if tm == nil {
+	if !ok {
 		return fmt.Errorf("no migration target")
 	}
-	if target == from {
+	if tm.ID == from {
 		return nil // the ring still wants it here; nothing displaced
 	}
+	return r.moveOp("migrate", mMigrations, rt, fm.Member, true, func(context.Context) (Member, error) { return tm.Member, nil })
+}
 
-	ctx, tr, finish := r.startOp("fleet.migrate")
+// moveOp runs one traced move for failover and migration. The root of
+// its operation trace carries session, from, target and any error; the
+// flight recorder gets <kind>.begin, then <kind>.end or <kind>.error,
+// and moved counts each success. choose picks the target inside the
+// trace. Caller holds rt.mu.
+func (r *Router) moveOp(kind string, moved *telemetry.Counter, rt *sessionRoute, from Member, live bool, choose func(context.Context) (Member, error)) error {
+	ctx, tr, finish := r.startOp("fleet." + kind)
 	defer finish()
 	root := span.Current(ctx)
 	root.Annotate("session", rt.id)
-	root.Annotate("from", from)
-	root.Annotate("target", target)
-	defer func() {
-		if err != nil {
-			root.Annotate("error", err.Error())
-			r.flight.Record(flight.Error, "migrate.error", rt.id, tr.ID(), "%s -> %s: %v", from, target, err)
-		}
-	}()
+	root.Annotate("from", from.ID)
+	severity := flight.Info
+	if !live {
+		severity = flight.Warn // the source died
+	}
+	r.flight.Record(severity, kind+".begin", rt.id, tr.ID(), "off %s (chain %v)", from.ID, rt.peers)
+	target, err := choose(ctx)
+	if err == nil {
+		root.Annotate("target", target.ID)
+		err = r.move(ctx, rt, from, target, live)
+	}
+	switch {
+	case errors.Is(err, errClosed):
+		r.flight.Record(flight.Info, kind+".end", rt.id, tr.ID(), "closed by its client mid-move; skipped")
+	case err != nil:
+		root.Annotate("error", err.Error())
+		r.flight.Record(flight.Error, kind+".error", rt.id, tr.ID(), "%v", err)
+	default:
+		moved.Inc()
+		r.cfg.Logf("fleet: %s %s: %s -> %s (chain %v)", kind, rt.id, from.ID, target.ID, rt.peers)
+		r.flight.Record(flight.Info, kind+".end", rt.id, tr.ID(), "%s -> %s (chain %v)", from.ID, target.ID, rt.peers)
+	}
+	return err
+}
 
-	// rollback wraps rollbackPark in its own span so a failed migration's
-	// trace shows the compensating re-adopt as a step.
-	rollback := func() {
+// errClosed marks a move whose session its client closed meanwhile:
+// the source's park answered 404 on a route marked closing. Bulk moves
+// skip such a session; it is neither a migration nor an error.
+var errClosed = errors.New("session closed by its client")
+
+// move is the one session-move protocol; failover, migration and
+// reconcile's orphan adoption differ only in how they choose target. A
+// live source is parked, which flushes its replication chain, and its
+// exported journal is handed to target unless the park reports target
+// as a caught-up hop; without one, target already holds the freshest
+// standby. adopt then promotes the journal on target, and a live
+// source's journal and the old peers the new chain dropped are
+// forgotten, so a restart cannot resurrect the session twice. Any
+// failure after the park re-adopts the session on its source through
+// the same adopt. Caller holds rt.mu.
+func (r *Router) move(ctx context.Context, rt *sessionRoute, from, target Member, live bool) error {
+	sid := rt.id
+	rollback := func(err error) error {
+		if !live {
+			return err
+		}
 		rbctx, rb := span.Start(ctx, "rollback")
-		r.rollbackPark(rbctx, fm, rt)
+		if chain, aerr := r.adopt(rbctx, sid, rt.key, from); aerr == nil {
+			rt.peers = memberIDs(chain)
+		}
 		rb.End()
-		r.flight.Record(flight.Warn, "migrate.rollback", rt.id, tr.ID(), "re-adopted on %s", from)
+		r.flight.Record(flight.Warn, "migrate.rollback", sid, span.FromContext(ctx).ID(), "re-adopted on %s", from.ID)
+		return err
 	}
-
-	// 1. Park on the old primary: flushes the replication chain and
-	// reports each hop's residual lag.
-	pctx, ps := span.Start(ctx, "park")
-	presp, err := r.control(pctx, fm.URL, http.MethodPost, "/v1/sessions/"+rt.id+"/park", nil)
-	ps.End()
+	if live {
+		pctx, ps := span.Start(ctx, "park")
+		resp, err := r.control(pctx, from.URL, http.MethodPost, "/v1/sessions/"+sid+"/park", nil)
+		ps.End()
+		switch {
+		case err != nil:
+			return fmt.Errorf("park on %s: %w", from.ID, err)
+		case resp.status == http.StatusNotFound && rt.closing.Load():
+			return errClosed
+		case resp.status != http.StatusOK:
+			return fmt.Errorf("park on %s: status %d: %s", from.ID, resp.status, truncate(resp.body, 200))
+		}
+		var park struct {
+			Hops []HopLag `json:"hops"`
+		}
+		_ = json.Unmarshal(resp.body, &park)
+		if !slices.ContainsFunc(park.Hops, func(h HopLag) bool { return h.Peer == target.ID && h.Lag == 0 }) {
+			if err := r.handOff(ctx, sid, from, target); err != nil {
+				return rollback(err)
+			}
+		}
+	}
+	chain, err := r.adopt(ctx, sid, rt.key, target)
 	if err != nil {
-		return fmt.Errorf("park on %s: %w", from, err)
+		return rollback(err)
 	}
-	if presp.status != http.StatusOK {
-		return fmt.Errorf("park on %s: status %d: %s", from, presp.status, truncate(presp.body, 200))
+	if live {
+		fctx, fs := span.Start(ctx, "forget")
+		r.control(fctx, from.URL, http.MethodPost, "/v1/replication/sessions/"+sid+"/forget", nil)
+		kept := append(memberIDs(chain), target.ID)
+		dropped := slices.DeleteFunc(slices.Clone(rt.peers), func(id string) bool { return slices.Contains(kept, id) })
+		r.release(fctx, sid, dropped...)
+		fs.End()
 	}
-	var park struct {
-		Hops []HopLag `json:"hops"`
-	}
-	_ = json.Unmarshal(presp.body, &park)
-
-	// 2. Guarantee the target holds the complete journal. The streamed
-	// standby suffices only when the target was a chain hop whose flush
-	// drained fully; otherwise drop whatever stale copy it may hold and
-	// push the exported frames.
-	caughtUp := false
-	for _, h := range park.Hops {
-		if h.Peer == target && h.Lag == 0 {
-			caughtUp = true
-		}
-	}
-	if !caughtUp {
-		hctx, hs := span.Start(ctx, "journal-handoff")
-		hs.Annotate("target", target)
-		exp, err := r.control(hctx, fm.URL, http.MethodGet, "/v1/sessions/"+rt.id+"/journal", nil)
-		if err != nil || exp.status != http.StatusOK {
-			hs.End()
-			rollback()
-			return fmt.Errorf("journal export from %s failed (err=%v status=%d)", from, err, exp.statusOr0())
-		}
-		r.control(hctx, tm.URL, http.MethodPost, "/v1/replication/sessions/"+rt.id+"/release", nil)
-		hdr := http.Header{}
-		hdr.Set(FirstSeqHeader, "0")
-		push, err := r.forward(hctx, tm.URL, http.MethodPost, framesPath(rt.id), hdr, exp.body)
-		hs.End()
-		if err != nil || push.status != http.StatusOK {
-			rollback()
-			return fmt.Errorf("journal push to %s failed (err=%v status=%d)", target, err, push.statusOr0())
-		}
-	}
-
-	// 3. Adopt on the target, wiring its onward replication chain. Chain
-	// members' stale standbys are dropped first so the fresh streams
-	// start clean.
-	r.mu.Lock()
-	newChain := r.chainLocked(rt.key, target)
-	r.mu.Unlock()
-	actx, as := span.Start(ctx, "adopt")
-	as.Annotate("target", target)
-	r.releaseStandbys(actx, rt.id, newChain)
-	hdr := http.Header{}
-	setPeerHeaders(hdr, newChain)
-	aresp, err := r.forward(actx, tm.URL, http.MethodPost, "/v1/replication/sessions/"+rt.id+"/adopt", hdr, nil)
-	as.End()
-	if err != nil || aresp.status != http.StatusOK {
-		rollback()
-		return fmt.Errorf("adopt on %s failed (err=%v status=%d)", target, err, aresp.statusOr0())
-	}
-
-	// 4. The old primary's journal (and any stale standby on old chain
-	// members the new chain does not reuse) are now shadows; drop them so
-	// a restart cannot resurrect the session in two places.
-	fctx, fs := span.Start(ctx, "forget")
-	r.control(fctx, fm.URL, http.MethodPost, "/v1/replication/sessions/"+rt.id+"/forget", nil)
-	reused := map[string]bool{target: true}
-	for _, p := range newChain {
-		reused[p.ID] = true
-	}
-	for _, old := range rt.peers {
-		if reused[old] {
-			continue
-		}
-		if u := r.memberURL(old); u != "" {
-			r.control(fctx, u, http.MethodPost, "/v1/replication/sessions/"+rt.id+"/release", nil)
-		}
-	}
-	fs.End()
-	rt.primary, rt.peers = target, memberIDs(newChain)
-	mMigrations.Inc()
-	r.cfg.Logf("fleet: session %s migrated %s -> %s (chain %v)", rt.id, from, target, rt.peers)
-	r.flight.Record(flight.Info, "migrate.end", rt.id, tr.ID(), "%s -> %s (chain %v)", from, target, rt.peers)
+	rt.primary, rt.peers = target.ID, memberIDs(chain)
 	return nil
 }
 
-// rollbackPark re-adopts a parked session on its own primary after a
-// failed migration, so the session keeps serving where it was; its
-// replication chain is rebuilt from the current ring. Caller holds
-// rt.mu.
-func (r *Router) rollbackPark(ctx context.Context, fm *memberState, rt *sessionRoute) {
+// handOff makes target hold the parked session's complete journal: its
+// stale standby copy is dropped and the source's exported frames are
+// pushed in its place.
+func (r *Router) handOff(ctx context.Context, sid string, from, target Member) error {
+	hctx, hs := span.Start(ctx, "journal-handoff")
+	defer hs.End()
+	hs.Annotate("target", target.ID)
+	exp, err := r.control(hctx, from.URL, http.MethodGet, "/v1/sessions/"+sid+"/journal", nil)
+	if err != nil || exp.status != http.StatusOK {
+		return fmt.Errorf("journal export from %s failed (err=%v status=%d)", from.ID, err, exp.statusOr0())
+	}
+	r.release(hctx, sid, target.ID)
+	hdr := http.Header{}
+	hdr.Set(FirstSeqHeader, "0")
+	push, err := r.forward(hctx, target.URL, http.MethodPost, framesPath(sid), hdr, exp.body)
+	if err != nil || push.status != http.StatusOK {
+		return fmt.Errorf("journal push to %s failed (err=%v status=%d)", target.ID, err, push.statusOr0())
+	}
+	return nil
+}
+
+// adopt promotes the session's journal on target and wires target's
+// onward replication chain, the key's first Standbys up successors.
+// Standby copies on that chain are released first, so copies from an
+// older epoch never pollute the fresh streams the adopt attaches.
+func (r *Router) adopt(ctx context.Context, sid, key string, target Member) ([]Member, error) {
 	r.mu.Lock()
-	chain := r.chainLocked(rt.key, fm.ID)
+	chain := r.chainLocked(key, target.ID)
 	r.mu.Unlock()
-	r.releaseStandbys(ctx, rt.id, chain)
+	actx, as := span.Start(ctx, "adopt")
+	defer as.End()
+	as.Annotate("session", sid)
+	as.Annotate("target", target.ID)
+	r.release(actx, sid, memberIDs(chain)...)
 	hdr := http.Header{}
 	setPeerHeaders(hdr, chain)
-	r.forward(ctx, fm.URL, http.MethodPost, "/v1/replication/sessions/"+rt.id+"/adopt", hdr, nil)
+	resp, err := r.forward(actx, target.URL, http.MethodPost, "/v1/replication/sessions/"+sid+"/adopt", hdr, nil)
+	if err != nil {
+		return nil, fmt.Errorf("adopt on %s: %w", target.ID, err)
+	}
+	if resp.status != http.StatusOK {
+		return nil, fmt.Errorf("adopt on %s: status %d: %s", target.ID, resp.status, truncate(resp.body, 200))
+	}
+	return chain, nil
 }
 
 // inventory mirrors the daemon's GET /v1/replication/inventory reply.
@@ -1170,15 +1134,7 @@ func (r *Router) Reconcile() map[string]any {
 	defer finish()
 	root := span.Current(ctx)
 	r.PollOnce()
-	r.mu.Lock()
-	polled := make([]Member, 0, len(r.members))
-	for _, m := range r.members {
-		if m.up {
-			polled = append(polled, m.Member)
-		}
-	}
-	r.mu.Unlock()
-	sort.Slice(polled, func(i, j int) bool { return polled[i].ID < polled[j].ID })
+	polled := r.upMembersSorted()
 
 	type liveClaim struct {
 		member string
@@ -1247,11 +1203,11 @@ func (r *Router) Reconcile() map[string]any {
 				sid, loser.member, loser.seq, winner.member, winner.seq)
 			r.flight.Record(flight.Warn, "reconcile.conflict", sid, tr.ID(),
 				"force-closing on %s (seq %d; winner %s at seq %d)", loser.member, loser.seq, winner.member, winner.seq)
-			if u := r.memberURL(loser.member); u != "" {
+			if m, ok := r.member(loser.member); ok {
 				cctx, cs := span.Start(ctx, "force-close")
 				cs.Annotate("session", sid)
 				cs.Annotate("loser", loser.member)
-				r.control(cctx, u, http.MethodDelete, "/v1/sessions/"+sid, nil)
+				r.control(cctx, m.URL, http.MethodDelete, "/v1/sessions/"+sid, nil)
 				cs.End()
 			}
 		}
@@ -1259,19 +1215,14 @@ func (r *Router) Reconcile() map[string]any {
 		pinned++
 		// Standby copies on members outside the winner's active chain are
 		// leftovers from an older epoch; drop them.
-		chain := make(map[string]bool, len(winner.peers))
-		for _, p := range winner.peers {
-			chain[p] = true
-		}
+		var stale []string
 		for _, sb := range standbyBy[sid] {
-			if sb.member == winner.member || chain[sb.member] {
-				continue
-			}
-			if u := r.memberURL(sb.member); u != "" {
-				r.control(ctx, u, http.MethodPost, "/v1/replication/sessions/"+sid+"/release", nil)
-				released++
+			if sb.member != winner.member && !slices.Contains(winner.peers, sb.member) {
+				stale = append(stale, sb.member)
 			}
 		}
+		r.release(ctx, sid, stale...)
+		released += len(stale)
 	}
 
 	standbySids := make([]string, 0, len(standbyBy))
@@ -1290,31 +1241,17 @@ func (r *Router) Reconcile() map[string]any {
 			return claims[i].member < claims[j].member
 		})
 		best := claims[0]
-		if best.next < 1 {
+		bm, ok := r.member(best.member)
+		if best.next < 1 || !ok || !bm.up {
 			continue
 		}
-		bm := r.member(best.member)
-		if bm == nil || !bm.up {
-			continue
-		}
-		r.mu.Lock()
-		newChain := r.chainLocked(best.key, best.member)
-		r.mu.Unlock()
-		actx, as := span.Start(ctx, "adopt")
-		as.Annotate("session", sid)
-		as.Annotate("target", best.member)
-		r.releaseStandbys(actx, sid, newChain)
-		hdr := http.Header{}
-		setPeerHeaders(hdr, newChain)
-		resp, err := r.forward(actx, bm.URL, http.MethodPost, "/v1/replication/sessions/"+sid+"/adopt", hdr, nil)
-		as.End()
-		if err != nil || resp.status != http.StatusOK {
-			r.cfg.Logf("fleet: reconcile: adopt orphaned %s on %s failed (err=%v status=%d)",
-				sid, best.member, err, resp.statusOr0())
+		rt := &sessionRoute{id: sid, key: best.key}
+		if err := r.move(ctx, rt, Member{}, bm.Member, false); err != nil {
+			r.cfg.Logf("fleet: reconcile: adopt orphaned %s on %s failed: %v", sid, best.member, err)
 			continue
 		}
 		mReconAdopts.Inc()
-		r.pinSession(sid, best.key, best.member, memberIDs(newChain))
+		r.pinSession(sid, rt.key, rt.primary, rt.peers)
 		adopted++
 		r.cfg.Logf("fleet: reconcile: adopted orphaned session %s on %s at seq %d", sid, best.member, best.next)
 		r.flight.Record(flight.Info, "reconcile.adopt", sid, tr.ID(),
@@ -1396,8 +1333,8 @@ func (r *Router) knownMembers(ids []string) []string {
 // elsewhere (or forgotten) is closed there so one session id never runs
 // on two replicas.
 func (r *Router) reconcileRejoined(id string) {
-	m := r.member(id)
-	if m == nil {
+	m, ok := r.member(id)
+	if !ok {
 		return
 	}
 	resp, err := r.control(context.Background(), m.URL, http.MethodGet, "/v1/sessions", nil)
@@ -1412,17 +1349,12 @@ func (r *Router) reconcileRejoined(id string) {
 	if json.Unmarshal(resp.body, &list) != nil {
 		return
 	}
+	mine := make(map[string]bool)
+	for rt := range r.pinned(primaryIs(id)) {
+		mine[rt.id] = true
+	}
 	for _, s := range list.Sessions {
-		r.mu.Lock()
-		rt := r.sessions[s.Session]
-		r.mu.Unlock()
-		stale := rt == nil
-		if rt != nil {
-			rt.mu.Lock()
-			stale = rt.primary != id
-			rt.mu.Unlock()
-		}
-		if stale {
+		if !mine[s.Session] {
 			r.cfg.Logf("fleet: closing stale copy of %s on rejoined %s", s.Session, id)
 			r.control(context.Background(), m.URL, http.MethodDelete, "/v1/sessions/"+s.Session, nil)
 		}
@@ -1712,16 +1644,10 @@ func (r *Router) handleMembers(w http.ResponseWriter, _ *http.Request) {
 // operator stops it afterwards.
 func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	r.mu.Lock()
-	m := r.members[id]
-	if m == nil {
-		r.mu.Unlock()
+	if _, ok := r.setDraining(id, true); !ok {
 		httpError(w, http.StatusNotFound, "unknown member %q", id)
 		return
 	}
-	m.draining = true
-	r.rebuildRingLocked()
-	r.mu.Unlock()
 	r.flight.Record(flight.Info, "member.drain", "", "", "%s draining (operator request)", id)
 	migrated, errs := r.drainMember(id)
 	status := http.StatusOK
@@ -1736,16 +1662,10 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 // handleUndrain returns a drained member to the ring.
 func (r *Router) handleUndrain(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	r.mu.Lock()
-	m := r.members[id]
-	if m == nil {
-		r.mu.Unlock()
+	if _, ok := r.setDraining(id, false); !ok {
 		httpError(w, http.StatusNotFound, "unknown member %q", id)
 		return
 	}
-	m.draining = false
-	r.rebuildRingLocked()
-	r.mu.Unlock()
 	r.flight.Record(flight.Info, "member.undrain", "", "", "%s back in the ring", id)
 	writeJSON(w, http.StatusOK, map[string]any{"member": id, "draining": false})
 }
@@ -1807,7 +1727,7 @@ func (r *Router) forward(ctx context.Context, baseURL, method, uri string, hdr h
 		return nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxBody))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
 	if err != nil {
 		return nil, err
 	}
