@@ -118,7 +118,10 @@ func pickEditInst(b *testing.B, eng *incremental.Engine) string {
 // the "incremental" case patches the live engine (alternating ±100ps so the
 // state never drifts); the "full" case re-elaborates and re-analyzes from
 // scratch, which is what Algorithm 3 pays without the engine. The ratio is
-// the speedup column of cmd/benchtables' Table 1.
+// the speedup column of cmd/benchtables' Table 1. The "topology" case is a
+// structural batch on the live engine — add a buffer tapping the edited
+// gate's output and remove it again, the served edit_topo — which
+// re-elaborates: its cost should sit near "full", not above it.
 func benchIncrementalEdit(b *testing.B, mk func() (*netlist.Design, error)) {
 	b.Run("incremental", func(b *testing.B) {
 		d, err := mk()
@@ -156,6 +159,36 @@ func benchIncrementalEdit(b *testing.B, mk func() (*netlist.Design, error)) {
 			}
 			if _, err := a.IdentifySlowPaths(); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("topology", func(b *testing.B) {
+		d, err := mk()
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := incremental.Open(benchLib, d, core.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		inst := pickEditInst(b, eng)
+		var net string
+		for _, in := range eng.Design().Instances {
+			if in.Name == inst {
+				net = in.Conns[eng.Analyzer().Lib.Cell(in.Ref).Outputs()[0]]
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := eng.Apply(
+				incremental.Edit{Op: incremental.AddInst, New: &netlist.Instance{
+					Name: "bench_tap", Ref: "BUF_X1", Conns: map[string]string{"A": net, "Y": "bench_tap_y"}}},
+				incremental.Edit{Op: incremental.RemoveInst, Inst: "bench_tap"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if out.Incremental {
+				b.Fatal("topology batch took the incremental path")
 			}
 		}
 	})

@@ -1534,7 +1534,8 @@ func (ss *sess) rememberSlacks() {
 // from the previous result's: a shared segment holds equal slacks, and a
 // net outside every cluster is +Inf in both. The cost then follows the
 // edit, not the net count. After a topology rebuild renumbers the nets
-// they are matched by name.
+// they are matched by name, merging the two net tables: both are a
+// binding's sorted names.
 func (ss *sess) slackDeltas() []map[string]any {
 	rep := ss.eng.Report()
 	if rep == nil {
@@ -1560,23 +1561,19 @@ func (ss *sess) slackDeltas() []map[string]any {
 			}
 		}
 	} else {
-		var prevSlack map[string]clock.Time
-		if prev != nil {
-			prevSlack = make(map[string]clock.Time, len(ss.prevNets))
-			for i, name := range ss.prevNets {
-				prevSlack[name] = prev.NetSlack(i)
-			}
-		}
+		prevNets, j := ss.prevNets, 0
 		for i, name := range nets {
+			for j < len(prevNets) && prevNets[j] < name {
+				j++
+			}
 			now := res.NetSlack(i)
-			was, ok := prevSlack[name]
-			if ok && was == now {
-				continue
+			if j < len(prevNets) && prevNets[j] == name {
+				if was := prev.NetSlack(j); was != now {
+					ds = append(ds, delta{net: name, now: now, was: was, hasWas: true})
+				}
+			} else if now != clock.Inf {
+				ds = append(ds, delta{net: name, now: now})
 			}
-			if !ok && now == clock.Inf {
-				continue
-			}
-			ds = append(ds, delta{net: name, now: now, was: was, hasWas: ok})
 		}
 	}
 	sort.Slice(ds, func(i, j int) bool {

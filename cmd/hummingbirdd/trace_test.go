@@ -14,6 +14,7 @@ import (
 
 	"hummingbird/internal/journal"
 	"hummingbird/internal/telemetry/span"
+	"hummingbird/internal/workload"
 )
 
 // syncBuffer is an errLog sink safe to read while the server still holds
@@ -159,23 +160,7 @@ func TestRequestTrace(t *testing.T) {
 		t.Fatal("edit response has no X-Trace-Id header")
 	}
 
-	// finishRequest runs in a deferred frame after the response body is
-	// written; poll briefly for the trace to land on the session.
-	var gotID string
-	var root *span.Node
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		var st int
-		gotID, root, st = traceLast(t, ts, id)
-		if st == http.StatusOK && gotID == editTID {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trace/last never served trace %s (last: %d id %s)", editTID, st, gotID)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
+	root := awaitTrace(t, ts, id, editTID)
 	if root.Name != "server.edits" {
 		t.Fatalf("root span %q, want server.edits", root.Name)
 	}
@@ -231,6 +216,80 @@ func TestRequestTrace(t *testing.T) {
 			t.Fatalf("event %v is not a complete or metadata event", ev)
 		}
 	}
+}
+
+// awaitTrace returns the span tree of trace tid once the session serves it
+// as its last trace: finishRequest runs in a deferred frame after the
+// response body is written, so it is polled for briefly.
+func awaitTrace(t *testing.T, ts *httptest.Server, id, tid string) *span.Node {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		gotID, root, st := traceLast(t, ts, id)
+		if st == http.StatusOK && gotID == tid {
+			return root
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("trace/last never served trace %s (last: %d id %s)", tid, st, gotID)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestTopologyEditTrace serves the add-and-remove-buffer batch of a DES
+// session and checks the topology path's spans: one incr.rebuild, carrying
+// the batch size and the fallback reason, around the design copy and the
+// rebuild, with the elaboration (core.load) and the first block analysis
+// (sta.analyze) side by side under it, all nested under the request root.
+func TestTopologyEditTrace(t *testing.T) {
+	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 4})
+	id, _ := openSession(t, ts, designText(t, workload.DES))
+	status, m, tid := doTraced(t, ts, "POST", "/v1/sessions/"+id+"/edits", map[string]any{
+		"edits": []map[string]any{
+			{"op": "add", "inst": "tap", "ref": "BUF_X1", "conns": map[string]string{"A": "s7l2w11", "Y": "tap_y"}},
+			{"op": "remove", "inst": "tap"},
+		},
+	})
+	if status != http.StatusOK {
+		t.Fatalf("edits: %d %v", status, m)
+	}
+	if m["incremental"] != false || m["fallback_reason"] != "topology change" {
+		t.Fatalf("topology batch response: %v", m)
+	}
+	root := awaitTrace(t, ts, id, tid)
+	if root.Name != "server.edits" {
+		t.Fatalf("root span %q, want server.edits", root.Name)
+	}
+	if cl := findSpan(root, "incr.classify"); cl == nil || cl.Attrs["class"] != "topology" {
+		t.Errorf("incr.classify span %v, want class topology", cl)
+	}
+	rebuilds := findSpans(root, "incr.rebuild")
+	if len(rebuilds) != 1 {
+		t.Fatalf("%d incr.rebuild spans, want 1", len(rebuilds))
+	}
+	rb := rebuilds[0]
+	if rb.Attrs["edits"] != "2" || rb.Attrs["reason"] != "topology change" {
+		t.Errorf("incr.rebuild attrs %v, want edits 2 and reason topology change", rb.Attrs)
+	}
+	var load, analyze *span.Node
+	for _, c := range rb.Children {
+		switch c.Name {
+		case "core.load":
+			load = c
+		case "sta.analyze":
+			analyze = c
+		}
+	}
+	if load == nil || analyze == nil {
+		t.Fatalf("incr.rebuild children %v, want core.load and sta.analyze", rb.Children)
+	}
+	if len(findSpans(root, "core.load")) != 1 || len(findSpans(root, "sta.analyze")) != 1 {
+		t.Error("core.load or sta.analyze appears outside incr.rebuild")
+	}
+	if load.OffsetNs+load.DurNs > analyze.OffsetNs {
+		t.Errorf("core.load ends at %d, after sta.analyze starts at %d", load.OffsetNs+load.DurNs, analyze.OffsetNs)
+	}
+	checkNested(t, root)
 }
 
 // TestTraceFreshAfterReplay restarts a journaling server and checks that

@@ -9,6 +9,7 @@ import (
 	"hummingbird/internal/celllib"
 	"hummingbird/internal/clock"
 	"hummingbird/internal/core"
+	"hummingbird/internal/netlist"
 	"hummingbird/internal/workload"
 )
 
@@ -95,7 +96,7 @@ func TestDelayEditAllocs(t *testing.T) {
 			segs := 2 * uint64(len(cd.CC)) * uint64(unsafe.Sizeof([]clock.Time(nil)))
 			// A segment: the minimum, one slot per net and terminal, and
 			// four detail vectors per pass.
-			cc := cd.CC[eng.arcsByInst[inst][0].cluster]
+			cc := cd.CC[eng.byInst.of(eng.instIdx[inst])[0].cluster]
 			n := len(cc.Nets)
 			fresh := 2 * uint64(1+n+len(cc.Inputs)+len(cc.Outputs)+4*n*cc.Plan.Passes()) * word
 			t.Logf("%d B per edit; two segment slices: %d B; the edited cluster's two segments: %d B", perEdit, segs, fresh)
@@ -103,5 +104,60 @@ func TestDelayEditAllocs(t *testing.T) {
 				t.Fatalf("delay-only ApplyContext allocates %d B per run, limit %d B", perEdit, limit)
 			}
 		})
+	}
+}
+
+// TestTopologyEditAllocs is the allocation-regression guard for topology
+// batches: one DES batch that adds a buffer and removes it again — the
+// served edit_topo — re-elaborates, and must cost about what one core.Load
+// plus Algorithm 1 allocates (~6,600 allocations, 3.2 MB), with room to
+// spare but not for work that grows with the design: at most 25,000
+// allocations and 6 MB. Deep-copying every instance's Conns map, rehashing
+// the topology checksum over every instance or filing arcs in name-keyed
+// maps (110,000 allocations and 7.7 MB together) trips it.
+func TestTopologyEditAllocs(t *testing.T) {
+	d, err := workload.DES()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Open(celllib.Default(), d, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var net string
+	for _, inst := range d.Instances {
+		if eng.delayLocal(inst.Name) {
+			net = inst.Conns[eng.Analyzer().Lib.Cell(inst.Ref).Outputs()[0]]
+			break
+		}
+	}
+	apply := func() {
+		out, err := eng.Apply(
+			Edit{Op: AddInst, New: &netlist.Instance{Name: "tap", Ref: "BUF_X1", Conns: map[string]string{"A": net, "Y": "tap_y"}}},
+			Edit{Op: RemoveInst, Inst: "tap"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Incremental {
+			t.Fatal("topology batch took the incremental path")
+		}
+	}
+	apply()
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, apply)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		apply()
+	}
+	runtime.ReadMemStats(&after)
+	perBatch := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%.0f allocations, %d B per topology batch", allocs, perBatch)
+	const allocLimit, byteLimit = 25_000, 6_000_000
+	if allocs > allocLimit {
+		t.Errorf("a DES topology batch allocates %.0f times, limit %d", allocs, allocLimit)
+	}
+	if perBatch > byteLimit {
+		t.Errorf("a DES topology batch allocates %d B, limit %d B", perBatch, byteLimit)
 	}
 }

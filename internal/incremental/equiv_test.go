@@ -92,9 +92,11 @@ func TestEquivalenceRandomEdits(t *testing.T) {
 func reusedClusters() int64 { return telemetry.Snapshot().Counters["sta.clusters_reused"] }
 
 // verifyAgainstScratch loads the engine's current design from scratch with
-// its cumulative options and deep-compares both algorithms' outputs.
+// its cumulative options and deep-compares both algorithms' outputs; the
+// engine's running topology checksum must equal a full rehash.
 func verifyAgainstScratch(t *testing.T, lib *celllib.Library, eng *Engine, ctx string) {
 	t.Helper()
+	checkChecksum(t, eng, ctx)
 	a, err := core.Load(lib, eng.Design(), eng.Options())
 	if err != nil {
 		t.Fatalf("%s: scratch load: %v", ctx, err)
@@ -117,6 +119,16 @@ func verifyAgainstScratch(t *testing.T, lib *celllib.Library, eng *Engine, ctx s
 	}
 	if !reflect.DeepEqual(cons, cons2) {
 		t.Fatalf("%s: incremental constraints diverge from scratch", ctx)
+	}
+}
+
+// checkChecksum asserts that the engine's topology checksum, hashed in
+// full at open and shifted by every batch since, equals a full rehash of
+// its current design against its analyzer's library.
+func checkChecksum(t *testing.T, eng *Engine, ctx string) {
+	t.Helper()
+	if want := TopologyChecksum(eng.Design(), eng.Analyzer().Lib); eng.topo != want {
+		t.Fatalf("%s: running topology checksum %#x, a full rehash gives %#x", ctx, eng.topo, want)
 	}
 }
 

@@ -114,8 +114,9 @@ func encodeReport(t *testing.T, a *core.Analyzer, rep *core.Report) []byte {
 // FuzzEditReplay replays fuzzer-chosen edit batches on a small design.
 // After every batch the engine's report must encode to the bytes of a
 // fresh core.Load plus Algorithm 1 on its design and cumulative options,
-// and its Algorithm 2 constraints must deep-equal the fresh ones; a batch
-// the engine refuses must leave it exactly as it was. At the end every
+// and its Algorithm 2 constraints must deep-equal the fresh ones, and its
+// running topology checksum must equal a full rehash; a batch the engine
+// refuses must leave it exactly as it was. At the end every
 // report the engine handed out must still encode to its bytes at
 // publication: results share write-once segments, so a later edit that
 // wrote one would show here. The committed seeds (testdata/fuzz) cover
@@ -156,6 +157,7 @@ func FuzzEditReplay(f *testing.F) {
 				// previous design, checked below like any batch.
 				added = before
 			}
+			checkChecksum(t, eng, fmt.Sprintf("batch %d %v", b, batch))
 			fresh, err := core.Load(lib, eng.Design(), eng.Options())
 			if err != nil {
 				t.Fatalf("batch %d: fresh load: %v", b, err)

@@ -2,11 +2,8 @@ package incremental
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"sort"
 
 	"hummingbird/internal/celllib"
@@ -25,41 +22,61 @@ import (
 // The checksum is a wrap-around sum of one FNV-1a term per instance plus a
 // header term, so a single-instance edit shifts the checksum by exactly
 // (new instance term − old instance term) — which is what lets the engine
-// verify a delay-only batch in O(edit) instead of rehashing the design.
+// carry it across every edit batch, delay-only or topological, in
+// O(edit) instead of rehashing the design. Each cell's interface signature
+// is computed once per call, however many instances reference the cell.
 func TopologyChecksum(d *netlist.Design, lib *celllib.Library) uint64 {
 	sum := headerTerm(d)
+	sigs := map[*celllib.Cell]uint64{}
 	for i := range d.Instances {
-		sum += instanceTerm(&d.Instances[i], lib)
+		sum += instanceTerm(&d.Instances[i], lib, sigs)
 	}
 	return sum
+}
+
+// fnv64a is an FNV-1a hash written to directly, so hashing a name costs
+// no conversion to []byte and no interface call.
+type fnv64a uint64
+
+const (
+	fnvOffset fnv64a = 14695981039346656037
+	fnvPrime  fnv64a = 1099511628211
+)
+
+func (h *fnv64a) byte(b byte) { *h = (*h ^ fnv64a(b)) * fnvPrime }
+
+// str writes s and a NUL terminator.
+func (h *fnv64a) str(s string) {
+	for i := 0; i < len(s); i++ {
+		h.byte(s[i])
+	}
+	h.byte(0)
+}
+
+// int writes v's eight bytes, little-endian.
+func (h *fnv64a) int(v int64) {
+	for i := 0; i < 8; i++ {
+		h.byte(byte(v >> (8 * i)))
+	}
 }
 
 // headerTerm hashes the design-wide structure: name, clocks, ports and
 // module names.
 func headerTerm(d *netlist.Design) uint64 {
-	h := fnv.New64a()
-	ws := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-	wi := func(v int64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		h.Write(b[:])
-	}
-	ws(d.Name)
+	h := fnvOffset
+	h.str(d.Name)
 	for _, c := range d.Clocks {
-		ws(c.Name)
-		wi(int64(c.Period))
-		wi(int64(c.RiseAt))
-		wi(int64(c.FallAt))
+		h.str(c.Name)
+		h.int(int64(c.Period))
+		h.int(int64(c.RiseAt))
+		h.int(int64(c.FallAt))
 	}
 	for _, p := range d.Ports {
-		ws(p.Name)
-		wi(int64(p.Dir))
-		ws(p.RefClock)
-		wi(int64(p.RefEdge))
-		wi(int64(p.Offset))
+		h.str(p.Name)
+		h.int(int64(p.Dir))
+		h.str(p.RefClock)
+		h.int(int64(p.RefEdge))
+		h.int(int64(p.Offset))
 	}
 	mods := make([]string, 0, len(d.Modules))
 	for m := range d.Modules {
@@ -67,53 +84,50 @@ func headerTerm(d *netlist.Design) uint64 {
 	}
 	sort.Strings(mods)
 	for _, m := range mods {
-		ws(m)
+		h.str(m)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // instanceTerm hashes one instance's contribution to the checksum: its
-// name, its cell's interface signature and its sorted connections.
-func instanceTerm(inst *netlist.Instance, lib *celllib.Library) uint64 {
-	h := fnv.New64a()
-	ws := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-	ws(inst.Name)
+// name, its cell's interface signature and its sorted connections. sigs,
+// if non-nil, memoizes cell signatures across calls.
+func instanceTerm(inst *netlist.Instance, lib *celllib.Library, sigs map[*celllib.Cell]uint64) uint64 {
+	h := fnvOffset
+	h.str(inst.Name)
 	if cell := lib.Cell(inst.Ref); cell != nil {
-		cellSig(h, cell)
+		sig, ok := sigs[cell]
+		if !ok {
+			sig = cellSig(cell)
+			if sigs != nil {
+				sigs[cell] = sig
+			}
+		}
+		h.str("cell")
+		h.int(int64(sig))
 	} else {
-		ws(inst.Ref)
+		h.str(inst.Ref)
 	}
-	pins := make([]string, 0, len(inst.Conns))
+	var buf [8]string
+	pins := buf[:0]
 	for pin := range inst.Conns {
 		pins = append(pins, pin)
 	}
 	sort.Strings(pins)
 	for _, pin := range pins {
-		ws(pin)
-		ws(inst.Conns[pin])
+		h.str(pin)
+		h.str(inst.Conns[pin])
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
-// cellSig writes the parts of a cell that shape the network: kind, pin
+// cellSig hashes the parts of a cell that shape the network: kind, pin
 // names/directions/roles, arc endpoints/senses, and sync parameters.
 // Delay expressions and pin capacitances are deliberately excluded so a
 // drive-strength resize within the same interface keeps the checksum.
-func cellSig(h hash.Hash64, c *celllib.Cell) {
-	var b [8]byte
-	wi := func(v int64) {
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		h.Write(b[:])
-	}
-	ws := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-	ws("cell")
-	wi(int64(c.Kind))
+func cellSig(c *celllib.Cell) uint64 {
+	h := fnvOffset
+	h.int(int64(c.Kind))
 	pins := make([]string, len(c.Pins))
 	for i := range c.Pins {
 		pins[i] = c.Pins[i].Name
@@ -121,9 +135,9 @@ func cellSig(h hash.Hash64, c *celllib.Cell) {
 	sort.Strings(pins)
 	for _, name := range pins {
 		p := c.Pin(name)
-		ws(p.Name)
-		wi(int64(p.Dir))
-		wi(int64(p.Role))
+		h.str(p.Name)
+		h.int(int64(p.Dir))
+		h.int(int64(p.Role))
 	}
 	type arcKey struct {
 		from, to string
@@ -143,24 +157,21 @@ func cellSig(h hash.Hash64, c *celllib.Cell) {
 		return arcs[i].sense < arcs[j].sense
 	})
 	for _, a := range arcs {
-		ws(a.from)
-		ws(a.to)
-		wi(int64(a.sense))
+		h.str(a.from)
+		h.str(a.to)
+		h.int(int64(a.sense))
 	}
 	if c.Sync != nil {
-		wi(int64(c.Sync.Dsetup))
-		wi(int64(c.Sync.Ddz))
-		wi(int64(c.Sync.Dcz))
+		h.int(int64(c.Sync.Dsetup))
+		h.int(int64(c.Sync.Ddz))
+		h.int(int64(c.Sync.Dcz))
 		if c.Sync.ActiveLow {
-			wi(1)
+			h.int(1)
 		} else {
-			wi(0)
+			h.int(0)
 		}
 	}
-}
-
-func (e *Engine) topoHash() uint64 {
-	return TopologyChecksum(e.design, e.an.Lib)
+	return uint64(h)
 }
 
 // StateHash identifies the engine's full analysis state: the canonical

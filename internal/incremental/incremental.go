@@ -21,13 +21,18 @@
 //   - Anything that reshapes the timing network — replacing a cell with a
 //     different interface, adding or removing instances, rewiring pins, or
 //     touching a synchronising element or a control cone — falls back to a
-//     full re-elaboration on a private copy of the design, so a failed
-//     edit never corrupts the engine.
+//     full re-elaboration of a copy of the design, so a failed edit never
+//     corrupts the engine. The copy has its own instance slice and shares
+//     the instances' Conns maps, cloning only those the batch rewires, so
+//     the rebuild costs one elaboration and nothing more that grows with
+//     the design.
 //
 // A topology checksum over the design's structure (instances, connections,
 // cell interfaces — but not delays or pin caps) backstops the classifier:
 // if a supposedly delay-only batch changes the checksum the engine falls
-// back to full analysis rather than trust a stale elaboration.
+// back to full analysis rather than trust a stale elaboration. The engine
+// hashes the whole design once, at open; every batch after that shifts
+// the running checksum by the terms of the instances it touches.
 //
 // Results are bit-identical to a from-scratch core.Load + IdentifySlowPaths
 // + GenerateConstraints at the same cumulative options (the equivalence
@@ -37,6 +42,7 @@ package incremental
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hummingbird/internal/celllib"
@@ -135,8 +141,17 @@ type Outcome struct {
 
 // arcRef addresses one arc: Clusters[cluster].Arcs[arc].
 type arcRef struct {
-	cluster, arc int
+	cluster, arc int32
 }
+
+// arcTable is a CSR index of the compiled design's arcs: the arcs filed
+// under key k are refs[start[k]:start[k+1]].
+type arcTable struct {
+	start []int32
+	refs  []arcRef
+}
+
+func (t *arcTable) of(k int) []arcRef { return t.refs[t.start[k]:t.start[k+1]] }
 
 // Engine holds one design's live analysis state.
 //
@@ -166,12 +181,15 @@ type Engine struct {
 	cons    *core.Constraints
 	// odz snapshots the Algorithm-1 fixed-point offsets so Constraints()
 	// (whose snatch sweeps move the offsets) can restore them.
-	odz  []clock.Time
+	odz []clock.Time
+	// topo is TopologyChecksum(design, an.Lib), hashed in full at open and
+	// after a checksum fallback, and shifted by every other batch.
 	topo uint64
 
-	instIdx    map[string]int
-	arcsByInst map[string][]arcRef
-	arcsByTo   map[int][]arcRef
+	instIdx map[string]int
+	// byInst files each arc under its instance's index in the design
+	// (cluster.ArcSource.Inst), byTo under the id of the net it drives.
+	byInst, byTo arcTable
 
 	// sharedCD marks that the analyzer's CompiledDesign is shared read-only
 	// with other engines (opened through OpenSharedContext or published to
@@ -188,15 +206,18 @@ func Open(lib *celllib.Library, design *netlist.Design, opts core.Options) (*Eng
 }
 
 // OpenContext elaborates the design and runs the first full analysis; on
-// an expired deadline no engine is returned. The design is edited in place
-// by delay-only edits and replaced wholesale by topology edits — always
-// read it back through Design().
+// an expired deadline no engine is returned. The engine owns the design
+// from then on: delay-only edits write it in place, and topology edits
+// replace it by a copy that shares its instances' Conns maps, so neither
+// the caller nor a reader of Design() may modify it — always read it back
+// through Design().
 func OpenContext(ctx context.Context, lib *celllib.Library, design *netlist.Design, opts core.Options) (*Engine, error) {
 	opts.Adjustments = cloneAdjust(opts.Adjustments)
 	e := &Engine{lib: lib, opts: opts, design: design}
 	if err := e.loadFull(ctx); err != nil {
 		return nil, err
 	}
+	e.topo = TopologyChecksum(e.design, e.an.Lib)
 	return e, nil
 }
 
@@ -220,6 +241,7 @@ func OpenSharedContext(ctx context.Context, lib *celllib.Library, design *netlis
 		e.ReleaseShared()
 		return nil, err
 	}
+	e.topo = TopologyChecksum(e.design, e.an.Lib)
 	return e, nil
 }
 
@@ -555,7 +577,8 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 	// without rehashing the whole design.
 	topo := e.topo
 	for _, ed := range edits {
-		inst := &e.design.Instances[e.instIdx[ed.Inst]]
+		idx := e.instIdx[ed.Inst]
+		inst := &e.design.Instances[idx]
 		switch ed.Op {
 		case Adjust:
 			if e.opts.Adjustments == nil {
@@ -569,18 +592,18 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 			undo = append(undo, undoStep{isAdjust: true, inst: inst.Name, delta: ed.Delta})
 		case Resize:
 			e.shiftPinLoads(inst, e.an.Lib.Cell(inst.Ref), e.an.Lib.Cell(ed.To), affectedNets)
-			topo -= instanceTerm(inst, e.an.Lib)
-			undo = append(undo, undoStep{instIdx: e.instIdx[ed.Inst], oldRef: inst.Ref})
+			topo -= instanceTerm(inst, e.an.Lib, nil)
+			undo = append(undo, undoStep{instIdx: idx, oldRef: inst.Ref})
 			inst.Ref = ed.To
-			topo += instanceTerm(inst, e.an.Lib)
+			topo += instanceTerm(inst, e.an.Lib, nil)
 		}
-		for _, r := range e.arcsByInst[inst.Name] {
+		for _, r := range e.byInst.of(idx) {
 			dirtyArcs[r] = true
 		}
 	}
 	for net := range affectedNets {
 		if id, ok := e.an.CD.NetIdx[net]; ok {
-			for _, r := range e.arcsByTo[id] {
+			for _, r := range e.byTo.of(id) {
 				dirtyArcs[r] = true
 			}
 		}
@@ -590,13 +613,13 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 		e.reevalArc(r)
 		seen := false
 		for _, id := range ids {
-			if id == r.cluster {
+			if id == int(r.cluster) {
 				seen = true
 				break
 			}
 		}
 		if !seen {
-			ids = append(ids, r.cluster)
+			ids = append(ids, int(r.cluster))
 		}
 	}
 	sort.Ints(ids)
@@ -615,6 +638,7 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 			rollback()
 			return nil, err
 		}
+		e.topo = TopologyChecksum(e.design, e.an.Lib)
 		return &Outcome{FallbackReason: "checksum mismatch", Report: e.rep}, nil
 	}
 
@@ -667,7 +691,7 @@ func (e *Engine) reevalArc(r arcRef) {
 	cd := e.an.CD
 	cl := cd.Network.Clusters[r.cluster]
 	src := cl.Src[r.arc]
-	inst := &e.design.Instances[e.instIdx[cd.ArcInst(cl, r.arc)]]
+	inst := &e.design.Instances[src.Inst]
 	cell := e.an.Lib.Cell(inst.Ref)
 	if cell == nil {
 		return
@@ -706,16 +730,66 @@ func (e *Engine) shiftPinLoads(inst *netlist.Instance, from, to *celllib.Cell, n
 	}
 }
 
-// applyFull applies the batch to a private copy of the design and
-// re-elaborates; the engine only adopts the copy if the rebuild succeeds.
+// applyFull applies the batch to a copy of the design and re-elaborates;
+// the engine only adopts the copy if the rebuild succeeds. Around the one
+// core.Load and Algorithm 1 the work follows the edit: the copy shares
+// the design's Conns maps (editedCopy), and the checksum shifts by the old
+// and new terms of the instances the batch touches — the new ones hashed
+// against the rebuilt analyzer's library — instead of rehashing the design.
 func (e *Engine) applyFull(ctx context.Context, edits []Edit) (*Outcome, error) {
 	mFullFallbacks.Inc()
-	d2 := cloneDesign(e.design)
-	adj2 := cloneAdjust(e.opts.Adjustments)
-	idx := make(map[string]int, len(d2.Instances))
-	for i := range d2.Instances {
-		idx[d2.Instances[i].Name] = i
+	const reason = "topology change"
+	ctx, sp := span.Start(ctx, "incr.rebuild")
+	defer sp.End()
+	sp.AnnotateInt("edits", len(edits))
+	sp.Annotate("reason", reason)
+	d2, adj2, touched := e.editedCopy(edits)
+	topo := e.topo - e.termSum(touched)
+	oldDesign, oldAdj := e.design, e.opts.Adjustments
+	e.design, e.opts.Adjustments = d2, adj2
+	if err := e.loadFull(ctx); err != nil {
+		e.design, e.opts.Adjustments = oldDesign, oldAdj
+		return nil, err
 	}
+	e.topo = topo + e.termSum(touched)
+	return &Outcome{FallbackReason: reason, Report: e.rep}, nil
+}
+
+// termSum adds up the checksum terms of the named instances the current
+// design holds, hashed against the analyzer's library.
+func (e *Engine) termSum(names []string) uint64 {
+	var sum uint64
+	for _, name := range names {
+		if i, ok := e.instIdx[name]; ok {
+			sum += instanceTerm(&e.design.Instances[i], e.an.Lib, nil)
+		}
+	}
+	return sum
+}
+
+// editedCopy applies a topology batch to a copy of the design and returns
+// it with the edited adjustments and the sorted names of the instances the
+// batch replaces, adds, removes or rewires. The copy has its own instance
+// slice but shares each instance's Conns map with the current design,
+// which must therefore never be written: a Rewire edits a clone of the
+// map, and an added instance gets a map of its own. Removed instances
+// are tombstoned while the batch applies and compacted out in one pass at
+// the end, so no edit shifts the instance slice. Module bodies are shared:
+// the engine never edits inside modules.
+func (e *Engine) editedCopy(edits []Edit) (*netlist.Design, map[string]clock.Time, []string) {
+	d2 := *e.design
+	d2.Instances = slices.Clone(e.design.Instances)
+	adj2 := cloneAdjust(e.opts.Adjustments)
+	// batch indexes the instances this batch added (or removed: -1).
+	batch := map[string]int{}
+	index := func(name string) int {
+		if i, ok := batch[name]; ok {
+			return i
+		}
+		return e.instIdx[name]
+	}
+	var removed []int
+	var touched []string
 	for _, ed := range edits {
 		switch ed.Op {
 		case Adjust:
@@ -723,50 +797,58 @@ func (e *Engine) applyFull(ctx context.Context, edits []Edit) (*Outcome, error) 
 			if adj2[ed.Inst] == 0 {
 				delete(adj2, ed.Inst)
 			}
+			continue
 		case Resize, Replace:
-			d2.Instances[idx[ed.Inst]].Ref = ed.To
+			d2.Instances[index(ed.Inst)].Ref = ed.To
 		case AddInst:
-			ni := netlist.Instance{Name: ed.New.Name, Ref: ed.New.Ref,
-				Conns: make(map[string]string, len(ed.New.Conns))}
-			for pin, net := range ed.New.Conns {
-				ni.Conns[pin] = net
-			}
-			d2.Instances = append(d2.Instances, ni)
-			idx[ni.Name] = len(d2.Instances) - 1
+			d2.Instances = append(d2.Instances, netlist.Instance{
+				Name: ed.New.Name, Ref: ed.New.Ref, Conns: cloneConns(ed.New.Conns)})
+			batch[ed.New.Name] = len(d2.Instances) - 1
+			touched = append(touched, ed.New.Name)
+			continue
 		case RemoveInst:
-			i := idx[ed.Inst]
-			d2.Instances = append(d2.Instances[:i], d2.Instances[i+1:]...)
+			removed = append(removed, index(ed.Inst))
+			batch[ed.Inst] = -1
 			delete(adj2, ed.Inst)
-			for j := i; j < len(d2.Instances); j++ {
-				idx[d2.Instances[j].Name] = j
-			}
-			delete(idx, ed.Inst)
 		case Rewire:
-			inst := &d2.Instances[idx[ed.Inst]]
+			inst := &d2.Instances[index(ed.Inst)]
+			inst.Conns = cloneConns(inst.Conns)
 			if ed.Net == "" {
 				delete(inst.Conns, ed.Pin)
 			} else {
 				inst.Conns[ed.Pin] = ed.Net
 			}
 		}
+		touched = append(touched, ed.Inst)
 	}
-	oldDesign, oldAdj := e.design, e.opts.Adjustments
-	e.design, e.opts.Adjustments = d2, adj2
-	if err := e.loadFull(ctx); err != nil {
-		e.design, e.opts.Adjustments = oldDesign, oldAdj
-		return nil, err
+	if len(removed) > 0 {
+		sort.Ints(removed)
+		w := removed[0]
+		for r, k := w, 0; r < len(d2.Instances); r++ {
+			if k < len(removed) && removed[k] == r {
+				k++
+				continue
+			}
+			d2.Instances[w] = d2.Instances[r]
+			w++
+		}
+		clear(d2.Instances[w:])
+		d2.Instances = d2.Instances[:w]
 	}
-	return &Outcome{FallbackReason: "topology change", Report: e.rep}, nil
+	slices.Sort(touched)
+	return &d2, adj2, slices.Compact(touched)
 }
 
 // loadFull re-elaborates the current design and runs a full analysis,
-// refreshing every cache. The engine's previous state survives a failed
-// or interrupted elaboration; a non-convergent fixed point invalidates
-// the report.
+// refreshing every cache but the topology checksum, which its callers
+// keep. The engine's previous state survives a failed or interrupted
+// elaboration; a non-convergent fixed point invalidates the report.
 func (e *Engine) loadFull(ctx context.Context) error {
 	mFullAnalyses.Inc()
 	mCacheMisses.Inc()
+	_, sp := span.Start(ctx, "core.load")
 	an, err := core.Load(e.lib, e.design, e.opts)
+	sp.End()
 	if err != nil {
 		return err
 	}
@@ -794,7 +876,6 @@ func (e *Engine) analyzeFresh(ctx context.Context, an *core.Analyzer) error {
 	}
 	e.an, e.base, e.rep, e.cons = an, base, rep, nil
 	e.snapshotOffsets()
-	e.topo = e.topoHash()
 	e.buildIndexes()
 	return nil
 }
@@ -803,39 +884,50 @@ func (e *Engine) snapshotOffsets() { e.odz = e.an.St.SnapshotOffsets(e.odz) }
 
 func (e *Engine) restoreOffsets() { e.an.St.RestoreOffsets(e.odz) }
 
+// buildIndexes indexes the instances by name and files every cluster arc
+// under its instance and under its driven net.
 func (e *Engine) buildIndexes() {
 	e.instIdx = make(map[string]int, len(e.design.Instances))
 	for i := range e.design.Instances {
 		e.instIdx[e.design.Instances[i].Name] = i
 	}
-	e.arcsByInst = map[string][]arcRef{}
-	e.arcsByTo = map[int][]arcRef{}
-	cd := e.an.CD
-	for ci, cl := range cd.Network.Clusters {
-		for ai := range cl.Arcs {
-			name := cd.ArcInst(cl, ai)
-			e.arcsByInst[name] = append(e.arcsByInst[name], arcRef{ci, ai})
-			e.arcsByTo[cl.Arcs[ai].To] = append(e.arcsByTo[cl.Arcs[ai].To], arcRef{ci, ai})
-		}
-	}
+	clusters := e.an.CD.Network.Clusters
+	e.byInst = fileArcs(clusters, len(e.design.Instances), func(cl *cluster.Cluster, ai int) int { return int(cl.Src[ai].Inst) })
+	e.byTo = fileArcs(clusters, len(e.an.CD.Nets), func(cl *cluster.Cluster, ai int) int { return cl.Arcs[ai].To })
 }
 
-// cloneDesign deep-copies the mutable parts of a design. Module bodies are
-// shared: the engine never edits inside modules.
-func cloneDesign(d *netlist.Design) *netlist.Design {
-	c := &netlist.Design{
-		Name:      d.Name,
-		Clocks:    append([]clock.Signal(nil), d.Clocks...),
-		Ports:     append([]netlist.Port(nil), d.Ports...),
-		Instances: make([]netlist.Instance, len(d.Instances)),
-		Modules:   d.Modules,
-	}
-	for i, inst := range d.Instances {
-		conns := make(map[string]string, len(inst.Conns))
-		for pin, net := range inst.Conns {
-			conns[pin] = net
+// fileArcs files every arc of the clusters under its key in [0, n): one
+// counting pass and one placing pass. After the counts' prefix sums,
+// start[k+1] is where key k's arcs begin; placing each arc advances it,
+// ending where they end, which is where key k+1's begin.
+func fileArcs(clusters []*cluster.Cluster, n int, key func(cl *cluster.Cluster, ai int) int) arcTable {
+	start := make([]int32, n+2)
+	arcs := 0
+	for _, cl := range clusters {
+		arcs += len(cl.Arcs)
+		for ai := range cl.Arcs {
+			start[key(cl, ai)+2]++
 		}
-		c.Instances[i] = netlist.Instance{Name: inst.Name, Ref: inst.Ref, Conns: conns}
+	}
+	for k := 2; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	refs := make([]arcRef, arcs)
+	for ci, cl := range clusters {
+		for ai := range cl.Arcs {
+			k := key(cl, ai) + 1
+			refs[start[k]] = arcRef{int32(ci), int32(ai)}
+			start[k]++
+		}
+	}
+	return arcTable{start: start[:n+1], refs: refs}
+}
+
+// cloneConns copies a connection map; the copy is never nil.
+func cloneConns(m map[string]string) map[string]string {
+	c := make(map[string]string, len(m))
+	for pin, net := range m {
+		c[pin] = net
 	}
 	return c
 }

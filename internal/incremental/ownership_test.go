@@ -36,11 +36,11 @@ func gatesInTwoClusters(t *testing.T, eng *Engine) (a, b string) {
 	t.Helper()
 	first := -1
 	for _, inst := range eng.Design().Instances {
-		refs := eng.arcsByInst[inst.Name]
+		refs := eng.byInst.of(eng.instIdx[inst.Name])
 		if !eng.delayLocal(inst.Name) || len(refs) == 0 {
 			continue
 		}
-		switch c := refs[0].cluster; {
+		switch c := int(refs[0].cluster); {
 		case a == "":
 			a, first = inst.Name, c
 		case c != first:
