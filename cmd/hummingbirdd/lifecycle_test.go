@@ -1,0 +1,276 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"hummingbird/internal/celllib"
+	"hummingbird/internal/failpoint"
+	"hummingbird/internal/journal"
+	"hummingbird/internal/workload"
+)
+
+// serve drives the handler in process, safe to call from any goroutine,
+// and decodes the JSON answer.
+func serve(h http.Handler, method, path string, body any) (int, map[string]any) {
+	var b []byte
+	if body != nil {
+		b, _ = json.Marshal(body)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(b)))
+	m := map[string]any{}
+	json.Unmarshal(rec.Body.Bytes(), &m)
+	return rec.Code, m
+}
+
+var refsGauge = regexp.MustCompile(`(?m)^hb_compile_cache_refs(\{[^}]*\})? 0$`)
+
+// assertNoReferences checks that no compile-cache reference outlived the
+// sessions: the cache and its /metrics gauge both read empty.
+func assertNoReferences(t *testing.T, srv *server) {
+	t.Helper()
+	if d, r := srv.compile.designs(), srv.compile.totalRefs(); d != 0 || r != 0 {
+		t.Fatalf("compile cache holds designs=%d refs=%d with no session left, want 0/0", d, r)
+	}
+	rec := httptest.NewRecorder()
+	srv.handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if !refsGauge.Match(rec.Body.Bytes()) {
+		t.Fatal("/metrics does not read hb_compile_cache_refs 0")
+	}
+}
+
+// TestNoReferenceOutlivesSessions takes a session out by each way out of
+// service and checks its compile-cache reference goes with it. The LRU
+// has no room (cacheSize 0), so every engine that leaves is released.
+func TestNoReferenceOutlivesSessions(t *testing.T) {
+	edit := map[string]any{"edits": []map[string]any{{"op": "adjust", "inst": "g2", "delta": "1ps"}}}
+	open := map[string]any{"design": pipeSrc}
+	for _, tc := range []struct {
+		name string
+		// out takes the open session id out of service, or returns a
+		// server restarted onto a journal that cannot be restored.
+		out func(t *testing.T, srv *server, h http.Handler, id string) *server
+	}{
+		{"close", func(t *testing.T, srv *server, h http.Handler, id string) *server {
+			if status, m := serve(h, "DELETE", "/v1/sessions/"+id, nil); status != http.StatusOK {
+				t.Fatalf("close: %d %v", status, m)
+			}
+			return srv
+		}},
+		{"park", func(t *testing.T, srv *server, h http.Handler, id string) *server {
+			if status, m := serve(h, "POST", "/v1/sessions/"+id+"/park", nil); status != http.StatusOK {
+				t.Fatalf("park: %d %v", status, m)
+			}
+			return srv
+		}},
+		{"panic quarantine", func(t *testing.T, srv *server, h http.Handler, id string) *server {
+			arm(t, "incr.classify", "1*panic(chaos)")
+			if status, m := serve(h, "POST", "/v1/sessions/"+id+"/edits", edit); status != http.StatusInternalServerError {
+				t.Fatalf("panicking edit: %d %v", status, m)
+			}
+			return srv
+		}},
+		{"dead journal quarantine", func(t *testing.T, srv *server, h http.Handler, id string) *server {
+			arm(t, "journal.append", "1*error(disk gone)")
+			if status, m := serve(h, "POST", "/v1/sessions/"+id+"/edits", edit); status != http.StatusServiceUnavailable {
+				t.Fatalf("edit on a dead journal: %d %v", status, m)
+			}
+			return srv
+		}},
+		{"edit fails to re-apply at recovery", func(t *testing.T, _ *server, _ http.Handler, _ string) *server {
+			dir := t.TempDir()
+			jm := newJournal(t, dir)
+			jw, err := jm.Create("s9", &openRequest{Design: pipeSrc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := jw.Append(journal.KindEdits, []editJSON{{Op: "adjust", Inst: "nope", Delta: "1ns"}}); err != nil {
+				t.Fatal(err)
+			}
+			jw.Close()
+			srv := newServer(celllib.Default(), serverConfig{maxSessions: 4, journal: newJournal(t, dir)})
+			if n := srv.recoverSessions(); n != 0 {
+				t.Fatalf("restored %d sessions from a journal that cannot re-apply", n)
+			}
+			if _, ok := srv.quarantineInfo("s9"); !ok {
+				t.Fatal("unrestorable journal not quarantined")
+			}
+			return srv
+		}},
+		{"adopt refused at the limit", func(t *testing.T, srv *server, h http.Handler, id string) *server {
+			jw, err := srv.cfg.journal.Create("r2-s1", &openRequest{Design: pipeSrc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jw.Close()
+			if status, m := serve(h, "POST", "/v1/replication/sessions/r2-s1/adopt", nil); status != http.StatusServiceUnavailable {
+				t.Fatalf("adopt past the limit: %d %v", status, m)
+			}
+			if status, m := serve(h, "DELETE", "/v1/sessions/"+id, nil); status != http.StatusOK {
+				t.Fatalf("close: %d %v", status, m)
+			}
+			return srv
+		}},
+		{"open whose journal create fails", func(t *testing.T, srv *server, h http.Handler, id string) *server {
+			if status, m := serve(h, "DELETE", "/v1/sessions/"+id, nil); status != http.StatusOK {
+				t.Fatalf("close: %d %v", status, m)
+			}
+			arm(t, "journal.append", "1*error(disk gone)")
+			if status, m := serve(h, "POST", "/v1/sessions", open); status != http.StatusServiceUnavailable {
+				t.Fatalf("open without a journal: %d %v", status, m)
+			}
+			return srv
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv := newServer(celllib.Default(), serverConfig{maxSessions: 1, journal: newJournal(t, dir)})
+			h := srv.handler()
+			status, m := serve(h, "POST", "/v1/sessions", open)
+			if status != http.StatusCreated {
+				t.Fatalf("open: %d %v", status, m)
+			}
+			if d, r := srv.compile.designs(), srv.compile.totalRefs(); d != 1 || r != 1 {
+				t.Fatalf("open session holds designs=%d refs=%d, want 1/1", d, r)
+			}
+			id := m["session"].(string)
+			srv = tc.out(t, srv, h, id)
+			srv.mu.Lock()
+			live := len(srv.sessions)
+			srv.mu.Unlock()
+			if live != 0 {
+				t.Fatalf("%d sessions still open", live)
+			}
+			assertNoReferences(t, srv)
+		})
+	}
+}
+
+// TestRetiredSessionReadsClosed forces the interleaving a session lookup
+// and a close can take: a summary has found the session in the table and
+// waits on its lock while a close retires it. The summary must read the
+// session as closed — not dereference the released engine, answer 500
+// and quarantine an id nobody is using.
+func TestRetiredSessionReadsClosed(t *testing.T) {
+	srv := newServer(celllib.Default(), serverConfig{maxSessions: 4})
+	h := srv.handler()
+	status, m := serve(h, "POST", "/v1/sessions", map[string]any{"design": pipeSrc})
+	if status != http.StatusCreated {
+		t.Fatalf("open: %d %v", status, m)
+	}
+	id := m["session"].(string)
+
+	ss := srv.session(id)
+	ss.mu.Lock() // a request in progress on the session
+	summary := make(chan answerOf, 1)
+	go func() {
+		status, m := serve(h, "GET", "/v1/sessions/"+id, nil)
+		summary <- answerOf{status, m}
+	}()
+	waitOnMutex(t, "handleSummary")
+	srv.retire(ss, dropJournal, "") // what the close does, under the same lock
+	ss.mu.Unlock()
+
+	got := <-summary
+	if got.status != http.StatusNotFound || got.body["error"] != "session closed" {
+		t.Fatalf("summary of a session retired while it waited: %d %v", got.status, got.body)
+	}
+	if status, m := serve(h, "GET", "/v1/sessions", nil); status != http.StatusOK || len(m["sessions"].([]any)) != 0 {
+		t.Fatalf("list after close: %d %v", status, m)
+	}
+	status, m = serve(h, "GET", "/readyz", nil)
+	if status != http.StatusOK || m["quarantined"] != float64(0) {
+		t.Fatalf("readyz after close: %d %v", status, m)
+	}
+}
+
+// waitOnMutex waits until a goroutine running fn is parked on a mutex.
+func waitOnMutex(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, fn) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine in %s blocked on a mutex", fn)
+}
+
+// TestSessionLimitUnderConcurrentOpens opens more sessions at once than
+// the limit allows: exactly the limit is admitted, every other open is
+// refused with 503, and no refused open leaves a compile-cache reference.
+func TestSessionLimitUnderConcurrentOpens(t *testing.T) {
+	const limit, opens = 2, 8
+	srv := newServer(celllib.Default(), serverConfig{maxSessions: limit})
+	h := srv.handler()
+	body := map[string]any{"design": designText(t, workload.ALU)}
+	answers := make(chan answerOf, opens)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < opens; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			status, m := serve(h, "POST", "/v1/sessions", body)
+			answers <- answerOf{status, m}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(answers)
+	var ids []string
+	refused := 0
+	for a := range answers {
+		switch a.status {
+		case http.StatusCreated:
+			ids = append(ids, a.body["session"].(string))
+		case http.StatusServiceUnavailable:
+			refused++
+		default:
+			t.Errorf("open: %d %v", a.status, a.body)
+		}
+	}
+	if len(ids) != limit || refused != opens-limit {
+		t.Fatalf("%d concurrent opens against a limit of %d: %d admitted, %d refused", opens, limit, len(ids), refused)
+	}
+	for _, id := range ids {
+		if status, m := serve(h, "DELETE", "/v1/sessions/"+id, nil); status != http.StatusOK {
+			t.Fatalf("close %s: %d %v", id, status, m)
+		}
+	}
+	assertNoReferences(t, srv)
+}
+
+type answerOf struct {
+	status int
+	body   map[string]any
+}
+
+func newJournal(t *testing.T, dir string) *journal.Manager {
+	t.Helper()
+	jm, err := journal.NewManager(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jm
+}
+
+func arm(t *testing.T, name, spec string) {
+	t.Helper()
+	if err := failpoint.Arm(name, spec); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(failpoint.DisarmAll)
+}

@@ -139,36 +139,15 @@ func newTraceID() string {
 		strconv.FormatInt(traceSeq.Add(1), 36)
 }
 
-// headerTokenOK validates a caller-supplied trace or span identifier:
-// adopting an arbitrary header verbatim would let a client inject
-// log/filename garbage, so only short ids over a conservative alphabet
-// are accepted.
-func headerTokenOK(id string) bool {
-	if id == "" || len(id) > 64 {
-		return false
+// inboundTraceID returns the client's X-Trace-Id when span.ValidID
+// accepts it, else "". A load generator (or an upstream proxy, or the
+// fleet router's failover orchestration) tags its requests so a slow
+// response can be matched to the daemon's trace exports.
+func inboundTraceID(r *http.Request) string {
+	if id := r.Header.Get(span.TraceIDHeader); span.ValidID(id) {
+		return id
 	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '-', c == '_', c == '.':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// inboundTraceID validates a client-supplied X-Trace-Id. A load
-// generator (or an upstream proxy, or the fleet router's failover
-// orchestration) tags its requests so a slow response can be matched to
-// the daemon's trace exports.
-func inboundTraceID(r *http.Request) (string, bool) {
-	id := r.Header.Get(span.TraceIDHeader)
-	if !headerTokenOK(id) {
-		return "", false
-	}
-	return id, true
+	return ""
 }
 
 func main() {
@@ -377,8 +356,8 @@ type sess struct {
 	id string
 
 	mu      sync.Mutex
-	eng     *incremental.Engine
-	jw      *journal.Writer // nil when journaling is off
+	eng     *incremental.Engine // nil once retired
+	jw      *journal.Writer     // nil when journaling is off
 	edits   int
 	created time.Time
 	// designKey is the fleet routing key (hash of design + adjustments);
@@ -497,11 +476,7 @@ func newServer(lib *celllib.Library, cfg serverConfig) *server {
 		warm:        make(map[string]func()),
 		traces:      span.NewRing(cfg.traceRetain),
 	}
-	name := "hummingbirdd"
-	if cfg.replicaID != "" {
-		name = cfg.replicaID
-	}
-	s.flight = flight.NewRecorder(name, cfg.eventsRetain)
+	s.flight = flight.NewRecorder(s.processName(), cfg.eventsRetain)
 	if cfg.maxInflight > 0 {
 		s.inflight = make(chan struct{}, cfg.maxInflight)
 	}
@@ -631,11 +606,6 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// guard is the middleware wrapped around every session endpoint: admission
-// control (bounded in-flight requests with a queue timeout), the
-// per-request deadline, the quarantine fast-fail, and panic isolation. A
-// panicking handler quarantines only the session it ran against; the
-// recover here keeps the rest of the process serving.
 // startTracker wraps a ResponseWriter and records whether the response has
 // been started, so the panic recovery in guard knows whether it may still
 // write an error body or would only corrupt an in-flight response.
@@ -654,36 +624,19 @@ func (t *startTracker) Write(b []byte) (int, error) {
 	return t.ResponseWriter.Write(b)
 }
 
+// guard is the middleware wrapped around every session endpoint: admission
+// control (bounded in-flight requests with a queue timeout), the
+// per-request deadline, the quarantine fast-fail, and panic isolation. A
+// panicking handler quarantines only the session it ran against; the
+// recover here keeps the rest of the process serving.
 func (s *server) guard(op string, h http.HandlerFunc) http.HandlerFunc {
 	return func(rw http.ResponseWriter, r *http.Request) {
 		w := &startTracker{ResponseWriter: rw}
-		// The trace starts the moment the request reaches the guard; its id
-		// is echoed in X-Trace-Id so a client can correlate a slow response
-		// with the daemon's trace exports. A valid client-supplied
-		// X-Trace-Id is adopted instead, so a load generator can tag a
-		// request and later pull its span tree from /trace/last. This
+		// The trace starts the moment the request reaches the guard. This
 		// finish defer is declared before the recover defer below, so a
 		// panicking request's spans are force-ended and recorded too
 		// (defers run LIFO).
-		traceID := newTraceID()
-		if id, ok := inboundTraceID(r); ok {
-			traceID = id
-			mTraceInherited.Inc()
-		}
-		tr := span.New(traceID, "server."+op)
-		tr.SetProcess(s.processName())
-		// A valid X-Hb-Parent-Span alongside the trace id marks this
-		// request as one hop of a distributed operation (the router's
-		// failover or migration): the fragment records which remote span
-		// it hangs off so the fleet stitcher can splice it into the
-		// cross-process tree.
-		if ps := r.Header.Get(span.ParentSpanHeader); headerTokenOK(ps) {
-			tr.SetRemoteParent(ps)
-		}
-		if id := r.PathValue("id"); id != "" {
-			tr.Root().Annotate("session", id)
-		}
-		w.Header().Set("X-Trace-Id", tr.ID())
+		tr := s.requestTrace(w, r, op, true)
 		defer s.finishRequest(op, tr)
 		trCtx := span.NewContext(r.Context(), tr)
 		// The admission span's returned context is discarded: later spans
@@ -755,6 +708,36 @@ func (s *server) guard(op string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// requestTrace starts the span tree of one request: under the client's
+// X-Trace-Id when it is valid (counted in server.trace_ids_inherited),
+// else under a fresh id when mint is set, else not at all (nil). A valid
+// X-Hb-Parent-Span marks the request as one hop of a distributed
+// operation (the router's failover or migration): the fragment records
+// the remote span it hangs off, so the fleet stitcher can splice it into
+// the cross-process tree. The id is echoed in X-Trace-Id, so a client can
+// match a slow response to the daemon's trace exports.
+func (s *server) requestTrace(w http.ResponseWriter, r *http.Request, op string, mint bool) *span.Trace {
+	id := inboundTraceID(r)
+	switch {
+	case id != "":
+		mTraceInherited.Inc()
+	case mint:
+		id = newTraceID()
+	default:
+		return nil
+	}
+	tr := span.New(id, "server."+op)
+	tr.SetProcess(s.processName())
+	if ps := r.Header.Get(span.ParentSpanHeader); span.ValidID(ps) {
+		tr.SetRemoteParent(ps)
+	}
+	if sid := r.PathValue("id"); sid != "" {
+		tr.Root().Annotate("session", sid)
+	}
+	w.Header().Set(span.TraceIDHeader, tr.ID())
+	return tr
+}
+
 // traced wraps an unguarded replication endpoint with opt-in tracing: a
 // span tree is created only when the caller sent a valid X-Trace-Id.
 // The router's failover and migration orchestration tags its hops, so
@@ -763,21 +746,11 @@ func (s *server) guard(op string, h http.HandlerFunc) http.HandlerFunc {
 // primary carries no trace header and keeps its zero-overhead path.
 func (s *server) traced(op string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		traceID, ok := inboundTraceID(r)
-		if !ok {
+		tr := s.requestTrace(w, r, op, false)
+		if tr == nil {
 			h(w, r)
 			return
 		}
-		mTraceInherited.Inc()
-		tr := span.New(traceID, "server."+op)
-		tr.SetProcess(s.processName())
-		if ps := r.Header.Get(span.ParentSpanHeader); headerTokenOK(ps) {
-			tr.SetRemoteParent(ps)
-		}
-		if id := r.PathValue("id"); id != "" {
-			tr.Root().Annotate("session", id)
-		}
-		w.Header().Set(span.TraceIDHeader, tr.ID())
 		defer func() {
 			tr.Finish()
 			s.traces.Add(tr)
@@ -892,12 +865,10 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // guarded request as JSON. Unguarded: it must stay readable while the
 // server is saturated, and must not overwrite the trace it reports.
 func (s *server) handleTraceLast(w http.ResponseWriter, r *http.Request) {
-	ss := s.session(r.PathValue("id"))
+	ss := s.sessionFor(w, r)
 	if ss == nil {
-		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	ss.mu.Lock()
 	tr := ss.lastTrace
 	ss.mu.Unlock()
 	if tr == nil {
@@ -918,51 +889,132 @@ func retryAfterSeconds(d time.Duration) int {
 	return n
 }
 
-// quarantine removes the session from service and records the diagnostic;
-// its journal is set aside for post-mortem rather than replayed into the
-// next process. Callers must not hold any session mutex: the target's
-// journal writer is detached under ss.mu (handlers mutate ss.jw under the
-// same lock) before it is closed; the engine state is abandoned as-is.
-func (s *server) quarantine(id, diag string) {
+// fate is what retire does with a session's journal. The engine follows
+// it: a set-aside session's engine is released, any other is offered to
+// the parked-state LRU.
+type fate int
+
+const (
+	dropJournal fate = iota // client close: nothing is left to replay
+	keepJournal             // park, shutdown, refused open or adopt: the journal stays the session's truth
+	setAside                // fault: kept for post-mortem, never replayed; the id answers 503 until a DELETE
+)
+
+// admit puts ss in service: the one way in, for opens, recoveries and
+// adopts. Under one hold of s.mu it checks the session limit (limit false
+// exempts a recovered session, admitted before the restart), gives ss a
+// fresh id when it brings none, claims the id and inserts the session.
+// Callers that still attach a journal or streams hold ss.mu, so no
+// request uses the session before it is complete.
+func (s *server) admit(ss *sess, limit bool) error {
 	s.mu.Lock()
-	ss := s.sessions[id]
-	delete(s.sessions, id)
-	s.quarantined[id] = diag
-	s.mu.Unlock()
-	mQuarantined.Inc()
-	s.flight.Record(flight.Error, "session.quarantine", id, "", "%s", diag)
-	s.detachStream(id)
-	if ss != nil {
-		ss.mu.Lock()
-		jw := ss.jw
-		ss.jw = nil
-		ss.mu.Unlock()
-		if jw != nil {
-			jw.Close()
+	defer s.mu.Unlock()
+	if limit && len(s.sessions) >= s.cfg.maxSessions {
+		return fmt.Errorf("session limit (%d) reached", s.cfg.maxSessions)
+	}
+	if ss.id == "" {
+		ss.id = s.sidPrefix() + strconv.Itoa(s.nextID+1)
+	}
+	s.claim(ss.id)
+	s.sessions[ss.id] = ss
+	return nil
+}
+
+// claim keeps the id allocator past id when id has this replica's own
+// form, so a fresh id never collides with one restored, adopted home or
+// set aside. Callers hold s.mu.
+func (s *server) claim(id string) {
+	if rest, ok := strings.CutPrefix(id, s.sidPrefix()); ok {
+		if n, err := strconv.Atoi(rest); err == nil && n > s.nextID {
+			s.nextID = n
 		}
 	}
-	s.quarantineJournalFile(id)
 }
 
-// quarantineUnserved records a quarantine for an id with no live session
-// (replay or rewrite failure during recovery): diagnostic plus journal
-// set-aside, nothing to detach.
-func (s *server) quarantineUnserved(id, diag string) {
+// retire takes ss out of service: the one way out, for a close, a park, a
+// quarantine, a refused open or adopt, a failed restore and shutdown. It
+// removes ss from the table (a session never admitted is not in it),
+// detaches its replication stream — flushed first when the journal is
+// kept, so the hop lags tell a migration whether each standby is
+// complete — closes the journal writer and removes, keeps or sets aside
+// the journal, then parks or releases the engine. diag is the quarantine
+// diagnostic of a set-aside session. The caller holds ss.mu of an
+// admitted session and has seen it live; retire leaves ss.eng nil, which
+// is how the requests waiting on ss.mu see it closed.
+func (s *server) retire(ss *sess, f fate, diag string) (parked bool, hops []fleet.HopLag) {
 	s.mu.Lock()
-	s.quarantined[id] = diag
+	if s.sessions[ss.id] == ss {
+		delete(s.sessions, ss.id)
+	}
+	if f == setAside {
+		s.quarantined[ss.id] = diag
+		s.claim(ss.id)
+		mQuarantined.Inc()
+		s.flight.Record(flight.Error, "session.quarantine", ss.id, "", "%s", diag)
+	}
 	s.mu.Unlock()
-	mQuarantined.Inc()
-	s.flight.Record(flight.Error, "session.quarantine", id, "", "%s", diag)
-	s.quarantineJournalFile(id)
+	if s.streams != nil {
+		if st := s.streams.Detach(ss.id); st != nil {
+			if f == keepJournal {
+				st.Flush()
+				hops = st.HopLags()
+			}
+			st.Close()
+		}
+	}
+	if ss.jw != nil {
+		if err := ss.jw.Close(); err != nil {
+			fmt.Fprintf(s.cfg.errLog, "hummingbirdd: close journal %s: %v\n", ss.id, err)
+		}
+	}
+	if j := s.cfg.journal; j != nil && f != keepJournal {
+		drop, verb := j.Remove, "remove"
+		if f == setAside {
+			drop, verb = j.Quarantine, "set aside"
+		}
+		if err := drop(ss.id); err != nil {
+			fmt.Fprintf(s.cfg.errLog, "hummingbirdd: %s journal %s: %v\n", verb, ss.id, err)
+		}
+	}
+	eng := ss.eng
+	ss.eng, ss.jw = nil, nil
+	return s.dispose(eng, f != setAside), hops
 }
 
-// quarantineJournalFile renames the id's journal aside (best-effort).
-func (s *server) quarantineJournalFile(id string) {
-	if s.cfg.journal == nil {
-		return
+// dispose offers a retired engine to the parked-state LRU when park is
+// set, and drops the compile-cache reference of the engine the cache does
+// not keep: eng itself when refused, else the one evicted to make room.
+// It is the daemon's one ReleaseShared call. Reports whether eng was
+// parked.
+func (s *server) dispose(eng *incremental.Engine, park bool) (parked bool) {
+	if eng == nil {
+		return false
 	}
-	if err := s.cfg.journal.Quarantine(id); err != nil {
-		fmt.Fprintf(s.cfg.errLog, "hummingbirdd: quarantine journal %s: %v\n", id, err)
+	if park {
+		s.mu.Lock()
+		evicted, stored := s.cache.put(eng.StateHash(), eng)
+		s.mu.Unlock()
+		if evicted != nil {
+			mCacheEvictions.Inc()
+		}
+		if stored {
+			parked, eng = true, evicted
+		}
+	}
+	if eng != nil {
+		eng.ReleaseShared()
+	}
+	return parked
+}
+
+// quarantine sets aside the live session id names after a fault in one
+// of its requests (a handler panic). Its engine is released like any
+// other: an engine unshares before its first write, so the fault cannot
+// have touched a design other sessions share.
+func (s *server) quarantine(id, diag string) {
+	if ss := s.session(id); ss != nil && ss.live() {
+		defer ss.mu.Unlock()
+		s.retire(ss, setAside, diag)
 	}
 }
 
@@ -979,14 +1031,62 @@ func (s *server) clearQuarantine(id string) {
 	s.mu.Unlock()
 }
 
-// shutdown flushes and closes every session journal, stops outbound
-// replication streams, and drops the parked LRU state (shutdown path;
-// the HTTP listener is already drained).
+// session returns the session id names in the table, or nil. It may be
+// retired by the time the caller locks it; see live.
+func (s *server) session(id string) *sess {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sessions[id]
+}
+
+// sessionsByID snapshots the session table in id order.
+func (s *server) sessionsByID() []*sess {
+	s.mu.Lock()
+	out := make([]*sess, 0, len(s.sessions))
+	for _, ss := range s.sessions {
+		out = append(out, ss)
+	}
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+// live locks ss and reports whether it is still in service, unlocking it
+// when it is not. A session is retired under its own lock, so a request
+// that found it in the table and then waited on ss.mu while a close
+// retired it sees false here.
+func (ss *sess) live() bool {
+	ss.mu.Lock()
+	if ss.eng == nil {
+		ss.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// sessionFor is how a handler reaches the session its {id} names: locked
+// and live, or nil after answering 404. The caller unlocks ss.mu.
+func (s *server) sessionFor(w http.ResponseWriter, r *http.Request) *sess {
+	ss := s.session(r.PathValue("id"))
+	switch {
+	case ss == nil:
+		httpError(w, http.StatusNotFound, "no such session")
+	case !ss.live():
+		httpError(w, http.StatusNotFound, "session closed")
+	default:
+		return ss
+	}
+	return nil
+}
+
+// shutdown retires every live session with its journal kept, and drops
+// the parked and pre-warmed compile references. The replication streams
+// close unflushed first: peers may be gone, and the journals hold every
+// acknowledged record. The HTTP listener is already drained.
 func (s *server) shutdown() {
 	if s.streams != nil {
 		s.streams.CloseAll()
 	}
-	// Drop any compile references held for pre-warmed standbys.
 	s.warmMu.Lock()
 	warm := s.warm
 	s.warm = make(map[string]func())
@@ -997,25 +1097,17 @@ func (s *server) shutdown() {
 		}
 	}
 	s.mu.Lock()
-	sessions := make([]*sess, 0, len(s.sessions))
-	for _, ss := range s.sessions {
-		sessions = append(sessions, ss)
-	}
 	parked := s.cache.drain()
-	s.cache = newLRU(0)
+	s.cache = newLRU(0) // the retirements below park nothing
 	s.mu.Unlock()
 	for _, eng := range parked {
-		eng.ReleaseShared()
+		s.dispose(eng, false)
 	}
-	for _, ss := range sessions {
-		ss.mu.Lock()
-		if ss.jw != nil {
-			if err := ss.jw.Close(); err != nil {
-				fmt.Fprintf(s.cfg.errLog, "hummingbirdd: close journal %s: %v\n", ss.id, err)
-			}
-			ss.jw = nil
+	for _, ss := range s.sessionsByID() {
+		if ss.live() {
+			s.retire(ss, keepJournal, "")
+			ss.mu.Unlock()
 		}
-		ss.mu.Unlock()
 	}
 }
 
@@ -1060,13 +1152,7 @@ func (s *server) parseOpen(req *openRequest) (*netlist.Design, core.Options, err
 
 func (s *server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	var req openRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, 16<<20, &req) {
 		return
 	}
 	design, opts, err := s.parseOpen(&req)
@@ -1074,69 +1160,72 @@ func (s *server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-
-	s.mu.Lock()
-	if len(s.sessions) >= s.cfg.maxSessions {
-		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "session limit (%d) reached", s.cfg.maxSessions)
-		return
-	}
-	s.nextID++
-	id := fmt.Sprintf("%s%d", s.sidPrefix(), s.nextID)
 	// Probe the parked-state cache before paying for an elaboration.
 	key := incremental.StateKey(design, opts.Adjustments)
+	s.mu.Lock()
 	eng := s.cache.take(key)
 	s.mu.Unlock()
-
-	cached := eng != nil
-	sharedDesign := false
+	cached, sharedDesign := eng != nil, false
 	if cached {
 		mCacheHits.Inc()
 	} else {
 		mCacheMisses.Inc()
-		var err error
-		eng, sharedDesign, err = s.openEngine(r.Context(), key, design, opts)
-		if err != nil {
+		if eng, sharedDesign, err = s.openEngine(r.Context(), key, design, opts); err != nil {
 			writeAnalysisError(w, "open design", err)
 			return
 		}
 	}
-	ss := &sess{id: id, eng: eng, created: time.Now()}
+	ss := &sess{eng: eng, created: time.Now()}
 	if b, merr := json.Marshal(&req); merr == nil {
 		ss.designKey = fleet.DesignKey(b)
 	}
+	ss.rememberSlacks()
+	// Admitted locked: no request reaches the session before the open
+	// record is fsynced — a crash can never leave an acknowledged session
+	// without a journal — and before its streams are attached, so no
+	// committed frame can miss them.
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if err := s.admit(ss, true); err != nil {
+		s.retire(ss, keepJournal, "")
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
 	if s.cfg.journal != nil {
-		// The open record is fsynced before the session becomes visible, so
-		// a crash can never leave an acknowledged session without a journal.
-		jw, err := s.cfg.journal.Create(id, &req)
+		jw, err := s.cfg.journal.Create(ss.id, &req)
 		if err != nil {
+			s.retire(ss, keepJournal, "") // Create removed what it wrote
 			httpError(w, http.StatusServiceUnavailable, "journal open: %v", err)
 			return
 		}
 		ss.jw = jw
 		// Fleet replication: when the router names a standby chain, stream
-		// this session's frames to every chain member. Attached before the
-		// session is visible, so no committed frame can miss the streams.
-		s.attachStreams(id, jw, fleet.ParsePeers(r.Header))
+		// this session's frames to every chain member.
+		s.attachStreams(ss.id, jw, fleet.ParsePeers(r.Header))
 	}
-	ss.rememberSlacks()
-	s.mu.Lock()
-	s.sessions[id] = ss
-	s.mu.Unlock()
 	mSessionsOpened.Inc()
 	// Associate the request trace with the freshly allocated id so the
 	// guard's finish hook files it under the new session.
-	span.Current(r.Context()).Annotate("session", id)
-
-	resp := map[string]any{
-		"session":       id,
-		"cached":        cached,
-		"shared_design": sharedDesign,
-	}
-	ss.mu.Lock()
+	span.Current(r.Context()).Annotate("session", ss.id)
+	resp := map[string]any{"session": ss.id, "cached": cached, "shared_design": sharedDesign}
 	addSummary(resp, ss)
-	ss.mu.Unlock()
 	writeJSON(w, http.StatusCreated, resp)
+}
+
+// decodeBody decodes a JSON request body of at most limit bytes into v,
+// answering 413 or 400 when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+	default:
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
 }
 
 // openEngine opens an engine for design through the compile cache under
@@ -1160,131 +1249,102 @@ func (s *server) openEngine(ctx context.Context, key string, design *netlist.Des
 	return eng, false, err
 }
 
-// recoverSessions replays every intact journal in the journal directory,
-// restoring the sessions a previous process had open under their original
-// ids. Journals that fail to replay are quarantined (renamed aside) with a
-// diagnostic, not deleted. Returns the number of sessions restored.
+// recoverSessions restores every journal in the journal directory under
+// its original id, exempt from the session limit: each session was
+// admitted before the restart. A journal that fails to restore is set
+// aside with a diagnostic, not deleted, and its id stays claimed. Returns
+// the number of sessions restored.
 func (s *server) recoverSessions() int {
 	ids, err := s.cfg.journal.Sessions()
 	if err != nil {
 		fmt.Fprintf(s.cfg.errLog, "hummingbirdd: list journals: %v\n", err)
 		return 0
 	}
-	restored, maxID := 0, 0
+	restored := 0
 	for _, id := range ids {
-		// Every journal on disk claims its id — replayable or not — so a
-		// freshly allocated session id can never collide with one that
-		// ends up quarantined below. Only ids carrying this replica's own
-		// prefix advance the allocator; adopted foreign journals live in a
-		// different namespace.
-		if rest, ok := strings.CutPrefix(id, s.sidPrefix()); ok {
-			if n, err := strconv.Atoi(rest); err == nil && n > maxID {
-				maxID = n
-			}
+		if ss, err := s.restore(id); err == nil {
+			s.admit(ss, false)
+			mReplayed.Inc()
+			restored++
 		}
-		ss, req, batches, err := s.replaySession(id)
-		if err != nil {
-			fmt.Fprintf(s.cfg.errLog, "hummingbirdd: replay %s: %v (journal quarantined)\n", id, err)
-			s.quarantineUnserved(id, fmt.Sprintf("journal replay failed: %v", err))
-			continue
-		}
-		// Rewrite a compact journal for the restored session: the open
-		// record plus every acknowledged batch, dropping any torn tail.
-		// The rewrite is atomic (temp file + rename); if it fails, the
-		// session is quarantined rather than served without durability.
-		jw, err := s.cfg.journal.Rewrite(id, req, batches)
-		if err != nil {
-			fmt.Fprintf(s.cfg.errLog, "hummingbirdd: rewrite journal %s: %v (session quarantined)\n", id, err)
-			s.quarantineUnserved(id, fmt.Sprintf("journal rewrite failed: %v", err))
-			continue
-		}
-		ss.jw = jw
-		s.mu.Lock()
-		s.sessions[id] = ss
-		s.mu.Unlock()
-		mReplayed.Inc()
-		restored++
 	}
-	s.mu.Lock()
-	if maxID > s.nextID {
-		s.nextID = maxID
-	}
-	s.mu.Unlock()
 	s.ready.Store(true)
 	return restored
 }
 
-// replaySession rebuilds one session from its journal records, returning
-// the restored session plus the open request and edit batches needed to
-// rewrite a compact journal.
-func (s *server) replaySession(id string) (*sess, *openRequest, []json.RawMessage, error) {
-	recs, err := s.cfg.journal.Read(id)
+// restore rebuilds session id from its journal, the step recovery and
+// adopt share: replay, then compact — the journal is rewritten as the
+// open record plus every acknowledged batch, dropping a torn tail, and
+// the rewrite is atomic (temp file + rename). A journal that fails either
+// step is set aside and the engine released: a session is never served
+// without durability.
+func (s *server) restore(id string) (*sess, error) {
+	ss := &sess{id: id, created: time.Now()}
+	req, batches, err := s.replaySession(ss)
+	if err == nil {
+		if ss.jw, err = s.cfg.journal.Rewrite(id, req, batches); err != nil {
+			err = fmt.Errorf("rewrite: %w", err)
+		}
+	}
 	if err != nil {
-		return nil, nil, nil, err
+		fmt.Fprintf(s.cfg.errLog, "hummingbirdd: restore %s: %v (journal set aside)\n", id, err)
+		s.retire(ss, setAside, fmt.Sprintf("journal restore failed: %v", err))
+		return nil, err
+	}
+	return ss, nil
+}
+
+// replaySession rebuilds ss's engine from its journal records, returning
+// the open request and edit batches a compact journal is rewritten from.
+// The open record goes through the compile cache like a live open, so
+// recovered and adopted sessions share CompiledDesigns — and find the one
+// a standby pre-warm built (replication.go). ss.eng is set as soon as the
+// engine exists, so a failed replay releases it through retire.
+func (s *server) replaySession(ss *sess) (*openRequest, []json.RawMessage, error) {
+	recs, err := s.cfg.journal.Read(ss.id)
+	if err != nil {
+		return nil, nil, err
 	}
 	var req openRequest
 	if err := json.Unmarshal(recs[0].Body, &req); err != nil {
-		return nil, nil, nil, fmt.Errorf("decode open record: %w", err)
+		return nil, nil, fmt.Errorf("decode open record: %w", err)
 	}
 	design, opts, err := s.parseOpen(&req)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	// Route replay through the compile cache exactly like a live open:
-	// recovery and adoption then share CompiledDesigns across sessions —
-	// and find the one a standby pre-warm already built (replication.go).
 	key := incremental.StateKey(design, opts.Adjustments)
-	eng, _, err := s.openEngine(context.Background(), key, design, opts)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("reopen design: %w", err)
+	if ss.eng, _, err = s.openEngine(context.Background(), key, design, opts); err != nil {
+		return nil, nil, fmt.Errorf("reopen design: %w", err)
 	}
+	ss.designKey = fleet.DesignKey(recs[0].Body)
 	var batches []json.RawMessage
 	for i, rec := range recs[1:] {
 		if rec.Kind != journal.KindEdits {
-			return nil, nil, nil, fmt.Errorf("record %d: unexpected kind %q", i+1, rec.Kind)
+			return nil, nil, fmt.Errorf("record %d: unexpected kind %q", i+1, rec.Kind)
 		}
 		var ejs []editJSON
 		if err := json.Unmarshal(rec.Body, &ejs); err != nil {
-			return nil, nil, nil, fmt.Errorf("record %d: decode edits: %w", i+1, err)
+			return nil, nil, fmt.Errorf("record %d: decode edits: %w", i+1, err)
 		}
-		edits := make([]incremental.Edit, len(ejs))
-		for j := range ejs {
-			ed, err := ejs[j].toEdit()
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("record %d edit %d: %w", i+1, j, err)
-			}
-			edits[j] = ed
+		edits, err := toEdits(ejs)
+		if err != nil {
+			return nil, nil, fmt.Errorf("record %d %w", i+1, err)
 		}
-		if _, err := eng.Apply(edits...); err != nil {
-			return nil, nil, nil, fmt.Errorf("record %d: re-apply: %w", i+1, err)
+		if _, err := ss.eng.Apply(edits...); err != nil {
+			return nil, nil, fmt.Errorf("record %d: re-apply: %w", i+1, err)
 		}
+		ss.edits += len(edits)
 		batches = append(batches, rec.Body)
 	}
-	ss := &sess{id: id, eng: eng, created: time.Now()}
-	ss.designKey = fleet.DesignKey(recs[0].Body)
-	ss.edits = 0
-	for _, b := range batches {
-		var ejs []editJSON
-		if json.Unmarshal(b, &ejs) == nil {
-			ss.edits += len(ejs)
-		}
-	}
 	ss.rememberSlacks()
-	return ss, &req, batches, nil
+	return &req, batches, nil
 }
 
 func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.sessions))
-	for id := range s.sessions {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	sort.Strings(ids)
-	out := make([]map[string]any, 0, len(ids))
-	for _, id := range ids {
-		if ss := s.session(id); ss != nil {
-			ss.mu.Lock()
+	out := make([]map[string]any, 0)
+	for _, ss := range s.sessionsByID() {
+		if ss.live() {
 			m := map[string]any{"session": ss.id}
 			addSummary(m, ss)
 			ss.mu.Unlock()
@@ -1294,22 +1354,14 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"sessions": out})
 }
 
-func (s *server) session(id string) *sess {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sessions[id]
-}
-
 func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	ss := s.session(r.PathValue("id"))
+	ss := s.sessionFor(w, r)
 	if ss == nil {
-		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	ss.mu.Lock()
+	defer ss.mu.Unlock()
 	resp := map[string]any{"session": ss.id}
 	addSummary(resp, ss)
-	ss.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1320,11 +1372,10 @@ func addSummary(m map[string]any, ss *sess) {
 	m["design"] = d.Name
 	m["edits"] = ss.edits
 	m["state_hash"] = eng.StateHash()
-	if rep := eng.Report(); rep != nil {
-		m["ok"] = rep.OK
-		m["worst_slack"] = timeJSON(rep.WorstSlack())
-		m["slow_elements"] = len(rep.SlowElems)
-	}
+	rep := eng.Report()
+	m["ok"] = rep.OK
+	m["worst_slack"] = timeJSON(rep.WorstSlack())
+	m["slow_elements"] = len(rep.SlowElems)
 	a := eng.Analyzer()
 	m["cells"] = len(d.Instances)
 	m["nets"] = len(a.CD.Nets)
@@ -1342,85 +1393,66 @@ type editJSON struct {
 	Conns map[string]string `json:"conns,omitempty"`
 }
 
-func (e *editJSON) toEdit() (incremental.Edit, error) {
-	var ed incremental.Edit
-	switch e.Op {
-	case "adjust":
-		ed.Op = incremental.Adjust
-		t, err := netlist.ParseTime(e.Delta)
-		if err != nil {
-			return ed, fmt.Errorf("adjust %s: delta: %w", e.Inst, err)
+// toEdits converts a batch of wire edits; the error names the first bad
+// one.
+func toEdits(ejs []editJSON) ([]incremental.Edit, error) {
+	edits := make([]incremental.Edit, len(ejs))
+	for i, e := range ejs {
+		ed := &edits[i]
+		switch e.Op {
+		case "adjust":
+			ed.Op = incremental.Adjust
+			t, err := netlist.ParseTime(e.Delta)
+			if err != nil {
+				return nil, fmt.Errorf("edit %d: adjust %s: delta: %w", i, e.Inst, err)
+			}
+			ed.Delta = t
+		case "resize":
+			ed.Op = incremental.Resize
+		case "replace":
+			ed.Op = incremental.Replace
+		case "add":
+			ed.Op = incremental.AddInst
+			ed.New = &netlist.Instance{Name: e.Inst, Ref: e.Ref, Conns: e.Conns}
+		case "remove":
+			ed.Op = incremental.RemoveInst
+		case "rewire":
+			ed.Op = incremental.Rewire
+		default:
+			return nil, fmt.Errorf("edit %d: unknown op %q", i, e.Op)
 		}
-		ed.Delta = t
-	case "resize":
-		ed.Op = incremental.Resize
-	case "replace":
-		ed.Op = incremental.Replace
-	case "add":
-		ed.Op = incremental.AddInst
-		ed.New = &netlist.Instance{Name: e.Inst, Ref: e.Ref, Conns: e.Conns}
-	case "remove":
-		ed.Op = incremental.RemoveInst
-	case "rewire":
-		ed.Op = incremental.Rewire
-	default:
-		return ed, fmt.Errorf("unknown op %q", e.Op)
+		ed.Inst, ed.To, ed.Pin, ed.Net = e.Inst, e.To, e.Pin, e.Net
 	}
-	ed.Inst = e.Inst
-	ed.To = e.To
-	ed.Pin = e.Pin
-	ed.Net = e.Net
-	return ed, nil
+	return edits, nil
 }
 
 func (s *server) handleEdits(w http.ResponseWriter, r *http.Request) {
-	ss := s.session(r.PathValue("id"))
-	if ss == nil {
-		httpError(w, http.StatusNotFound, "no such session")
-		return
-	}
 	var req struct {
 		Edits []editJSON `json:"edits"`
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, 1<<20, &req) {
 		return
 	}
 	if len(req.Edits) == 0 {
 		httpError(w, http.StatusBadRequest, "no edits")
 		return
 	}
-	edits := make([]incremental.Edit, len(req.Edits))
-	for i := range req.Edits {
-		ed, err := req.Edits[i].toEdit()
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, "edit %d: %v", i, err)
-			return
-		}
-		edits[i] = ed
+	edits, err := toEdits(req.Edits)
+	if err != nil {
+		httpError(w, http.StatusUnprocessableEntity, "%v", err)
+		return
 	}
-	mEditCalls.Inc()
-
 	// The closure owns ss.mu (defer keeps the unlock panic-safe for the
-	// guard's recovery, which re-acquires it); the quarantine and the 503
-	// for a dead journal happen after the lock is released.
-	resp, jerr := func() (map[string]any, error) {
-		ss.mu.Lock()
+	// guard's recovery, which re-acquires it); the response is encoded
+	// after the lock is released.
+	resp := func() map[string]any {
+		ss := s.sessionFor(w, r)
+		if ss == nil {
+			return nil
+		}
 		defer ss.mu.Unlock()
-		if ss.eng == nil {
-			// The session was closed while this request waited on ss.mu.
-			httpError(w, http.StatusNotFound, "session closed")
-			return nil, nil
-		}
-		prevWorst := clock.Inf
-		if rep := ss.eng.Report(); rep != nil {
-			prevWorst = rep.WorstSlack()
-		}
+		mEditCalls.Inc()
+		prevWorst := ss.eng.Report().WorstSlack()
 		t0 := time.Now()
 		out, err := ss.eng.ApplyContext(r.Context(), edits...)
 		elapsed := time.Since(t0)
@@ -1429,19 +1461,17 @@ func (s *server) handleEdits(w http.ResponseWriter, r *http.Request) {
 			// back, the engine still matches the journal, and nothing is
 			// recorded — a client retry applies the batch exactly once.
 			writeAnalysisError(w, "apply", err)
-			return nil, nil
+			return nil
 		}
 		if ss.jw != nil {
 			// Acknowledged edits must be durable: the record is fsynced
 			// before the response. A dead journal poisons the session — its
 			// disk state can no longer be trusted to match the in-memory
-			// engine — so the session stops serving before the lock is
-			// released (eng == nil reads as closed to waiting requests).
-			if jerr := ss.jw.AppendContext(r.Context(), journal.KindEdits, req.Edits); jerr != nil {
-				ss.jw.Close()
-				ss.jw = nil
-				ss.eng = nil
-				return nil, jerr
+			// engine — so it is quarantined before the lock is released.
+			if err := ss.jw.AppendContext(r.Context(), journal.KindEdits, req.Edits); err != nil {
+				s.retire(ss, setAside, fmt.Sprintf("journal append failed: %v", err))
+				httpError(w, http.StatusServiceUnavailable, "journal append failed, session quarantined: %v", err)
+				return nil
 			}
 		}
 		ss.edits += len(edits)
@@ -1464,13 +1494,8 @@ func (s *server) handleEdits(w http.ResponseWriter, r *http.Request) {
 		}
 		resp["changed_nets"] = ss.slackDeltas()
 		ss.rememberSlacks()
-		return resp, nil
+		return resp
 	}()
-	if jerr != nil {
-		s.quarantine(ss.id, fmt.Sprintf("journal append failed: %v", jerr))
-		httpError(w, http.StatusServiceUnavailable, "journal append failed, session quarantined: %v", jerr)
-		return
-	}
 	if resp == nil {
 		return
 	}
@@ -1520,10 +1545,7 @@ func writeAnalysisError(w http.ResponseWriter, op string, err error) {
 // rememberSlacks keeps the current result as the base of the next delta
 // report; callers hold ss.mu.
 func (ss *sess) rememberSlacks() {
-	ss.prevRes, ss.prevNets = nil, nil
-	if rep := ss.eng.Report(); rep != nil {
-		ss.prevRes, ss.prevNets = rep.Result, ss.eng.Analyzer().CD.Nets
-	}
+	ss.prevRes, ss.prevNets = ss.eng.Report().Result, ss.eng.Analyzer().CD.Nets
 }
 
 // slackDeltas lists the nets whose slack moved since the previous
@@ -1537,19 +1559,15 @@ func (ss *sess) rememberSlacks() {
 // they are matched by name, merging the two net tables: both are a
 // binding's sorted names.
 func (ss *sess) slackDeltas() []map[string]any {
-	rep := ss.eng.Report()
-	if rep == nil {
-		return nil
-	}
 	cd := ss.eng.Analyzer().CD
-	nets, res := cd.Nets, rep.Result
+	nets, res, prev := cd.Nets, ss.eng.Report().Result, ss.prevRes
 	type delta struct {
 		net      string
 		now, was clock.Time
 		hasWas   bool
 	}
 	var ds []delta
-	if prev := ss.prevRes; prev != nil && sameNetTable(nets, ss.prevNets) {
+	if sameNetTable(nets, ss.prevNets) {
 		for c, cl := range cd.Clusters {
 			if res.SameSegment(prev, c) {
 				continue
@@ -1607,40 +1625,23 @@ func sameNetTable(a, b []string) bool {
 }
 
 func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
-	ss := s.session(r.PathValue("id"))
+	ss := s.sessionFor(w, r)
 	if ss == nil {
-		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.eng == nil {
-		httpError(w, http.StatusNotFound, "session closed")
-		return
-	}
-	rep := ss.eng.Report()
-	if rep == nil {
-		httpError(w, http.StatusConflict, "no valid analysis (last edit failed to converge)")
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := report.WriteJSON(w, ss.eng.Analyzer(), rep); err != nil {
+	if err := report.WriteJSON(w, ss.eng.Analyzer(), ss.eng.Report()); err != nil {
 		httpError(w, http.StatusInternalServerError, "encode report: %v", err)
 	}
 }
 
 func (s *server) handleConstraints(w http.ResponseWriter, r *http.Request) {
-	ss := s.session(r.PathValue("id"))
+	ss := s.sessionFor(w, r)
 	if ss == nil {
-		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.eng == nil {
-		httpError(w, http.StatusNotFound, "session closed")
-		return
-	}
 	cons, err := ss.eng.ConstraintsContext(r.Context())
 	if err != nil {
 		writeAnalysisError(w, "constraints", err)
@@ -1686,34 +1687,14 @@ func (s *server) handleConstraints(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleClose(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	ss := s.sessions[id]
-	delete(s.sessions, id)
-	s.mu.Unlock()
+	ss := s.sessionFor(w, r)
 	if ss == nil {
-		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
+	defer ss.mu.Unlock()
 	mSessionsClosed.Inc()
-	s.detachStream(id)
-	ss.mu.Lock()
-	eng := ss.eng
-	ss.eng = nil
-	jw := ss.jw
-	ss.jw = nil
-	ss.mu.Unlock()
-	// A deliberate close has nothing left to replay: drop the journal.
-	if jw != nil {
-		jw.Close()
-	}
-	if s.cfg.journal != nil {
-		if err := s.cfg.journal.Remove(id); err != nil {
-			fmt.Fprintf(s.cfg.errLog, "hummingbirdd: remove journal %s: %v\n", id, err)
-		}
-	}
-	parked := s.parkEngine(eng)
-	writeJSON(w, http.StatusOK, map[string]any{"session": id, "closed": true, "parked": parked})
+	parked, _ := s.retire(ss, dropJournal, "")
+	writeJSON(w, http.StatusOK, map[string]any{"session": ss.id, "closed": true, "parked": parked})
 }
 
 // timeJSON renders a clock.Time as a JSON-friendly value: integer

@@ -211,10 +211,10 @@ func splitFrames(body []byte) [][]byte {
 
 // attachStreams wires a session's journal writer to its replication
 // chain: one stream per peer, each primed with every frame already in
-// the file, fanned out behind one journal sink. Called before the
-// session becomes visible to concurrent appenders, so no committed
-// frame can fall between the priming read and the sink attach. The
-// initial flush happens off the request path.
+// the file, fanned out behind one journal sink. Callers hold the
+// session's lock, so no append can race it and no committed frame can
+// fall between the priming read and the sink attach. The initial flush
+// happens off the request path.
 func (s *server) attachStreams(id string, jw *journal.Writer, peers []fleet.Member) {
 	if s.streams == nil || jw == nil || len(peers) == 0 {
 		return
@@ -234,16 +234,6 @@ func (s *server) attachStreams(id string, jw *journal.Writer, peers []fleet.Memb
 	jw.SetSink(ms)
 	s.streams.Attach(id, ms)
 	go ms.Flush()
-}
-
-// detachStream removes and closes the session's replication stream.
-func (s *server) detachStream(id string) {
-	if s.streams == nil {
-		return
-	}
-	if st := s.streams.Detach(id); st != nil {
-		st.Close()
-	}
 }
 
 // handleReplFrames appends streamed journal frames to the session's
@@ -420,50 +410,28 @@ func (s *server) handleReplAdopt(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ss, req, batches, err := s.replaySession(id)
-	if err != nil {
-		s.quarantineUnserved(id, fmt.Sprintf("adopt replay failed: %v", err))
-		httpError(w, http.StatusInternalServerError, "adopt %s: replay: %v", id, err)
-		return
-	}
-	jw, err := s.cfg.journal.Rewrite(id, req, batches)
-	if err != nil {
-		s.quarantineUnserved(id, fmt.Sprintf("adopt rewrite failed: %v", err))
-		httpError(w, http.StatusInternalServerError, "adopt %s: rewrite: %v", id, err)
-		return
-	}
-	ss.jw = jw
-	// Onward replication toward the chain the router designated;
-	// attached before the session is visible so no frame is skipped.
-	s.attachStreams(id, jw, fleet.ParsePeers(r.Header))
-	// The warm compile hold served its purpose: the replay above acquired
-	// its own reference, so releasing here frees nothing prematurely.
+	ss, err := s.restore(id)
+	// The warm compile hold served its purpose: a replay acquired its own
+	// reference, and a failed one set the promoted journal aside.
 	s.dropWarm(id)
-
-	s.mu.Lock()
-	if len(s.sessions) >= s.cfg.maxSessions {
-		s.mu.Unlock()
-		s.detachStream(id)
-		jw.Close()
-		httpError(w, http.StatusServiceUnavailable, "session limit (%d) reached", s.cfg.maxSessions)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "adopt %s: %v", id, err)
 		return
 	}
-	s.sessions[id] = ss
-	// An adopted id bearing this replica's own prefix (the session came
-	// home after a failover round-trip) must keep nextID ahead of it.
-	if rest, ok := strings.CutPrefix(id, s.sidPrefix()); ok {
-		if n, err := strconv.Atoi(rest); err == nil && n > s.nextID {
-			s.nextID = n
-		}
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if err := s.admit(ss, true); err != nil {
+		s.retire(ss, keepJournal, "")
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		return
 	}
-	s.mu.Unlock()
+	// Onward replication toward the chain the router designated.
+	s.attachStreams(id, ss.jw, fleet.ParsePeers(r.Header))
+	records := ss.jw.Seq()
 	mSessionsAdopted.Inc()
-	fmt.Fprintf(s.cfg.errLog, "hummingbirdd: adopted session %s (%d records)\n", id, len(batches)+1)
-	traceID, _ := inboundTraceID(r)
-	s.flight.Record(flight.Info, "repl.adopt", id, traceID, "adopted (%d records)", len(batches)+1)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"session": id, "adopted": true, "records": len(batches) + 1,
-	})
+	fmt.Fprintf(s.cfg.errLog, "hummingbirdd: adopted session %s (%d records)\n", id, records)
+	s.flight.Record(flight.Info, "repl.adopt", id, inboundTraceID(r), "adopted (%d records)", records)
+	writeJSON(w, http.StatusOK, map[string]any{"session": id, "adopted": true, "records": records})
 }
 
 // handleReplRelease drops the session's standby journal (the session
@@ -492,34 +460,25 @@ func (s *server) handleReplInventory(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "replication requires -journal-dir")
 		return
 	}
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.sessions))
-	for id := range s.sessions {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	sort.Strings(ids)
-	live := make([]map[string]any, 0, len(ids))
-	for _, id := range ids {
-		ss := s.session(id)
-		if ss == nil {
+	serving := make([]map[string]any, 0)
+	for _, ss := range s.sessionsByID() {
+		if !ss.live() {
 			continue
 		}
-		ss.mu.Lock()
-		jw, key := ss.jw, ss.designKey
-		ss.mu.Unlock()
 		var seq int64
-		if jw != nil {
-			seq = jw.Seq()
+		if ss.jw != nil {
+			seq = ss.jw.Seq()
 		}
+		key := ss.designKey
+		ss.mu.Unlock()
 		var peers []string
 		if s.streams != nil {
-			if ms := s.streams.Get(id); ms != nil {
+			if ms := s.streams.Get(ss.id); ms != nil {
 				peers = ms.Peers()
 			}
 		}
-		live = append(live, map[string]any{
-			"session": id, "seq": seq, "key": key, "peers": peers,
+		serving = append(serving, map[string]any{
+			"session": ss.id, "seq": seq, "key": key, "peers": peers,
 		})
 	}
 	standby := make([]map[string]any, 0)
@@ -538,7 +497,7 @@ func (s *server) handleReplInventory(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"replica": s.cfg.replicaID, "live": live, "standby": standby,
+		"replica": s.cfg.replicaID, "live": serving, "standby": standby,
 	})
 }
 
@@ -572,43 +531,21 @@ func (s *server) handleReplForget(w http.ResponseWriter, r *http.Request) {
 // each chain hop's residual lag ("hops") so the router knows whether that
 // peer's standby is complete. Step one of a planned migration.
 func (s *server) handlePark(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	ss := s.sessions[id]
-	delete(s.sessions, id)
-	s.mu.Unlock()
+	ss := s.sessionFor(w, r)
 	if ss == nil {
-		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	lag := 0
-	var hops []fleet.HopLag
-	if s.streams != nil {
-		if st := s.streams.Detach(id); st != nil {
-			st.Flush()
-			hops = st.HopLags()
-			lag = st.Lag()
-			st.Close()
-		}
-	}
-	ss.mu.Lock()
-	eng := ss.eng
-	ss.eng = nil
-	jw := ss.jw
-	ss.jw = nil
-	ss.mu.Unlock()
+	defer ss.mu.Unlock()
 	// Unlike close, the journal file stays: it is the session's truth for
 	// the adopt that follows.
-	if jw != nil {
-		jw.Close()
-	}
-	parked := s.parkEngine(eng)
+	parked, hops := s.retire(ss, keepJournal, "")
 	mSessionsParked.Inc()
-	traceID, _ := inboundTraceID(r)
-	s.flight.Record(flight.Info, "session.park", id, traceID, "parked (stream lag %d)", lag)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"session": id, "parked": parked, "hops": hops,
-	})
+	lag := 0
+	for _, h := range hops {
+		lag = max(lag, h.Lag)
+	}
+	s.flight.Record(flight.Info, "session.park", ss.id, inboundTraceID(r), "parked (stream lag %d)", lag)
+	writeJSON(w, http.StatusOK, map[string]any{"session": ss.id, "parked": parked, "hops": hops})
 }
 
 // handleJournalExport serves the session's framed journal bytes — live
@@ -644,29 +581,4 @@ func (s *server) handleJournalExport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Hb-Frames", strconv.Itoa(len(frames)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(bytes.Join(frames, nil))
-}
-
-// parkEngine transfers a detached engine into the parked-state LRU;
-// reports whether the cache kept it. Engines without a report (never
-// analyzed), cache rejections, and LRU evictions release their
-// shared-design reference — ownership mirrors handleClose exactly.
-func (s *server) parkEngine(eng *incremental.Engine) bool {
-	if eng == nil {
-		return false
-	}
-	if eng.Report() == nil {
-		eng.ReleaseShared()
-		return false
-	}
-	s.mu.Lock()
-	evicted, stored := s.cache.put(eng.StateHash(), eng)
-	s.mu.Unlock()
-	if !stored {
-		eng.ReleaseShared()
-	}
-	if evicted != nil {
-		mCacheEvictions.Inc()
-		evicted.ReleaseShared()
-	}
-	return stored
 }

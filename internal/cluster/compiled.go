@@ -15,10 +15,9 @@ type CompiledCluster struct {
 	// index within Nets. The arc adjacency the kernels walk is the
 	// cluster's own CSR (Cluster.ArcStart/ArcIdx).
 	OrderLocal []int32
-	// FromLocal/ToLocal give each arc's endpoints as local net indices,
-	// parallel to Cluster.Arcs.
-	FromLocal []int32
-	ToLocal   []int32
+	// ToLocal gives each arc's driven net as a local net index, parallel
+	// to Cluster.Arcs.
+	ToLocal []int32
 	// InLocal/OutLocal give each Input's/Output's net as a local index,
 	// parallel to Cluster.Inputs/Outputs.
 	InLocal  []int32
@@ -263,7 +262,6 @@ func (nw *Network) compileCluster(cl *Cluster) *CompiledCluster {
 	cc := &CompiledCluster{
 		Cluster:    cl,
 		OrderLocal: make([]int32, len(cl.Order)),
-		FromLocal:  make([]int32, len(cl.Arcs)),
 		ToLocal:    make([]int32, len(cl.Arcs)),
 		InLocal:    make([]int32, len(cl.Inputs)),
 		OutLocal:   make([]int32, len(cl.Outputs)),
@@ -272,7 +270,6 @@ func (nw *Network) compileCluster(cl *Cluster) *CompiledCluster {
 		cc.OrderLocal[i] = nw.NetLocal[netID]
 	}
 	for ai := range cl.Arcs {
-		cc.FromLocal[ai] = nw.NetLocal[cl.Arcs[ai].From]
 		cc.ToLocal[ai] = nw.NetLocal[cl.Arcs[ai].To]
 	}
 	for i, in := range cl.Inputs {

@@ -308,25 +308,6 @@ func (r *Router) startOp(name string) (ctx context.Context, tr *span.Trace, fini
 	}
 }
 
-// FlightRecorder exposes the router's event ring (read-mostly; tests
-// and embedding binaries).
-func (r *Router) FlightRecorder() *flight.Recorder { return r.flight }
-
-// validTraceID mirrors the daemon's inbound trace-id validation.
-func validTraceID(id string) bool {
-	if id == "" || len(id) > 64 {
-		return false
-	}
-	for _, r := range id {
-		ok := r == '.' || r == '_' || r == '-' ||
-			(r >= '0' && r <= '9') || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // release drops the session's standby journal on each listed member
 // the router still knows.
 func (r *Router) release(ctx context.Context, sid string, ids ...string) {
@@ -1583,7 +1564,7 @@ func (r *Router) handleFleetStatus(w http.ResponseWriter, _ *http.Request) {
 // tree as JSON.
 func (r *Router) handleFleetTrace(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	if !validTraceID(id) {
+	if !span.ValidID(id) {
 		httpError(w, http.StatusBadRequest, "bad trace id")
 		return
 	}

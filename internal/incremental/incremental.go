@@ -251,9 +251,6 @@ func (e *Engine) Design() *netlist.Design { return e.design }
 // CompiledDesign returns the analyzer's current compiled design.
 func (e *Engine) CompiledDesign() *cluster.CompiledDesign { return e.an.CD }
 
-// SharedCompiled reports whether the compiled design is still shared.
-func (e *Engine) SharedCompiled() bool { return e.sharedCD }
-
 // ShareCompiled marks the engine's compiled design as shared and installs
 // the reference-drop callback — the cold-open half of a compile cache:
 // open privately, publish the compiled design, then mark it shared so a
@@ -302,8 +299,9 @@ func (e *Engine) unshare() error {
 // library). It is replaced by topology edits — re-fetch after Apply.
 func (e *Engine) Analyzer() *core.Analyzer { return e.an }
 
-// Report returns the Algorithm 1 report for the current state, or nil if
-// the last analysis failed (the next Apply or Constraints call rebuilds).
+// Report returns the Algorithm 1 report for the current state. It is
+// never nil on an engine Open returned: a failed batch leaves the previous
+// report in place.
 func (e *Engine) Report() *core.Report { return e.rep }
 
 // Options returns the cumulative options (base options plus every
@@ -330,11 +328,6 @@ func (e *Engine) Constraints() (*core.Constraints, error) {
 func (e *Engine) ConstraintsContext(ctx context.Context) (*core.Constraints, error) {
 	if e.cons != nil {
 		return e.cons, nil
-	}
-	if e.rep == nil {
-		if err := e.loadFull(ctx); err != nil {
-			return nil, err
-		}
 	}
 	cons, err := e.an.GenerateConstraintsFromCtx(ctx, e.rep.Result.Clone())
 	e.restoreOffsets()
@@ -366,11 +359,6 @@ func (e *Engine) ApplyContext(ctx context.Context, edits ...Edit) (*Outcome, err
 	}
 	if len(edits) == 0 {
 		return &Outcome{Incremental: true, Report: e.rep}, nil
-	}
-	if e.rep == nil {
-		if err := e.loadFull(ctx); err != nil {
-			return nil, err
-		}
 	}
 	_, csp := span.Start(ctx, "incr.classify")
 	csp.AnnotateInt("edits", len(edits))
@@ -841,8 +829,8 @@ func (e *Engine) editedCopy(edits []Edit) (*netlist.Design, map[string]clock.Tim
 
 // loadFull re-elaborates the current design and runs a full analysis,
 // refreshing every cache but the topology checksum, which its callers
-// keep. The engine's previous state survives a failed or interrupted
-// elaboration; a non-convergent fixed point invalidates the report.
+// keep. The engine's previous state, report included, survives a failed,
+// interrupted or non-convergent analysis.
 func (e *Engine) loadFull(ctx context.Context) error {
 	mFullAnalyses.Inc()
 	mCacheMisses.Inc()

@@ -82,13 +82,6 @@ func DefaultMix() map[string]float64 {
 	}
 }
 
-// ResizePair names an instance and the cell to flip it to and back —
-// the payload of a delay-only resize exercise (unused by the default
-// mix, available to custom mixes via edit_delay instance lists).
-type ResizePair struct {
-	Inst, From, To string
-}
-
 // Config parameterises one load run.
 type Config struct {
 	// BaseURL of the target daemon, e.g. "http://127.0.0.1:7077".
@@ -1013,19 +1006,6 @@ func (r *runner) closeAll(ctx context.Context) {
 		}(id)
 	}
 	wg.Wait()
-}
-
-// OverallErrorRate is the failed fraction across all classes (CI gate).
-func (r *Result) OverallErrorRate() float64 {
-	var ops, failed int64
-	for _, c := range r.Classes {
-		ops += c.Completed
-		failed += c.Failed
-	}
-	if ops == 0 {
-		return 0
-	}
-	return float64(failed) / float64(ops)
 }
 
 // Failed5xx sums 5xx + transport failures across classes.

@@ -45,7 +45,7 @@ func compiledFootprint(cd *cluster.CompiledDesign, st *AnalysisState) int64 {
 	for _, cc := range cd.CC {
 		total += int64(unsafe.Sizeof(*cc))
 		for _, s := range [][]int32{cc.OrderLocal, cc.ArcStart, cc.ArcIdx,
-			cc.FromLocal, cc.ToLocal, cc.InLocal, cc.OutLocal} {
+			cc.ToLocal, cc.InLocal, cc.OutLocal} {
 			slice(len(s), 4)
 		}
 	}

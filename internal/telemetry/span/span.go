@@ -47,6 +47,25 @@ const TraceIDHeader = "X-Trace-Id"
 // which remote span it nests under.
 const ParentSpanHeader = "X-Hb-Parent-Span"
 
+// ValidID reports whether a trace or span id that arrived from outside
+// the process may be adopted: 1 to 64 bytes of [A-Za-z0-9._-]. Ids name
+// log lines, trace files and URL paths, so a caller's header is never
+// taken verbatim.
+func ValidID(id string) bool {
+	if id == "" || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
+			c == '-', c == '_', c == '.':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // ctxKey carries the current *Span through a context chain.
 type ctxKey struct{}
 

@@ -199,3 +199,31 @@ func TestWriteJSONAndChrome(t *testing.T) {
 		}
 	}
 }
+
+func TestValidID(t *testing.T) {
+	for _, tc := range []struct {
+		id   string
+		want bool
+	}{
+		{"", false},
+		{strings.Repeat("a", 64), true},
+		{strings.Repeat("a", 65), false},
+		{"abcxyz", true},
+		{"ABCXYZ", true},
+		{"0189", true},
+		{"-", true},
+		{"_", true},
+		{".", true},
+		{"lx3k9-1f.r2_s4", true},
+		{"a/b", false},
+		{"../etc", false},
+		{"a b", false},
+		{"trace\n", false},
+		{"träce", false},
+		{"\xff", false},
+	} {
+		if got := ValidID(tc.id); got != tc.want {
+			t.Errorf("ValidID(%q) = %v, want %v", tc.id, got, tc.want)
+		}
+	}
+}

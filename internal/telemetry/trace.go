@@ -54,10 +54,6 @@ func NewTracer(w io.Writer) *Tracer {
 	return &Tracer{logger: slog.New(h)}
 }
 
-// NewTracerWithLogger builds a tracer emitting through an existing slog
-// logger (for embedding the trace in an application's log stream).
-func NewTracerWithLogger(l *slog.Logger) *Tracer { return &Tracer{logger: l} }
-
 // Sweep emits one convergence event.
 func (t *Tracer) Sweep(ev SweepEvent) {
 	if t == nil || t.logger == nil {
