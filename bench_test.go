@@ -7,6 +7,7 @@ package hummingbird
 // EXPERIMENTS.md. Pretty-printed tables come from cmd/benchtables.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -422,6 +423,86 @@ func BenchmarkScaling_500(b *testing.B)  { benchScaling(b, 500) }
 func BenchmarkScaling_1000(b *testing.B) { benchScaling(b, 1000) }
 func BenchmarkScaling_2000(b *testing.B) { benchScaling(b, 2000) }
 func BenchmarkScaling_4000(b *testing.B) { benchScaling(b, 4000) }
+
+// tight scales a design's clocks to 22%: the failing regime, near the
+// clock, in which Algorithm 3 works and Algorithm 1 runs its backward
+// iteration for hundreds to thousands of sweeps.
+func tight(b *testing.B, d *netlist.Design) *netlist.Design {
+	b.Helper()
+	d, err := core.ScaleClocks(d, 22, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// countSweeps turns telemetry on for the benchmark and, when it ends,
+// reports the fixed-point sweeps and the elements they visited per op.
+func countSweeps(b *testing.B) {
+	telemetry.Enable()
+	c0 := telemetry.Snapshot().Counters
+	b.Cleanup(func() {
+		telemetry.Disable()
+		c := telemetry.Snapshot().Counters
+		n := float64(b.N)
+		b.ReportMetric(float64(c["core.sweeps"]-c0["core.sweeps"])/n, "sweeps/op")
+		b.ReportMetric(float64(c["core.elements_visited"]-c0["core.elements_visited"])/n, "visited/op")
+	})
+}
+
+// BenchmarkIdentify_TightSoC is a fresh Algorithm 1 on the 100k-cell SoC
+// with its clocks at 22%: 4 forward and 3,182 backward sweeps, ending
+// with 78 slow paths. Each partial iteration stops at its first sweep
+// that moves nothing, and every sweep after an iteration's first visits
+// only the elements whose inputs the sweep before changed.
+func BenchmarkIdentify_TightSoC(b *testing.B) {
+	a := loadOnce(b, tight(b, mustGen(workload.SoCCells(100_000, 1))))
+	countSweeps(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.ResetOffsets()
+		rep, err := a.IdentifySlowPaths()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.OK || rep.BackwardSweeps < 1000 {
+			b.Fatalf("tight SoC: ok %v after %d backward sweeps; the fixture no longer fails", rep.OK, rep.BackwardSweeps)
+		}
+	}
+}
+
+// BenchmarkIncrementalEdit_TightSoC is Algorithm 3's edit loop on a
+// failing design: seeded ±50..200ps adjusts of combinational gates on
+// SoC(8, 8, 4, 3) with its clocks at 22%, each running Algorithm 1 to a
+// fixed point of about two hundred sweeps, which replay the previous
+// edit's run. An edit the fixed point cannot settle within MaxSweeps is
+// refused, leaving the engine as it was, and counts as an op.
+func BenchmarkIncrementalEdit_TightSoC(b *testing.B) {
+	eng, err := incremental.Open(benchLib, tight(b, mustGen(workload.SoC(8, 8, 4, 3))), core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var targets []string
+	for _, inst := range eng.Design().Instances {
+		if c := benchLib.Cell(inst.Ref); c != nil && !c.IsSync() && len(inst.Conns) > 1 {
+			targets = append(targets, inst.Name)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	countSweeps(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := clock.Time(1+rng.Intn(4)) * 50 * clock.Ps
+		if rng.Intn(2) == 0 {
+			d = -d
+		}
+		_, err := eng.Apply(incremental.Edit{Op: incremental.Adjust, Inst: targets[rng.Intn(len(targets))], Delta: d})
+		var nc *core.NonConvergenceError
+		if err != nil && !errors.As(err, &nc) {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkSTA_Sweep isolates one block-analysis sweep over the DES-sized
 // network — the inner loop whose cost dominates Table 1's analysis column.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -196,15 +197,100 @@ func TestRetiredSessionReadsClosed(t *testing.T) {
 // waitOnMutex waits until a goroutine running fn is parked on a mutex.
 func waitOnMutex(t *testing.T, fn string) {
 	t.Helper()
+	waitParked(t, fn, "[sync.Mutex.Lock")
+}
+
+// waitParked waits until a goroutine running fn is parked with the given
+// wait reason, as its stack trace's header shows it.
+func waitParked(t *testing.T, fn, reason string) {
+	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, fn) {
+			if strings.Contains(g, reason) && strings.Contains(g, fn) {
 				return
 			}
 		}
 	}
-	t.Fatalf("no goroutine in %s blocked on a mutex", fn)
+	t.Fatalf("no goroutine in %s parked in %s", fn, reason)
+}
+
+// TestOpenRacesAdoptOfOwnID opens a session while an adopt replays the
+// journal of a session coming home under this replica's next own-form
+// id. The adopt claims the id before its replay, so the open gets the
+// next one: the two sessions end live, with distinct ids and journal
+// paths.
+func TestOpenRacesAdoptOfOwnID(t *testing.T) {
+	srv := newServer(celllib.Default(), serverConfig{maxSessions: 4, replicaID: "r1", journal: newJournal(t, t.TempDir())})
+	h := srv.handler()
+	const home = "r1-s1" // what the allocator hands out next
+	jw, err := srv.cfg.journal.Create(home, &openRequest{Design: pipeSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jw.Close()
+	// The adopt's replay sleeps in its first cluster analysis; the open
+	// runs meanwhile, past the spent failpoint.
+	arm(t, "sta.cluster", "1*sleep(300ms)")
+	adopted := make(chan answerOf, 1)
+	go func() {
+		status, m := serve(h, "POST", "/v1/replication/sessions/"+home+"/adopt", nil)
+		adopted <- answerOf{status, m}
+	}()
+	waitParked(t, "handleReplAdopt", "[sleep")
+	status, m := serve(h, "POST", "/v1/sessions", map[string]any{"design": pipeSrc})
+	if status != http.StatusCreated {
+		t.Fatalf("open during the adopt: %d %v", status, m)
+	}
+	opened := m["session"].(string)
+	if a := <-adopted; a.status != http.StatusOK || a.body["adopted"] != true {
+		t.Fatalf("adopt: %d %v", a.status, a.body)
+	}
+	if opened == home {
+		t.Fatalf("the open took the adopted session's id %s", home)
+	}
+	if srv.cfg.journal.Path(opened) == srv.cfg.journal.Path(home) {
+		t.Fatalf("sessions %s and %s share the journal %s", opened, home, srv.cfg.journal.Path(home))
+	}
+	for _, id := range []string{home, opened} {
+		if status, m := serve(h, "GET", "/v1/sessions/"+id, nil); status != http.StatusOK {
+			t.Fatalf("session %s after the race: %d %v", id, status, m)
+		}
+	}
+	srv.mu.Lock()
+	live := len(srv.sessions)
+	srv.mu.Unlock()
+	if live != 2 {
+		t.Fatalf("%d sessions live after an open and an adopt, want 2", live)
+	}
+}
+
+// TestAdmitRefusesLiveID admits a session under an id another live
+// session holds: admit refuses it with errLiveID, answered 409, and the
+// live session keeps its place in the table.
+func TestAdmitRefusesLiveID(t *testing.T) {
+	srv := newServer(celllib.Default(), serverConfig{maxSessions: 4})
+	h := srv.handler()
+	status, m := serve(h, "POST", "/v1/sessions", map[string]any{"design": pipeSrc})
+	if status != http.StatusCreated {
+		t.Fatalf("open: %d %v", status, m)
+	}
+	id := m["session"].(string)
+	live := srv.session(id)
+	twin := &sess{id: id, created: time.Now()}
+	err := srv.admit(twin, true)
+	if !errors.Is(err, errLiveID) {
+		t.Fatalf("admit of a live id: %v, want errLiveID", err)
+	}
+	rec := httptest.NewRecorder()
+	refuseAdmission(rec, err)
+	if rec.Code != http.StatusConflict {
+		t.Fatalf("refused admission answered %d, want 409", rec.Code)
+	}
+	srv.retire(twin, keepJournal, "")
+	if srv.session(id) != live {
+		t.Fatal("retiring the refused twin took the live session out of the table")
+	}
 }
 
 // TestSessionLimitUnderConcurrentOpens opens more sessions at once than

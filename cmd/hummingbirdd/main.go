@@ -900,12 +900,16 @@ const (
 	setAside                // fault: kept for post-mortem, never replayed; the id answers 503 until a DELETE
 )
 
+// errLiveID is admit's refusal of an id another live session holds.
+var errLiveID = errors.New("session id already live")
+
 // admit puts ss in service: the one way in, for opens, recoveries and
 // adopts. Under one hold of s.mu it checks the session limit (limit false
 // exempts a recovered session, admitted before the restart), gives ss a
-// fresh id when it brings none, claims the id and inserts the session.
-// Callers that still attach a journal or streams hold ss.mu, so no
-// request uses the session before it is complete.
+// fresh id when it brings none, refuses an id that is already live
+// (errLiveID), claims the id and inserts the session. Callers that still
+// attach a journal or streams hold ss.mu, so no request uses the session
+// before it is complete.
 func (s *server) admit(ss *sess, limit bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -915,9 +919,22 @@ func (s *server) admit(ss *sess, limit bool) error {
 	if ss.id == "" {
 		ss.id = s.sidPrefix() + strconv.Itoa(s.nextID+1)
 	}
+	if _, live := s.sessions[ss.id]; live {
+		return fmt.Errorf("%w: %s", errLiveID, ss.id)
+	}
 	s.claim(ss.id)
 	s.sessions[ss.id] = ss
 	return nil
+}
+
+// refuseAdmission answers a refused admit: 409 for an id already live,
+// 503 for the session limit.
+func refuseAdmission(w http.ResponseWriter, err error) {
+	status := http.StatusServiceUnavailable
+	if errors.Is(err, errLiveID) {
+		status = http.StatusConflict
+	}
+	httpError(w, status, "%v", err)
 }
 
 // claim keeps the id allocator past id when id has this replica's own
@@ -943,7 +960,8 @@ func (s *server) claim(id string) {
 // is how the requests waiting on ss.mu see it closed.
 func (s *server) retire(ss *sess, f fate, diag string) (parked bool, hops []fleet.HopLag) {
 	s.mu.Lock()
-	if s.sessions[ss.id] == ss {
+	admitted := s.sessions[ss.id] == ss
+	if admitted {
 		delete(s.sessions, ss.id)
 	}
 	if f == setAside {
@@ -953,7 +971,9 @@ func (s *server) retire(ss *sess, f fate, diag string) (parked bool, hops []flee
 		s.flight.Record(flight.Error, "session.quarantine", ss.id, "", "%s", diag)
 	}
 	s.mu.Unlock()
-	if s.streams != nil {
+	// Streams attach after admission, and a refused session's id may be
+	// another live session's.
+	if admitted && s.streams != nil {
 		if st := s.streams.Detach(ss.id); st != nil {
 			if f == keepJournal {
 				st.Flush()
@@ -1188,7 +1208,7 @@ func (s *server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	defer ss.mu.Unlock()
 	if err := s.admit(ss, true); err != nil {
 		s.retire(ss, keepJournal, "")
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		refuseAdmission(w, err)
 		return
 	}
 	if s.cfg.journal != nil {
@@ -1263,7 +1283,11 @@ func (s *server) recoverSessions() int {
 	restored := 0
 	for _, id := range ids {
 		if ss, err := s.restore(id); err == nil {
-			s.admit(ss, false)
+			if err := s.admit(ss, false); err != nil {
+				fmt.Fprintf(s.cfg.errLog, "hummingbirdd: recover %s: %v\n", id, err)
+				s.retire(ss, keepJournal, "")
+				continue
+			}
 			mReplayed.Inc()
 			restored++
 		}

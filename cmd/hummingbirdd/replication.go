@@ -410,6 +410,12 @@ func (s *server) handleReplAdopt(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Claim the id before the replay: an id of this replica's own form (a
+	// session coming home) must not be handed to an open meanwhile, which
+	// would share its journal path.
+	s.mu.Lock()
+	s.claim(id)
+	s.mu.Unlock()
 	ss, err := s.restore(id)
 	// The warm compile hold served its purpose: a replay acquired its own
 	// reference, and a failed one set the promoted journal aside.
@@ -422,7 +428,7 @@ func (s *server) handleReplAdopt(w http.ResponseWriter, r *http.Request) {
 	defer ss.mu.Unlock()
 	if err := s.admit(ss, true); err != nil {
 		s.retire(ss, keepJournal, "")
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		refuseAdmission(w, err)
 		return
 	}
 	// Onward replication toward the chain the router designated.

@@ -15,7 +15,6 @@ package core
 
 import (
 	"context"
-	"math/bits"
 	"time"
 
 	"hummingbird/internal/celllib"
@@ -26,7 +25,6 @@ import (
 	"hummingbird/internal/sta"
 	"hummingbird/internal/syncelem"
 	"hummingbird/internal/telemetry"
-	"hummingbird/internal/telemetry/span"
 )
 
 // Options tunes the analyzer.
@@ -94,8 +92,10 @@ type Analyzer struct {
 
 	// dirty/dirtyIDs are sweep's reusable dirty-cluster bitset and sorted
 	// id scratch, so fixed-point sweeps stop allocating on the hot path.
-	dirty    []uint64
+	dirty    bitset
 	dirtyIDs []int
+	// run is the sweep machinery of the current fixed-point run (sweep.go).
+	run sweepRun
 
 	// conv is the convergence trail of the current fixed-point run (see
 	// trace.go); reset at the top of IdentifySlowPaths and
@@ -109,86 +109,8 @@ func newAnalyzer(lib *celllib.Library, design *netlist.Design, cd *cluster.Compi
 		Lib: lib, Design: design, CD: cd,
 		St:    sta.NewState(cd),
 		Opts:  opts,
-		dirty: make([]uint64, (len(cd.Network.Clusters)+63)/64),
+		dirty: newBitset(len(cd.Network.Clusters)),
 	}
-}
-
-// transfer is one slack-transfer operation of §6 on an element's offset,
-// given the terminal slack it reads: it returns the new offset and the
-// amount moved. The element's pure *At operations are transfers.
-type transfer func(e *syncelem.Element, odz, slack clock.Time) (clock.Time, clock.Time)
-
-// The terminal slack a transfer reads: the element's data input's or its
-// output's.
-const (
-	inSlack  = true
-	outSlack = false
-)
-
-// sweep applies op once to every element against the current result,
-// reading each element's InSlack (in == inSlack) or OutSlack, then
-// refreshes res — incrementally over the touched clusters unless
-// FullSweeps is set. The clusters a moved element dirties are the owners
-// of its terminals in the result layout. It returns how many element
-// offsets moved and how many clusters were recomputed. iter and k name
-// the fixed-point iteration and the sweep's index within it, labelling
-// the per-sweep request span (each sweep of a traced request becomes one
-// "core.sweep" child whose own child is the sta recompute it triggered).
-// The re-analysis is abandoned mid-sweep when ctx expires, returning the
-// cause — res is then stale and must be discarded.
-func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Result, op transfer, in bool) (*sta.Result, int, int, error) {
-	mSweeps.Inc()
-	sctx, sp := span.Start(ctx, "core.sweep")
-	sp.Annotate("iteration", iter)
-	sp.AnnotateInt("sweep", k)
-	defer sp.End()
-	// The dirty-cluster set is a reusable bitset on the analyzer: one
-	// sweep runs per fixed-point step, so a per-call map is hot-path
-	// garbage.
-	clear(a.dirty)
-	mark := func(c int32) {
-		if c >= 0 {
-			a.dirty[c>>6] |= 1 << (uint(c) & 63)
-		}
-	}
-	lay, elems, odz := a.CD.Layout, a.CD.Elems, a.St.Odz
-	moved := 0
-	for e := range odz {
-		var slack, amt clock.Time
-		if in {
-			slack = res.InSlack(e)
-		} else {
-			slack = res.OutSlack(e)
-		}
-		if odz[e], amt = op(elems[e], odz[e], slack); amt > 0 {
-			moved++
-			mark(lay.InCluster[e])
-			mark(lay.OutCluster[e])
-		}
-	}
-	sp.AnnotateInt("moved", moved)
-	if moved == 0 {
-		return res, 0, 0, nil
-	}
-	mOffsetsMoved.Add(int64(moved))
-	if a.Opts.FullSweeps {
-		mFullSweeps.Inc()
-		r, err := sta.AnalyzeContext(sctx, a.CD, a.St, a.Opts.Workers)
-		return r, moved, len(a.CD.CC), err
-	}
-	ids := a.dirtyIDs[:0]
-	for w, word := range a.dirty {
-		for ; word != 0; word &= word - 1 {
-			ids = append(ids, w*64+bits.TrailingZeros64(word))
-		}
-	}
-	a.dirtyIDs = ids
-	mIncrClusters.Add(int64(len(ids)))
-	mIncrSkipped.Add(int64(len(a.CD.CC) - len(ids)))
-	if err := sta.RecomputeContext(sctx, a.CD, a.St, res, ids, a.Opts.Workers); err != nil {
-		return nil, moved, len(ids), err
-	}
-	return res, moved, len(ids), nil
 }
 
 // Load validates a design, resolves its hierarchy (rolling combinational
@@ -302,7 +224,7 @@ func (a *Analyzer) IdentifySlowPaths() (*Report, error) {
 		a.conv.reset(a.Opts.Trace != nil)
 		return nil, a.cancelled("", 0, err)
 	}
-	return a.identifySlowPathsFrom(ctx, res)
+	return a.identifySlowPathsFrom(ctx, res, nil)
 }
 
 // IdentifySlowPathsFrom is IdentifySlowPathsFromCtx without a deadline.
@@ -322,13 +244,39 @@ func (a *Analyzer) IdentifySlowPathsFrom(res *sta.Result) (*Report, error) {
 func (a *Analyzer) IdentifySlowPathsFromCtx(ctx context.Context, res *sta.Result) (*Report, error) {
 	t0 := time.Now()
 	defer func() { tAnalysis.Observe(time.Since(t0)) }()
-	return a.identifySlowPathsFrom(ctx, res)
+	return a.identifySlowPathsFrom(ctx, res, nil)
+}
+
+// IdentifySlowPathsReplay is the incremental engine's Algorithm 1: it
+// runs from base, the block analysis at the initial offsets, which the
+// analyzer's offsets must hold, and keeps the run in t. When t's last run
+// started from a result of base's layout, this run replays it as a diff
+// (see sweep); on success the record of this run replaces it in t. base
+// is not written: the report's result is a clone the fixed point moved.
+// Errors are IdentifySlowPathsFromCtx's, and leave t as it was.
+func (a *Analyzer) IdentifySlowPathsReplay(ctx context.Context, base *sta.Result, t *Trajectory) (*Report, error) {
+	t0 := time.Now()
+	defer func() { tAnalysis.Observe(time.Since(t0)) }()
+	rep, err := a.identifySlowPathsFrom(ctx, base, t)
+	if err != nil {
+		return nil, err
+	}
+	t.last, t.rec = t.rec, t.last
+	t.rec.reset(nil)
+	return rep, nil
 }
 
 // identifySlowPathsFrom is Algorithm 1; every sweep is interruptible, with
-// interruptions surfaced as *CancelledError.
-func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result) (*Report, error) {
+// interruptions surfaced as *CancelledError. With a trajectory t, res is
+// the run's base, replayed against and recorded into t (see startRun), and
+// the fixed point moves a clone of it.
+func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result, t *Trajectory) (*Report, error) {
 	a.conv.reset(a.Opts.Trace != nil)
+	a.startRun(t, res)
+	defer a.stopRun()
+	if t != nil {
+		res = res.Clone()
+	}
 	rep := &Report{}
 
 	// Iteration 1: complete forward slack transfer to a fixed point.
@@ -378,7 +326,9 @@ func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result) (
 	// Iteration 3: one partial forward transfer per complete backward
 	// cycle made; iteration 4: one partial backward per forward cycle.
 	// These return some time to every fast-enough path so it ends with
-	// strictly positive slack (§6).
+	// strictly positive slack (§6). Each stops at its first sweep that
+	// moves nothing: that sweep changed no offset and no slack, so every
+	// later sweep of the same transfer would move nothing either.
 	for k := 0; k < rep.BackwardSweeps; k++ {
 		start := a.sweepStart()
 		var moved, recomputed int
@@ -390,6 +340,9 @@ func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result) (
 			return nil, a.cancelled("partial-forward", k, err)
 		}
 		a.record("partial-forward", k, moved, recomputed, res, start)
+		if moved == 0 {
+			break
+		}
 	}
 	for k := 0; k < rep.ForwardSweeps; k++ {
 		start := a.sweepStart()
@@ -402,6 +355,9 @@ func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result) (
 			return nil, a.cancelled("partial-backward", k, err)
 		}
 		a.record("partial-backward", k, moved, recomputed, res, start)
+		if moved == 0 {
+			break
+		}
 	}
 
 	// Final step: all node slacks are current in res (sweep keeps them up

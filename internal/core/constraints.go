@@ -75,6 +75,8 @@ func (a *Analyzer) GenerateConstraintsFromCtx(ctx context.Context, res *sta.Resu
 // generateConstraintsFrom is Algorithm 2; every sweep is interruptible.
 func (a *Analyzer) generateConstraintsFrom(ctx context.Context, res *sta.Result) (*Constraints, error) {
 	a.conv.reset(a.Opts.Trace != nil)
+	a.startRun(nil, nil)
+	defer a.stopRun()
 	c := &Constraints{}
 
 	// Iteration 1: snatch time backward across all synchronising elements

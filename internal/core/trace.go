@@ -14,11 +14,13 @@ import (
 // incremental-vs-full recompute split are the measurements the
 // Options.FullSweeps tradeoff (ablation A6) is decided by.
 var (
-	mSweeps       = telemetry.NewCounter("core.sweeps")
-	mOffsetsMoved = telemetry.NewCounter("core.offsets_moved")
-	mFullSweeps   = telemetry.NewCounter("core.full_recomputes")
-	mIncrClusters = telemetry.NewCounter("core.incremental_clusters")
-	mIncrSkipped  = telemetry.NewCounter("core.incremental_clusters_skipped")
+	mSweeps         = telemetry.NewCounter("core.sweeps")
+	mOffsetsMoved   = telemetry.NewCounter("core.offsets_moved")
+	mElemsVisited   = telemetry.NewCounter("core.elements_visited")
+	mSweepsReplayed = telemetry.NewCounter("core.sweeps_replayed")
+	mFullSweeps     = telemetry.NewCounter("core.full_recomputes")
+	mIncrClusters   = telemetry.NewCounter("core.incremental_clusters")
+	mIncrSkipped    = telemetry.NewCounter("core.incremental_clusters_skipped")
 
 	tLoad        = telemetry.NewTimer("phase.load")
 	tAnalysis    = telemetry.NewTimer("phase.analysis")

@@ -23,8 +23,11 @@ import (
 // dirty-cluster ids are reused across edits; a regression here (a
 // per-call map, a third result clone, sort.Slice garbage) trips the guard.
 // On the SoC every edit's fixed point moves 263 offsets and re-dirties the
-// clusters around them; the replay reuses those from the previous fixed
-// point, so re-analyzing them (one segment each) trips it too. The SoC row
+// clusters around them; the replay of the previous edit's run takes their
+// segments from it, so re-analyzing them (one segment each) trips it too.
+// The engine's two trajectory records swap buffers, so recording the run
+// allocates nothing once they have grown: a record reallocated per edit
+// trips it as well. The SoC row
 // also bounds the bytes an edit allocates: 1.5× two segment slices (one
 // header per cluster) plus the edited cluster's two fresh segments (its
 // kernel runs in the base, then in the first sweep). Clones share

@@ -27,9 +27,9 @@ func TestEquivalenceRandomEdits(t *testing.T) {
 		name  string
 		build func() (*netlist.Design, error)
 		edits int
-		// reuse: the fixed point moves offsets on every delay edit, so
-		// its replay must copy clusters from the previous fixed point.
-		reuse bool
+		// replay: the fixed point moves offsets on every delay edit, so
+		// its run must replay the previous edit's sweeps.
+		replay bool
 	}{
 		{"Figure1", infallible(workload.Figure1), 8, false},
 		{"SM1F", infallible(workload.SM1F), 8, false},
@@ -45,11 +45,11 @@ func TestEquivalenceRandomEdits(t *testing.T) {
 			if testing.Short() {
 				edits = 2
 			}
-			var reused0 int64
-			if tc.reuse {
+			var replayed0 int64
+			if tc.replay {
 				telemetry.Enable()
 				t.Cleanup(telemetry.Disable)
-				reused0 = reusedClusters()
+				replayed0 = replayedSweeps()
 			}
 			lib := celllib.Default()
 			d, err := tc.build()
@@ -79,17 +79,17 @@ func TestEquivalenceRandomEdits(t *testing.T) {
 			if incr == 0 {
 				t.Errorf("randomized sequence never exercised the incremental path (%d full)", full)
 			}
-			if tc.reuse && reusedClusters() == reused0 {
-				t.Errorf("%d incremental edits reused no cluster of the previous fixed point", incr)
+			if tc.replay && replayedSweeps() == replayed0 {
+				t.Errorf("%d incremental edits replayed no sweep of the previous run", incr)
 			}
 			t.Logf("%s: %d incremental, %d full-rebuild edits", tc.name, incr, full)
 		})
 	}
 }
 
-// reusedClusters reads the sta.clusters_reused counter (telemetry must be
+// replayedSweeps reads the core.sweeps_replayed counter (telemetry must be
 // enabled for it to count).
-func reusedClusters() int64 { return telemetry.Snapshot().Counters["sta.clusters_reused"] }
+func replayedSweeps() int64 { return telemetry.Snapshot().Counters["core.sweeps_replayed"] }
 
 // verifyAgainstScratch loads the engine's current design from scratch with
 // its cumulative options and deep-compares both algorithms' outputs; the

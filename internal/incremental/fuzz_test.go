@@ -32,18 +32,28 @@ func (b *fuzzBytes) next() int {
 // fuzzDesign builds the design the input's first bytes pick: a latch
 // pipeline whose period, from 2 to 7 ns, ranges from slow paths through
 // borrowing over several sweeps to slack to spare, or a 1–4-block SoC,
-// whose delay edits move offsets and reuse clusters of the previous fixed
-// point.
+// whose delay edits move offsets and replay the previous edit's sweeps.
+// The first byte's low bit picks the family and its other bits the clock
+// scale: 0 keeps the clocks, n scales them to 100−n% (down to 20%), where
+// the SoCs fail and their fixed points run tens of sweeps.
 func fuzzDesign(in *fuzzBytes) (*netlist.Design, error) {
-	if in.next()%2 == 0 {
-		return workload.Pipeline(workload.PipeConfig{
+	b := in.next()
+	var d *netlist.Design
+	var err error
+	if b%2 == 0 {
+		d, err = workload.Pipeline(workload.PipeConfig{
 			Name: "fz", Stages: 2 + in.next()%4, Width: 2 + in.next()%4, Depth: 1 + in.next()%3,
 			Latch: "DLATCH_X1", Seed: int64(in.next()),
 			Period: clock.Time(2000+20*in.next()) * clock.Ps,
 		})
+	} else {
+		blocks := 1 + in.next()%4
+		d, err = workload.SoC(blocks, 1+in.next()%blocks, 1+in.next()%2, int64(in.next()))
 	}
-	blocks := 1 + in.next()%4
-	return workload.SoC(blocks, 1+in.next()%blocks, 1+in.next()%2, int64(in.next()))
+	if err != nil || b>>1 == 0 {
+		return d, err
+	}
+	return core.ScaleClocks(d, int64(100-(b>>1)%81), 100)
 }
 
 // fuzzBatch draws one batch of one to three edits: adjusts, drive-strength
@@ -122,7 +132,9 @@ func encodeReport(t *testing.T, a *core.Analyzer, rep *core.Report) []byte {
 // wrote one would show here. The committed seeds (testdata/fuzz) cover
 // both design families with all four edit kinds: a pipeline borrowing
 // over several sweeps, a pipeline too slow for its clock whose Algorithm
-// 2 snatches move offsets, and a SoC whose replays reuse clusters.
+// 2 snatches move offsets, a SoC whose delay edits replay the previous
+// edit's sweep, and SoC(4, 4, 2, 27) at 22% of its clock, whose fixed
+// points run over a hundred backward sweeps.
 func FuzzEditReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)

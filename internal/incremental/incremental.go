@@ -14,10 +14,11 @@
 //     cones) patch the affected arc delays in place, recompute only the
 //     clusters owning those arcs against the cached initial-offset result,
 //     and re-run the Algorithm 1 fixed point from there. The fixed point
-//     itself is incremental: each sweep recomputes only the clusters
-//     adjacent to elements whose offsets moved (core.Analyzer.sweep), and
-//     of those it reuses from the previous fixed point every cluster whose
-//     delays and boundary offsets match it (sta.AnalysisState.SetReference).
+//     replays the previous edit's run as a diff, kept in a core.Trajectory:
+//     each sweep visits only the elements whose offset or slack differs
+//     from that run's same sweep, takes that run's moves for the others,
+//     and takes its segment for every cluster whose delays and boundary
+//     offsets match it (core.Analyzer.IdentifySlowPathsReplay).
 //   - Anything that reshapes the timing network — replacing a cell with a
 //     different interface, adding or removing instances, rewiring pins, or
 //     touching a synchronising element or a control cone — falls back to a
@@ -171,6 +172,9 @@ type Engine struct {
 	// It is never handed out; each edit's working result is one Clone of
 	// it.
 	base *sta.Result
+	// traj keeps the last Algorithm 1 run, from base, for the next delay
+	// edit's run to replay as a diff.
+	traj core.Trajectory
 	// Reusable applyDelayOnly scratch (cleared, never reallocated, so
 	// steady-state delay edits stay off the allocator).
 	scrArcs map[arcRef]bool
@@ -179,8 +183,11 @@ type Engine struct {
 	scrIDs  []int
 	rep     *core.Report
 	cons    *core.Constraints
-	// odz snapshots the Algorithm-1 fixed-point offsets so Constraints()
-	// (whose snatch sweeps move the offsets) can restore them.
+	// odz is a second offset vector, of the analyzer's length, that holds
+	// the Algorithm-1 fixed point while something else moves the state's:
+	// a delay edit swaps it in before the replay, so a failed batch swaps
+	// it back, and Constraints copies it in before the snatch sweeps and
+	// back after them.
 	odz []clock.Time
 	// topo is TopologyChecksum(design, an.Lib), hashed in full at open and
 	// after a checksum fallback, and shifted by every other batch.
@@ -247,6 +254,16 @@ func OpenSharedContext(ctx context.Context, lib *celllib.Library, design *netlis
 
 // Design returns the engine's current design.
 func (e *Engine) Design() *netlist.Design { return e.design }
+
+// Instance returns the current design's instance named name, or nil,
+// through the engine's name index. It belongs to the engine's design:
+// read it, never write it.
+func (e *Engine) Instance(name string) *netlist.Instance {
+	if i, ok := e.instIdx[name]; ok {
+		return &e.design.Instances[i]
+	}
+	return nil
+}
 
 // CompiledDesign returns the analyzer's current compiled design.
 func (e *Engine) CompiledDesign() *cluster.CompiledDesign { return e.an.CD }
@@ -329,6 +346,7 @@ func (e *Engine) ConstraintsContext(ctx context.Context) (*core.Constraints, err
 	if e.cons != nil {
 		return e.cons, nil
 	}
+	e.snapshotOffsets()
 	cons, err := e.an.GenerateConstraintsFromCtx(ctx, e.rep.Result.Clone())
 	e.restoreOffsets()
 	if err != nil {
@@ -540,6 +558,7 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 	affectedNets := e.scrNets
 	dirtyArcs := e.scrArcs
 	undo := e.scrUndo[:0]
+	swapped := false // the fixed point's offsets are in e.odz
 	rollback := func() {
 		for i := len(undo) - 1; i >= 0; i-- {
 			u := undo[i]
@@ -558,7 +577,9 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 		for r := range dirtyArcs {
 			e.reevalArc(r)
 		}
-		e.restoreOffsets()
+		if swapped {
+			e.an.St.Odz, e.odz = e.odz, e.an.St.Odz
+		}
 	}
 	// topo tracks the checksum across the batch: the sum-composed
 	// TopologyChecksum lets each mutation shift it by (new term − old term)
@@ -638,9 +659,12 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 	// cached base with just the dirty clusters recomputed, then the
 	// incremental Algorithm 1 fixed point on one clone of that. Both clones
 	// copy one segment header per cluster. Any interruption rolls the
-	// patches back and drops the clone — the cached base was never
-	// written, the previous report stays live, and the caller can retry
-	// the identical batch.
+	// patches back and drops the clone — the cached base and the
+	// trajectory were never written, the previous report stays live, and
+	// the caller can retry the identical batch. The fixed point's offsets
+	// wait in e.odz, swapped out rather than copied.
+	e.an.St.Odz, e.odz = e.odz, e.an.St.Odz
+	swapped = true
 	e.an.ResetOffsets()
 	base := e.base
 	if len(ids) > 0 {
@@ -653,20 +677,15 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 			return nil, err
 		}
 	}
-	res := base.Clone()
-	// The previous fixed point is the replay's reference: a cluster the
-	// sweeps dirty whose delays are unchanged and whose boundary offsets
-	// land back on their previous fixed-point values takes its segment
-	// rather than being re-analyzed (sta.AnalysisState.SetReference).
-	e.an.St.SetReference(e.rep.Result, e.odz, ids)
-	defer e.an.St.ClearReference()
-	rep, err := e.an.IdentifySlowPathsFromCtx(ctx, res)
+	// The fixed point replays the previous edit's run as a diff: that run
+	// started from the same initial offsets and a base that differs only
+	// in the clusters recomputed above (core.Analyzer.IdentifySlowPathsReplay).
+	rep, err := e.an.IdentifySlowPathsReplay(ctx, base, &e.traj)
 	if err != nil {
 		rollback()
 		return nil, err
 	}
 	e.base, e.rep, e.cons = base, rep, nil
-	e.snapshotOffsets()
 	return &Outcome{Incremental: true, DirtyClusters: len(ids), Report: rep}, nil
 }
 
@@ -853,17 +872,18 @@ func (e *Engine) loadFull(ctx context.Context) error {
 // analyzer and, on success, adopts it along with rebuilt caches and
 // indexes. The engine's previous state survives a failure.
 func (e *Engine) analyzeFresh(ctx context.Context, an *core.Analyzer) error {
-	res, err := sta.AnalyzeContext(ctx, an.CD, an.St, an.Opts.Workers)
+	base, err := sta.AnalyzeContext(ctx, an.CD, an.St, an.Opts.Workers)
 	if err != nil {
 		return err
 	}
-	base := res.Clone()
-	rep, err := an.IdentifySlowPathsFromCtx(ctx, res)
+	// A new elaboration's base has a layout of its own, so the run
+	// replays nothing and records afresh.
+	rep, err := an.IdentifySlowPathsReplay(ctx, base, &e.traj)
 	if err != nil {
 		return err
 	}
 	e.an, e.base, e.rep, e.cons = an, base, rep, nil
-	e.snapshotOffsets()
+	e.snapshotOffsets() // sizes odz to the new analyzer's elements
 	e.buildIndexes()
 	return nil
 }

@@ -124,7 +124,7 @@ func Run(lib *celllib.Library, design *netlist.Design, opts core.Options, maxIte
 		if err != nil {
 			return nil, err
 		}
-		change, ok := pickChange(eng.Analyzer(), rep, constraints)
+		change, ok := pickChange(eng, rep, constraints)
 		if !ok {
 			return res, nil // no move available: report failure honestly
 		}
@@ -137,8 +137,10 @@ func Run(lib *celllib.Library, design *netlist.Design, opts core.Options, maxIte
 
 // pickChange selects the most promising gate on a slow path: the instance
 // whose upsizing buys the largest arc-delay reduction on an arc that
-// violates its Algorithm 2 budget.
-func pickChange(a *core.Analyzer, rep *core.Report, c *core.Constraints) (Change, bool) {
+// violates its Algorithm 2 budget. Candidates are found by name through
+// the engine's instance index.
+func pickChange(eng *incremental.Engine, rep *core.Report, c *core.Constraints) (Change, bool) {
+	a := eng.Analyzer()
 	nw := a.CD.Network
 	lib := a.Lib
 	seen := map[string]bool{}
@@ -150,12 +152,7 @@ func pickChange(a *core.Analyzer, rep *core.Report, c *core.Constraints) (Change
 			return
 		}
 		seen[instName] = true
-		var inst *netlist.Instance
-		for i := range a.Design.Instances {
-			if a.Design.Instances[i].Name == instName {
-				inst = &a.Design.Instances[i]
-			}
-		}
+		inst := eng.Instance(instName)
 		if inst == nil {
 			return
 		}

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"hummingbird/internal/celllib"
+	"hummingbird/internal/clock"
 	"hummingbird/internal/core"
 	"hummingbird/internal/netlist"
+	"hummingbird/internal/workload"
 )
 
 var lib = celllib.Default()
@@ -166,5 +168,45 @@ func TestDesignAreaAccounting(t *testing.T) {
 	want := lib.Cell("INV_X4").Area - lib.Cell("INV_X1").Area
 	if a1-a0 != want {
 		t.Fatalf("area delta = %d, want %d", a1-a0, want)
+	}
+}
+
+// TestAlgorithm3ChangeSequenceTightSoC pins the Change sequence of
+// Algorithm 3 on SoC(8, 8, 4, 3) with its clocks at 22%, recorded before
+// candidates were looked up through the engine's index: 20 resizes that
+// do not close timing. The loop runs an Algorithm 1 replay of about two
+// hundred sweeps per resize without a non-convergence error; a different
+// look-up, tie order or fixed point would change the sequence.
+func TestAlgorithm3ChangeSequenceTightSoC(t *testing.T) {
+	d, err := workload.SoC(8, 8, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err = core.ScaleClocks(d, 22, 100); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(lib, d, core.DefaultOptions(), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Change{
+		{"g_c0s7l0w17", "XOR2_X1", "XOR2_X2", 219},
+		{"g_c0s7l1w17", "XOR2_X1", "XOR2_X2", 72},
+		{"g_c0s7l0w17", "XOR2_X2", "XOR2_X4", 72},
+		{"g_c0s7l2w1", "XNOR2_X1", "XNOR2_X2", 72},
+	}
+	for w := 31; w >= 16; w-- {
+		want = append(want, Change{fmt.Sprintf("gr_c0w%d", w), "XOR2_X1", "XOR2_X2", 30})
+	}
+	if len(res.Changes) != len(want) {
+		t.Fatalf("%d changes, want %d: %+v", len(res.Changes), len(want), res.Changes)
+	}
+	for i := range want {
+		if res.Changes[i] != want[i] {
+			t.Fatalf("change %d is %+v, want %+v", i, res.Changes[i], want[i])
+		}
+	}
+	if res.OK || res.Iterations != 21 || res.WorstSlack != -311*clock.Ps {
+		t.Fatalf("ok %v after %d iterations, worst %v; want false, 21, -311ps", res.OK, res.Iterations, res.WorstSlack)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // engine: the compiled design (shared CSR arc backing and its cold source
 // table, per-cluster index arrays, net→cluster tables, the name binding,
 // the result layout's element owner tables, level schedule) plus one
-// analysis state (offset vector, dirty and stale bitsets, one scratch
-// arena), per leaf cell, on the 100k-cell SoC grid. The value holds ~30%
+// analysis state (offset vector, dirty bitset, one scratch arena), per
+// leaf cell, on the 100k-cell SoC grid. The value holds ~30%
 // headroom over the measured figure (236 B/cell) so it trips on a
 // representation regression — strings back in the arc, a duplicated arc
 // backing, a per-arc map, per-cluster level copies — not on layout
@@ -63,7 +63,6 @@ func compiledFootprint(cd *cluster.CompiledDesign, st *AnalysisState) int64 {
 	slice(len(cd.LevelOrder), 4)
 	slice(len(st.Odz), 8)
 	slice(len(st.dirty), 8)
-	slice(len(st.stale), 8)
 	slice(4*cd.MaxClusterNets, 8) // one pooled scratch arena
 	return total
 }

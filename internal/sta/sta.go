@@ -35,14 +35,11 @@ import (
 // of each worker's busy time per run, and the aggregate utilisation is
 // parallel_worker_busy_ns / (parallel_wall_ns × workers). sta.steals
 // counts chunks a worker executed from another worker's queue.
-// sta.clusters_analyzed and sta.passes count kernel runs only; a cluster
-// whose segment a recompute takes from its reference counts in
-// sta.clusters_reused.
+// sta.clusters_analyzed and sta.passes count kernel runs.
 var (
 	mAnalyses         = telemetry.NewCounter("sta.analyses")
 	mRecomputes       = telemetry.NewCounter("sta.recomputes")
 	mClustersAnalyzed = telemetry.NewCounter("sta.clusters_analyzed")
-	mClustersReused   = telemetry.NewCounter("sta.clusters_reused")
 	mPasses           = telemetry.NewCounter("sta.passes")
 	mParallelRuns     = telemetry.NewCounter("sta.parallel_runs")
 	mParallelWorkers  = telemetry.NewCounter("sta.parallel_workers")
@@ -80,8 +77,8 @@ type PassDetail struct {
 // OutSlack, its outputs' InSlack, its pass details and the minimum of its
 // terminal slacks. The kernel run that analyzes a cluster allocates its
 // segment and nothing writes it afterwards, so results share segments: a
-// Clone, a cluster reused from a reference and the engine's patched base
-// each copy a slice header per cluster, not slacks. A result's segment
+// Clone, a segment a fixed-point replay takes from an earlier run and the
+// engine's patched base each copy a slice header per cluster, not slacks. A result's segment
 // slice is written only by the analysis that owns it, before the result
 // is handed out. A result references the design's shared, immutable
 // layout — never the compiled design itself.
@@ -164,7 +161,34 @@ func (r *Result) Passes() []PassDetail {
 // every value cluster c owns is equal in both. Results of different
 // layouts never share one.
 func (r *Result) SameSegment(o *Result, c int) bool {
-	return r.lay == o.lay && &r.segs[c][0] == &o.segs[c][0]
+	return r.SameLayout(o) && r.Segment(c).Is(o.Segment(c))
+}
+
+// SameLayout reports whether r and o are results of one layout, so that
+// cluster c names the same cluster in both.
+func (r *Result) SameLayout(o *Result) bool { return r.lay == o.lay }
+
+// A Segment is a handle on one cluster's write-once segment. A
+// fixed-point replay moves segments between results of one layout without
+// reading them: a segment is a function of its cluster's arc delays and
+// boundary offsets, so a result whose cluster has the same of both may
+// take another's segment.
+type Segment struct{ s segment }
+
+// Segment returns cluster c's segment.
+func (r *Result) Segment(c int) Segment { return Segment{r.segs[c]} }
+
+// SetSegment installs s as cluster c's segment. s must be a segment of
+// cluster c in a result of r's layout, computed at the delays and boundary
+// offsets r's cluster has; r must be the caller's own working result.
+func (r *Result) SetSegment(c int, s Segment) { r.segs[c] = s.s }
+
+// Len returns the segment's length in words.
+func (s Segment) Len() int { return len(s.s) }
+
+// Is reports whether s and o are the same segment.
+func (s Segment) Is(o Segment) bool {
+	return len(s.s) > 0 && len(o.s) > 0 && &s.s[0] == &o.s[0]
 }
 
 // Clone returns a copy of the result that later analyses may update
@@ -210,7 +234,7 @@ func AnalyzeParallel(cd *cluster.CompiledDesign, st *AnalysisState, workers int)
 // is discarded — an interrupted analysis is never a valid block analysis.
 // The compiled design is read-only throughout — concurrent analyses may
 // share it, each with its own state. Results are identical at every
-// worker count. A reference installed on the state is not consulted.
+// worker count.
 func AnalyzeContext(ctx context.Context, cd *cluster.CompiledDesign, st *AnalysisState, workers int) (*Result, error) {
 	mAnalyses.Inc()
 	_, sp := span.Start(ctx, "sta.analyze")
@@ -227,8 +251,7 @@ func AnalyzeContext(ctx context.Context, cd *cluster.CompiledDesign, st *Analysi
 	return res, nil
 }
 
-// recomputeParallelThreshold is the number of clusters (dirty and not
-// reused) below which a recompute stays on the caller's goroutine: small
+// recomputeParallelThreshold is the number of dirty clusters below which a recompute stays on the caller's goroutine: small
 // sets are dominated by per-goroutine overhead, and the inline loop
 // preserves the steady-state allocation guarantee of delay edits.
 const recomputeParallelThreshold = 64
@@ -238,12 +261,8 @@ const recomputeParallelThreshold = 64
 // element terminal, belongs to at most one cluster, a cluster's
 // contributions to the result can be rebuilt independently — the basis of
 // the incremental mode of Algorithm 1's sweeps: after a slack transfer
-// only the clusters adjacent to the moved element change. With a
-// reference installed on the state (SetReference), a named cluster whose
-// arc delays and boundary offsets match the reference takes the
-// reference's segment instead of being analyzed. Only sets of at least
-// recomputeParallelThreshold clusters left to analyze are spread across
-// the workers. res must be the caller's own working result, never one
+// only the clusters adjacent to the moved element change. Only sets of at
+// least recomputeParallelThreshold clusters are spread across the workers. res must be the caller's own working result, never one
 // already handed out: results returned to callers are not written again.
 // On a non-nil error res holds a mix of old and new segments and must be
 // discarded.
@@ -252,15 +271,14 @@ func RecomputeContext(ctx context.Context, cd *cluster.CompiledDesign, st *Analy
 	_, sp := span.Start(ctx, "sta.recompute")
 	sp.AnnotateInt("clusters", len(clusterIDs))
 	defer sp.End()
-	reused := markDirty(cd, st, res, clusterIDs)
-	if st.ref != nil {
-		sp.AnnotateInt("reused", reused)
+	st.dirty.clear()
+	for _, id := range clusterIDs {
+		st.dirty.set(id)
 	}
-	n := len(clusterIDs) - reused
-	if n < recomputeParallelThreshold {
+	if len(clusterIDs) < recomputeParallelThreshold {
 		workers = 1
 	}
-	return run(ctx, sp, cd, st, res, n, workers)
+	return run(ctx, sp, cd, st, res, len(clusterIDs), workers)
 }
 
 // run is the one block-analysis driver: it analyzes the n clusters marked
@@ -314,46 +332,6 @@ func interrupt(ctx context.Context) error {
 		return context.Cause(ctx)
 	}
 	return nil
-}
-
-// markDirty decides, in one pass over the named clusters, which of them
-// the driver analyzes. A cluster whose kernel inputs match the state's
-// reference — it is not stale, and every input- and output-element offset
-// equals the reference's — takes the reference's write-once segment. Every
-// other one is marked in the state's reusable bitset (incremental sweeps
-// recompute once per sweep, so a per-call set is hot-path garbage) for the
-// kernel to give a fresh segment. It returns how many clusters it reused.
-func markDirty(cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int) int {
-	st.dirty.clear()
-	ref, refOdz := st.ref, st.refOdz
-	reused := 0
-	for _, id := range clusterIDs {
-		if ref != nil && !st.stale.has(id) && sameOffsets(cd.CC[id], st.Odz, refOdz) {
-			res.segs[id] = ref.segs[id]
-			reused++
-			continue
-		}
-		st.dirty.set(id)
-	}
-	mClustersReused.Add(int64(reused))
-	return reused
-}
-
-// sameOffsets reports whether every element on the cluster's boundary —
-// the launching elements of its inputs and the capturing elements of its
-// outputs — holds the same offset in odz as in ref.
-func sameOffsets(cc *cluster.CompiledCluster, odz, ref []clock.Time) bool {
-	for _, in := range cc.Inputs {
-		if odz[in.Elem] != ref[in.Elem] {
-			return false
-		}
-	}
-	for _, out := range cc.Outputs {
-		if odz[out.Elem] != ref[out.Elem] {
-			return false
-		}
-	}
-	return true
 }
 
 func newResult(cd *cluster.CompiledDesign) *Result {

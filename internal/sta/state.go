@@ -33,23 +33,14 @@ type AnalysisState struct {
 	// analyzes (all of them for a full analysis), so incremental sweeps
 	// stop allocating on the hot path.
 	dirty bitset
-
-	// ref, refOdz and stale are the optional reference RecomputeContext
-	// reuses clusters from (see SetReference); ref is nil when none is
-	// installed.
-	ref    *Result
-	refOdz []clock.Time
-	stale  bitset
 }
 
 // NewState returns a fresh analysis state at the design's initial offsets.
 func NewState(cd *cluster.CompiledDesign) *AnalysisState {
-	words := (len(cd.Network.Clusters) + 63) / 64
 	st := &AnalysisState{
 		cd:    cd,
 		Odz:   make([]clock.Time, len(cd.Elems)),
-		dirty: make(bitset, words),
-		stale: make(bitset, words),
+		dirty: make(bitset, (len(cd.Network.Clusters)+63)/64),
 	}
 	scratchLen := 4 * cd.MaxClusterNets
 	st.scratch = &sync.Pool{New: func() any {
@@ -85,25 +76,6 @@ func (st *AnalysisState) SnapshotOffsets(dst []clock.Time) []clock.Time {
 
 // RestoreOffsets copies a snapshot back into the state.
 func (st *AnalysisState) RestoreOffsets(src []clock.Time) { copy(st.Odz, src) }
-
-// SetReference installs a previous block analysis of the same compiled
-// design for RecomputeContext to reuse: res, the offsets odz it was
-// computed at, and the clusters whose arc delays changed since. Until
-// ClearReference, a recomputed cluster outside stale whose input- and
-// output-element offsets all equal odz's takes its segment from res
-// instead of re-running the kernel. The kernel reads nothing else, so the
-// reuse is exact. odz must not change while installed; res's segments are
-// shared, never written.
-func (st *AnalysisState) SetReference(res *Result, odz []clock.Time, stale []int) {
-	st.ref, st.refOdz = res, odz
-	st.stale.clear()
-	for _, id := range stale {
-		st.stale.set(id)
-	}
-}
-
-// ClearReference removes the installed reference, if any.
-func (st *AnalysisState) ClearReference() { st.ref, st.refOdz = nil, nil }
 
 // getScratch borrows one per-cluster scratch arena (4×MaxClusterNets).
 func (st *AnalysisState) getScratch() *[]clock.Time {

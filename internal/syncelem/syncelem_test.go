@@ -487,3 +487,86 @@ func TestBuildPortErrors(t *testing.T) {
 		t.Fatalf("port replication wrong: %d", len(ports))
 	}
 }
+
+// TestTransferMovesExactlyWhenPositive: each of the six pure transfers
+// returns a positive amount exactly when it changes the offset, and then
+// moves it by that amount. A fixed-point replay counts an element the
+// previous run moved by its offset alone, so the moved counts it reports
+// rest on this. Offsets range over each element's legal range, slacks
+// over both signs, zero and the +Inf of an unconstrained terminal.
+func TestTransferMovesExactlyWhenPositive(t *testing.T) {
+	cs := cs2(t)
+	var elems []*Element
+	for _, inv := range []bool{false, true} {
+		es, err := Build("l", celllib.Transparent, transparentTiming(), cs, 0, inv, 100, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elems = append(elems, es...)
+	}
+	ff, err := Build("ff", celllib.EdgeTriggered, transparentTiming(), cs, 0, false, 50, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, err := BuildPort("in", cs, 0, clock.Rise, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elems = append(append(elems, ff...), port...)
+	transfers := []struct {
+		name string
+		op   func(e *Element, odz, slack clock.Time, div int64) (clock.Time, clock.Time)
+	}{
+		{"CompleteForwardAt", func(e *Element, odz, s clock.Time, _ int64) (clock.Time, clock.Time) {
+			return e.CompleteForwardAt(odz, s)
+		}},
+		{"CompleteBackwardAt", func(e *Element, odz, s clock.Time, _ int64) (clock.Time, clock.Time) {
+			return e.CompleteBackwardAt(odz, s)
+		}},
+		{"PartialForwardAt", (*Element).PartialForwardAt},
+		{"PartialBackwardAt", (*Element).PartialBackwardAt},
+		{"SnatchForwardAt", func(e *Element, odz, s clock.Time, _ int64) (clock.Time, clock.Time) {
+			return e.SnatchForwardAt(odz, s)
+		}},
+		{"SnatchBackwardAt", func(e *Element, odz, s clock.Time, _ int64) (clock.Time, clock.Time) {
+			return e.SnatchBackwardAt(odz, s)
+		}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	slack := func() clock.Time {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return clock.Inf
+		case 2:
+			return clock.Time(rng.Intn(5) - 2)
+		}
+		return clock.Time(rng.Intn(60000) - 30000)
+	}
+	for _, e := range elems {
+		for _, tr := range transfers {
+			moves := 0
+			for i := 0; i < 2000; i++ {
+				odz := e.OdzMin() + clock.Time(rng.Int63n(int64(e.OdzMax()-e.OdzMin())+1))
+				if rng.Intn(4) == 0 { // the range's ends
+					odz = []clock.Time{e.OdzMin(), e.OdzMax()}[rng.Intn(2)]
+				}
+				s, div := slack(), int64(rng.Intn(5))
+				got, amt := tr.op(e, odz, s, div)
+				if (amt > 0) != (got != odz) {
+					t.Fatalf("%s %s at odz %v, slack %v, div %d: amount %v but offset %v -> %v", e.Name(), tr.name, odz, s, div, amt, odz, got)
+				}
+				if amt > 0 {
+					moves++
+					if d := got - odz; d != amt && d != -amt {
+						t.Fatalf("%s %s at odz %v, slack %v: moved %v for an amount of %v", e.Name(), tr.name, odz, s, d, amt)
+					}
+				}
+			}
+			if e.HasDOF() && moves == 0 {
+				t.Errorf("%s %s never moved an element with a degree of freedom", e.Name(), tr.name)
+			}
+		}
+	}
+}

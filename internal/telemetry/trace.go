@@ -22,7 +22,9 @@ type SweepEvent struct {
 	// Moved counts the synchronising elements whose offsets changed.
 	Moved int `json:"moved"`
 	// Recomputed counts the clusters re-analysed by this sweep (all of
-	// them under Options.FullSweeps, only the dirty ones otherwise).
+	// them under Options.FullSweeps, only the dirty ones otherwise; a
+	// sweep replayed against an earlier run's does not count the
+	// clusters that take that run's segments).
 	Recomputed int `json:"recomputed"`
 	// WorstSlackPs is the minimum element-terminal slack after the
 	// sweep, in picoseconds.
