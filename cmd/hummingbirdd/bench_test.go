@@ -11,6 +11,7 @@ import (
 
 	"hummingbird/internal/celllib"
 	"hummingbird/internal/netlist"
+	"hummingbird/internal/testlib"
 	"hummingbird/internal/workload"
 )
 
@@ -127,27 +128,27 @@ func BenchmarkSessionOpen_ParkResume(b *testing.B) {
 const desGate = "g_s7l2w11"
 
 // desEditSession opens one DES session on a handler (no TCP, no journal)
-// and returns the handler, the session's edits path and the two request
-// bodies of an edit_delay pair: a +100 ps and a -100 ps adjust on a
-// delay-local gate, so alternating them keeps the design in place.
+// and returns the handler, the session's path and the two request bodies
+// of an edit_delay pair: a +100 ps and a -100 ps adjust on a delay-local
+// gate, so alternating them keeps the design in place.
 func desEditSession(tb testing.TB) (http.Handler, string, [2]string) {
 	srv := newServer(celllib.Default(), serverConfig{maxSessions: 4, cacheSize: 0})
 	h := srv.handler()
 	m := do(tb, h, "POST", "/v1/sessions", mustJSON(tb, map[string]any{"design": designText(tb, workload.DES)}), http.StatusCreated)
-	path := "/v1/sessions/" + m["session"].(string) + "/edits"
 	var bodies [2]string
 	for i, delta := range []string{"100ps", "-100ps"} {
 		bodies[i] = mustJSON(tb, map[string]any{"edits": []map[string]any{
 			{"op": "adjust", "inst": desGate, "delta": delta}}})
 	}
-	return h, path, bodies
+	return h, "/v1/sessions/" + m["session"].(string), bodies
 }
 
 // BenchmarkSessionEdit_DES is the handler-level benchmark of the served
 // edit path: each iteration posts one edit_delay through decode, the
 // session lock, the engine, the slack-delta build and encoding.
 func BenchmarkSessionEdit_DES(b *testing.B) {
-	h, path, bodies := desEditSession(b)
+	h, sess, bodies := desEditSession(b)
+	path := sess + "/edits"
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -171,7 +172,8 @@ const (
 // TestSessionEditAllocs holds the served delay edit to its allocation and
 // byte budgets.
 func TestSessionEditAllocs(t *testing.T) {
-	h, path, bodies := desEditSession(t)
+	h, sess, bodies := desEditSession(t)
+	path := sess + "/edits"
 	i := 0
 	edit := func() {
 		do(t, h, "POST", path, bodies[i%2], http.StatusOK)
@@ -194,5 +196,94 @@ func TestSessionEditAllocs(t *testing.T) {
 	}
 	if perEdit > sessionEditBytes {
 		t.Errorf("served edit_delay allocates %d B, limit %d B", perEdit, sessionEditBytes)
+	}
+}
+
+// discardResponse is a ResponseWriter that counts the body and drops it,
+// so what a served report allocates is the server's alone.
+type discardResponse struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (d *discardResponse) Header() http.Header { return d.h }
+
+func (d *discardResponse) WriteHeader(code int) {
+	if d.code == 0 {
+		d.code = code
+	}
+}
+
+func (d *discardResponse) Write(p []byte) (int, error) {
+	d.WriteHeader(http.StatusOK)
+	d.n += len(p)
+	return len(p), nil
+}
+
+// serveReport GETs the session's report through the handler into a
+// discardResponse and returns the status and body size.
+func serveReport(h http.Handler, sess string) (code, n int) {
+	req, err := http.NewRequest("GET", sess+"/report", nil)
+	if err != nil {
+		return 0, 0
+	}
+	rw := &discardResponse{h: http.Header{}}
+	h.ServeHTTP(rw, req)
+	return rw.code, rw.n
+}
+
+// BenchmarkSessionReport_DES is the handler-level benchmark of the served
+// report: the session lock, the snapshot and the 173 KB report written
+// through the handler's ResponseWriter.
+func BenchmarkSessionReport_DES(b *testing.B) {
+	h, sess, _ := desEditSession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if code, _ := serveReport(h, sess); code != http.StatusOK {
+			b.Fatalf("report: status %d", code)
+		}
+	}
+}
+
+// Bounds on one served DES report, request construction included: ~1.25×
+// the 29 allocations and 2.7 KB measured (29 under -race). Nearly
+// all of it is the request's trace and the guard; the report is written
+// from a reused buffer. Encoding through reflection, or into a buffer
+// that grows with the report, allocates about 1.16 MB.
+const (
+	sessionReportAllocs = 36
+	sessionReportBytes  = 3_400
+)
+
+// TestSessionReportAllocs holds the served report to its allocation and
+// byte budgets.
+func TestSessionReportAllocs(t *testing.T) {
+	h, sess, _ := desEditSession(t)
+	_, size := serveReport(h, sess)
+	report := func() {
+		if code, n := serveReport(h, sess); code != http.StatusOK || n != size {
+			t.Fatalf("report: status %d, %d bytes, want 200 and %d", code, n, size)
+		}
+	}
+	report()
+	allocs := testing.AllocsPerRun(50, report)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		report()
+	}
+	runtime.ReadMemStats(&after)
+	perReport := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%.0f allocs and %d B per served %d-byte report", allocs, perReport, size)
+	if allocs > sessionReportAllocs {
+		t.Errorf("served report allocates %.0f times, limit %d", allocs, sessionReportAllocs)
+	}
+	// The race detector's pool drops a quarter of the report buffers put
+	// back, 64 KB each.
+	if perReport > sessionReportBytes && !testlib.Race {
+		t.Errorf("served report allocates %d B, limit %d B", perReport, sessionReportBytes)
 	}
 }

@@ -1648,15 +1648,25 @@ func sameNetTable(a, b []string) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
+// handleReport streams the session's JSON report. The report's inputs are
+// taken under the session lock and written after it is released, so a
+// client that reads slowly holds up no other request of the session. A
+// write error ends the response: the status has gone out with the first
+// bytes.
 func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	ss := s.sessionFor(w, r)
 	if ss == nil {
 		return
 	}
-	defer ss.mu.Unlock()
+	snap := report.SnapshotOf(ss.eng.Analyzer(), ss.eng.Report())
+	ss.mu.Unlock()
+	_, sp := span.Start(r.Context(), "report.write")
+	defer sp.End()
 	w.Header().Set("Content-Type", "application/json")
-	if err := report.WriteJSON(w, ss.eng.Analyzer(), ss.eng.Report()); err != nil {
-		httpError(w, http.StatusInternalServerError, "encode report: %v", err)
+	n, err := snap.WriteTo(w)
+	sp.AnnotateInt("bytes", int(n))
+	if err != nil {
+		sp.Annotate("error", err.Error())
 	}
 }
 

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -290,6 +292,39 @@ func TestTopologyEditTrace(t *testing.T) {
 		t.Errorf("core.load ends at %d, after sta.analyze starts at %d", load.OffsetNs+load.DurNs, analyze.OffsetNs)
 	}
 	checkNested(t, root)
+}
+
+// TestReportTrace serves a DES report and checks its trace: one
+// report.write span under the request root, annotated with the bytes the
+// client received, in the session's last trace and under /v1/traces/{id}.
+func TestReportTrace(t *testing.T) {
+	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 4})
+	id, _ := openSession(t, ts, designText(t, workload.DES))
+	resp, err := ts.Client().Get(ts.URL + "/v1/sessions/" + id + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("report: %d %v", resp.StatusCode, err)
+	}
+	tid := resp.Header.Get(span.TraceIDHeader)
+	root := awaitTrace(t, ts, id, tid)
+	if root.Name != "server.report" {
+		t.Fatalf("root span %q, want server.report", root.Name)
+	}
+	writes := findSpans(root, "report.write")
+	if len(writes) != 1 {
+		t.Fatalf("%d report.write spans, want 1", len(writes))
+	}
+	if got, want := writes[0].Attrs["bytes"], strconv.Itoa(len(body)); got != want {
+		t.Errorf("report.write bytes %q, want %s", got, want)
+	}
+	checkNested(t, root)
+	if tr := readBody(t, ts, "/v1/traces/"+tid); !bytes.Contains(tr, []byte(`"report.write"`)) {
+		t.Errorf("/v1/traces/%s lacks the report.write span: %s", tid, tr)
+	}
 }
 
 // TestTraceFreshAfterReplay restarts a journaling server and checks that

@@ -90,6 +90,13 @@ type Analyzer struct {
 	St     *sta.AnalysisState
 	Opts   Options
 
+	// Cells and Latches are Design.CellStats' leaf-cell and
+	// synchronising-element counts against Lib, taken once when the
+	// analyzer is built. No delay-only edit changes them (a resize swaps
+	// one non-synchronising cell for another of its interface), and every
+	// other edit builds a new analyzer.
+	Cells, Latches int
+
 	// dirty/dirtyIDs are sweep's reusable dirty-cluster bitset and sorted
 	// id scratch, so fixed-point sweeps stop allocating on the hot path.
 	dirty    bitset
@@ -105,10 +112,12 @@ type Analyzer struct {
 
 // newAnalyzer wires an analyzer onto a compiled design with a fresh state.
 func newAnalyzer(lib *celllib.Library, design *netlist.Design, cd *cluster.CompiledDesign, opts Options) *Analyzer {
+	st := design.CellStats(lib)
 	return &Analyzer{
 		Lib: lib, Design: design, CD: cd,
 		St:    sta.NewState(cd),
 		Opts:  opts,
+		Cells: st.Cells, Latches: st.Latches,
 		dirty: newBitset(len(cd.Network.Clusters)),
 	}
 }

@@ -57,12 +57,9 @@ func (a *Analyzer) WorstPaths(res *sta.Result, n int) []SlowPath {
 func (a *Analyzer) tracePaths(res *sta.Result, want func(clock.Time) bool) []SlowPath {
 	nw := a.CD.Network
 	var paths []SlowPath
+	var in fanIn
 	for _, cl := range nw.Clusters {
-		// Reverse adjacency within the cluster.
-		inArcs := map[int][]int{}
-		for ai := range cl.Arcs {
-			inArcs[cl.Arcs[ai].To] = append(inArcs[cl.Arcs[ai].To], ai)
-		}
+		built := false
 		for oi, out := range cl.Outputs {
 			slack := res.InSlack(out.Elem)
 			if slack == clock.Inf || !want(slack) {
@@ -72,8 +69,12 @@ func (a *Analyzer) tracePaths(res *sta.Result, want func(clock.Time) bool) []Slo
 			if !ok {
 				continue
 			}
+			if !built {
+				in.build(cl)
+				built = true
+			}
 			detail := res.Pass(cl.ID, pi)
-			if p, ok := a.traceOne(cl, &detail, inArcs, out, slack); ok {
+			if p, ok := a.traceOne(cl, &detail, &in, out, slack); ok {
 				paths = append(paths, p)
 			}
 		}
@@ -81,9 +82,48 @@ func (a *Analyzer) tracePaths(res *sta.Result, want func(clock.Time) bool) []Slo
 	return paths
 }
 
+// fanIn is one cluster's reverse adjacency in CSR form: the arcs into
+// member net local index li are idx[start[li]:start[li+1]], indices into
+// the cluster's Arcs in index order. Its slices are reused from cluster
+// to cluster.
+type fanIn struct {
+	start, idx []int32
+}
+
+// build files cl's arcs by the local index of the net they drive, by a
+// stable counting sort.
+func (f *fanIn) build(cl *cluster.Cluster) {
+	f.start = append(f.start[:0], make([]int32, len(cl.Nets)+1)...)
+	f.idx = append(f.idx[:0], make([]int32, len(cl.Arcs))...)
+	for ai := range cl.Arcs {
+		f.start[cl.LocalIndex(cl.Arcs[ai].To)+1]++
+	}
+	for li := range cl.Nets {
+		f.start[li+1] += f.start[li]
+	}
+	next := f.start[:len(cl.Nets)]
+	for ai := range cl.Arcs {
+		li := cl.LocalIndex(cl.Arcs[ai].To)
+		f.idx[next[li]] = int32(ai)
+		next[li]++
+	}
+	// Placing advanced each start to its successor's; shift them back.
+	copy(f.start[1:], f.start[:len(cl.Nets)])
+	f.start[0] = 0
+}
+
+// of returns the arcs into member net id net, in index order.
+func (f *fanIn) of(cl *cluster.Cluster, net int) []int32 {
+	li := cl.LocalIndex(net)
+	if li < 0 {
+		return nil
+	}
+	return f.idx[f.start[li]:f.start[li+1]]
+}
+
 // traceOne walks back from the violated output along the arcs that
 // determined the critical ready time.
-func (a *Analyzer) traceOne(cl *cluster.Cluster, d *sta.PassDetail, inArcs map[int][]int, out cluster.Out, slack clock.Time) (SlowPath, bool) {
+func (a *Analyzer) traceOne(cl *cluster.Cluster, d *sta.PassDetail, in *fanIn, out cluster.Out, slack clock.Time) (SlowPath, bool) {
 	nw := a.CD.Network
 	T := nw.Clocks.Overall()
 	local := func(net int) int { return cl.LocalIndex(net) }
@@ -104,7 +144,7 @@ func (a *Analyzer) traceOne(cl *cluster.Cluster, d *sta.PassDetail, inArcs map[i
 	for steps := 0; steps <= len(cl.Arcs)+1; steps++ {
 		target := ready(cur, rise)
 		advanced := false
-		for _, ai := range inArcs[cur] {
+		for _, ai := range in.of(cl, cur) {
 			arc := &cl.Arcs[ai]
 			// Which input transition feeds this output transition, and
 			// with what delay?

@@ -91,9 +91,8 @@ func fmtDur(d time.Duration) string {
 // Summary prints the analysis verdict, the worst slack and per-terminal
 // counts.
 func Summary(w io.Writer, a *core.Analyzer, rep *core.Report) {
-	st := a.Design.CellStats(a.Lib)
 	fmt.Fprintf(w, "design %s: %d cells, %d nets, %d synchronising elements (%d generic)\n",
-		a.Design.Name, st.Cells, len(a.CD.Nets), st.Latches, len(a.CD.Elems))
+		a.Design.Name, a.Cells, len(a.CD.Nets), a.Latches, len(a.CD.Elems))
 	fmt.Fprintf(w, "clusters: %d, analysis passes: %d\n", len(a.CD.Clusters), a.CD.TotalPasses())
 	fmt.Fprintf(w, "sweeps: %d forward, %d backward\n", rep.ForwardSweeps, rep.BackwardSweeps)
 	if rep.OK {
