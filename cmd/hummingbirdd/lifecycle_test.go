@@ -50,8 +50,8 @@ func assertNoReferences(t *testing.T, srv *server) {
 }
 
 // TestNoReferenceOutlivesSessions takes a session out by each way out of
-// service and checks its compile-cache reference goes with it. The LRU
-// has no room (cacheSize 0), so every engine that leaves is released.
+// service and checks its compile-cache reference goes with it: every
+// engine that leaves service is released.
 func TestNoReferenceOutlivesSessions(t *testing.T) {
 	edit := map[string]any{"edits": []map[string]any{{"op": "adjust", "inst": "g2", "delta": "1ps"}}}
 	open := map[string]any{"design": pipeSrc}

@@ -20,7 +20,7 @@ import (
 // so load generators stop scheduling new sessions against it, while the
 // existing endpoints keep serving.
 func TestReadyzDrainingState(t *testing.T) {
-	srv := newServer(celllib.Default(), serverConfig{maxSessions: 4, cacheSize: 4})
+	srv := newServer(celllib.Default(), serverConfig{maxSessions: 4})
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -59,7 +59,7 @@ func TestReadyzDrainingState(t *testing.T) {
 func TestInboundTraceID(t *testing.T) {
 	telemetry.Enable()
 	t.Cleanup(telemetry.Disable)
-	ts := newTestServer(t, 4, 4)
+	ts := newTestServer(t, 4)
 	id, _ := openSession(t, ts, pipeSrc)
 
 	post := func(traceID string) *http.Response {
@@ -112,7 +112,7 @@ func TestInboundTraceID(t *testing.T) {
 // surface stays valid with the new draining gauge and inherited-trace
 // counter registered, and that both metrics actually render.
 func TestExpositionCoversLoadObservability(t *testing.T) {
-	ts := newTestServer(t, 4, 4)
+	ts := newTestServer(t, 4)
 	mTraceInherited.Inc() // counters render only once non-registered-at-zero paths ran
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -139,7 +139,7 @@ func TestExpositionCoversLoadObservability(t *testing.T) {
 // buffer in one batch is accepted, classified as a full rebuild (the
 // topology changed mid-batch), and leaves the design's timing intact.
 func TestTopoEditBatchAddRemove(t *testing.T) {
-	ts := newTestServer(t, 4, 4)
+	ts := newTestServer(t, 4)
 	id, m0 := openSession(t, ts, pipeSrc)
 	worst0 := m0["worst_slack"]
 
@@ -173,7 +173,7 @@ func TestTopoEditBatchAddRemove(t *testing.T) {
 func TestLoadgenAgainstRealDaemon(t *testing.T) {
 	telemetry.Enable()
 	t.Cleanup(telemetry.Disable)
-	srv := newServer(celllib.Default(), serverConfig{maxSessions: 64, cacheSize: 16})
+	srv := newServer(celllib.Default(), serverConfig{maxSessions: 64})
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 

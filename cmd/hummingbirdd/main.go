@@ -13,17 +13,18 @@
 //	GET    /v1/sessions/{id}/report     full analysis JSON
 //	GET    /v1/sessions/{id}/constraints?net=N  Algorithm 2 budgets
 //	GET    /v1/sessions/{id}/trace/last span tree of the session's last request
-//	DELETE /v1/sessions/{id}            close (parks the state in the LRU cache)
+//	DELETE /v1/sessions/{id}            close (releases the engine, drops the journal)
 //	GET    /healthz                     liveness
 //	GET    /readyz                      readiness; "state" names why not: starting/degraded/draining
 //	GET    /metrics                     Prometheus text exposition
 //	GET    /metrics.json                telemetry snapshot JSON
 //	GET    /buildinfo                   build metadata (module version, VCS revision)
 //
-// Sessions are concurrent; edits within one session are serialized. Closed
-// sessions' engines are parked in an LRU cache keyed by the design's state
-// hash, so re-opening the same design (adjustments included) skips the full
-// elaboration.
+// Sessions are concurrent; edits within one session are serialized. An
+// engine lives exactly as long as its session: every way out of service
+// releases it. Sessions opened on the same design (adjustments included)
+// share one compiled design while any of them holds it, so such an open
+// skips the elaboration.
 //
 // Observability (see docs/OBSERVABILITY.md): every request runs under a
 // trace whose id is generated at admission — or adopted from a well-formed
@@ -61,7 +62,6 @@
 package main
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -104,9 +104,6 @@ var (
 	mSessionsOpened  = telemetry.NewCounter("hummingbirdd.sessions_opened")
 	mSessionsClosed  = telemetry.NewCounter("hummingbirdd.sessions_closed")
 	mEditCalls       = telemetry.NewCounter("hummingbirdd.edit_calls")
-	mCacheHits       = telemetry.NewCounter("hummingbirdd.cache_hits")
-	mCacheMisses     = telemetry.NewCounter("hummingbirdd.cache_misses")
-	mCacheEvictions  = telemetry.NewCounter("hummingbirdd.cache_evictions")
 	mPanicsRecovered = telemetry.NewCounter("server.panics_recovered")
 	mRequestsShed    = telemetry.NewCounter("server.requests_shed")
 	mQuarantined     = telemetry.NewCounter("server.sessions_quarantined")
@@ -164,7 +161,6 @@ func run(args []string, w, errW io.Writer) error {
 		addr        = fs.String("addr", "127.0.0.1:7077", "listen address")
 		libFile     = fs.String("lib", "", "cell library file (default: built-in library)")
 		maxSessions = fs.Int("max-sessions", 64, "maximum concurrently open sessions")
-		cacheSize   = fs.Int("cache", 16, "LRU capacity for parked analysis states")
 		metricsOut  = fs.String("metrics-out", "", "write a JSON telemetry snapshot to this file on shutdown")
 		reqTimeout  = fs.Duration("request-timeout", 30*time.Second, "per-request deadline; slow analyses are cancelled (0 = none)")
 		maxInflight = fs.Int("max-inflight", 32, "maximum concurrently served requests (0 = unbounded)")
@@ -226,7 +222,6 @@ func run(args []string, w, errW io.Writer) error {
 	}
 	cfg := serverConfig{
 		maxSessions:    *maxSessions,
-		cacheSize:      *cacheSize,
 		requestTimeout: *reqTimeout,
 		maxInflight:    *maxInflight,
 		queueTimeout:   *queueWait,
@@ -308,8 +303,8 @@ func run(args []string, w, errW io.Writer) error {
 	if dbgSrv != nil {
 		dbgSrv.Shutdown(shutCtx)
 	}
-	// Flush and close journals, drop parked state — even when the drain
-	// above timed out, acknowledged records must reach the disk.
+	// Flush and close journals, release every engine — even when the
+	// drain above timed out, acknowledged records must reach the disk.
 	srv.shutdown()
 	if err != nil {
 		return err
@@ -371,13 +366,14 @@ type sess struct {
 	prevNets []string
 	// lastTrace is the finished span tree of the session's most recent
 	// guarded request (served at /trace/last). It dies with the session.
-	lastTrace *span.Trace
+	// It is stored without ss.mu, so a finished request never waits for
+	// whatever else holds the session.
+	lastTrace atomic.Pointer[span.Trace]
 }
 
 // serverConfig bundles the run-time knobs of the daemon.
 type serverConfig struct {
 	maxSessions    int
-	cacheSize      int
 	requestTimeout time.Duration // 0 = no deadline
 	maxInflight    int           // 0 = unbounded
 	queueTimeout   time.Duration
@@ -393,7 +389,7 @@ type serverConfig struct {
 	errLog         io.Writer        // panic stacks and replay diagnostics
 }
 
-// server owns the session table and the parked-state cache.
+// server owns the session table and the compile cache its engines share.
 type server struct {
 	lib  *celllib.Library
 	opts core.Options
@@ -416,7 +412,6 @@ type server struct {
 	sessions    map[string]*sess
 	quarantined map[string]string // id → diagnostic of the fault
 	nextID      int
-	cache       *lruCache
 
 	// compile refcounts CompiledDesigns by state key, its own lock —
 	// independent of s.mu so engine release callbacks (fired under a
@@ -471,7 +466,6 @@ func newServer(lib *celllib.Library, cfg serverConfig) *server {
 		cfg:         cfg,
 		sessions:    make(map[string]*sess),
 		quarantined: make(map[string]string),
-		cache:       newLRU(cfg.cacheSize),
 		compile:     newCompileCache(),
 		warm:        make(map[string]func()),
 		traces:      span.NewRing(cfg.traceRetain),
@@ -518,11 +512,6 @@ func newServer(lib *celllib.Library, cfg serverConfig) *server {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return float64(len(s.quarantined))
-	})
-	telemetry.NewGaugeFunc("server.parked_lru", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.cache.len())
 	})
 	// Compile-cache gauges (rendered as hb_compile_cache_designs and
 	// hb_compile_cache_refs on /metrics): distinct shared CompiledDesigns
@@ -608,10 +597,34 @@ func (s *server) handler() http.Handler {
 
 // startTracker wraps a ResponseWriter and records whether the response has
 // been started, so the panic recovery in guard knows whether it may still
-// write an error body or would only corrupt an in-flight response.
+// write an error body or would only corrupt an in-flight response. It also
+// holds the request's admission slot (nil when none is held), which the
+// guard frees when the handler returns, or the handler sooner through
+// freeSlot. Only the request's goroutine touches it.
 type startTracker struct {
 	http.ResponseWriter
 	started bool
+	slot    chan struct{}
+}
+
+func (t *startTracker) freeSlot() {
+	if t.slot != nil {
+		<-t.slot
+		t.slot = nil
+	}
+}
+
+// slotKey carries a guarded request's startTracker in its context.
+type slotKey struct{}
+
+// freeSlot frees the admission slot of the guarded request ctx belongs
+// to, for a handler whose remaining work needs no slot: a report that has
+// taken its snapshot and only streams it to the client. A no-op when no
+// slot is held.
+func freeSlot(ctx context.Context) {
+	if t, ok := ctx.Value(slotKey{}).(*startTracker); ok {
+		t.freeSlot()
+	}
 }
 
 func (t *startTracker) WriteHeader(code int) {
@@ -645,13 +658,11 @@ func (s *server) guard(op string, h http.HandlerFunc) http.HandlerFunc {
 		if s.inflight != nil {
 			select {
 			case s.inflight <- struct{}{}:
-				defer func() { <-s.inflight }()
 			default:
 				timer := time.NewTimer(s.cfg.queueTimeout)
 				select {
 				case s.inflight <- struct{}{}:
 					timer.Stop()
-					defer func() { <-s.inflight }()
 				case <-timer.C:
 					mRequestsShed.Inc()
 					adm.End()
@@ -663,6 +674,9 @@ func (s *server) guard(op string, h http.HandlerFunc) http.HandlerFunc {
 					return
 				}
 			}
+			w.slot = s.inflight
+			defer w.freeSlot()
+			trCtx = context.WithValue(trCtx, slotKey{}, w)
 		}
 		adm.End()
 		if id := r.PathValue("id"); id != "" {
@@ -784,9 +798,7 @@ func (s *server) finishRequest(op string, tr *span.Trace) {
 	}
 	if sid := tr.Root().Attr("session"); sid != "" {
 		if ss := s.session(sid); ss != nil {
-			ss.mu.Lock()
-			ss.lastTrace = tr
-			ss.mu.Unlock()
+			ss.lastTrace.Store(tr)
 		}
 	}
 	if s.cfg.slowThreshold > 0 && total >= s.cfg.slowThreshold {
@@ -862,15 +874,16 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTraceLast serves the span tree of the session's most recent
-// guarded request as JSON. Unguarded: it must stay readable while the
-// server is saturated, and must not overwrite the trace it reports.
+// guarded request as JSON. Unguarded and without the session lock: it
+// must stay readable while the server is saturated or the session busy,
+// and must not overwrite the trace it reports.
 func (s *server) handleTraceLast(w http.ResponseWriter, r *http.Request) {
-	ss := s.sessionFor(w, r)
+	ss := s.session(r.PathValue("id"))
 	if ss == nil {
+		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	tr := ss.lastTrace
-	ss.mu.Unlock()
+	tr := ss.lastTrace.Load()
 	if tr == nil {
 		httpError(w, http.StatusNotFound, "no trace recorded for session yet")
 		return
@@ -889,9 +902,8 @@ func retryAfterSeconds(d time.Duration) int {
 	return n
 }
 
-// fate is what retire does with a session's journal. The engine follows
-// it: a set-aside session's engine is released, any other is offered to
-// the parked-state LRU.
+// fate is what retire does with a session's journal. The engine is
+// released whatever the fate.
 type fate int
 
 const (
@@ -954,11 +966,12 @@ func (s *server) claim(id string) {
 // detaches its replication stream — flushed first when the journal is
 // kept, so the hop lags tell a migration whether each standby is
 // complete — closes the journal writer and removes, keeps or sets aside
-// the journal, then parks or releases the engine. diag is the quarantine
-// diagnostic of a set-aside session. The caller holds ss.mu of an
-// admitted session and has seen it live; retire leaves ss.eng nil, which
-// is how the requests waiting on ss.mu see it closed.
-func (s *server) retire(ss *sess, f fate, diag string) (parked bool, hops []fleet.HopLag) {
+// the journal, then releases the engine's compile-cache reference: it is
+// the daemon's one ReleaseShared call. diag is the quarantine diagnostic
+// of a set-aside session. The caller holds ss.mu of an admitted session
+// and has seen it live; retire leaves ss.eng nil, which is how the
+// requests waiting on ss.mu see it closed.
+func (s *server) retire(ss *sess, f fate, diag string) (hops []fleet.HopLag) {
 	s.mu.Lock()
 	admitted := s.sessions[ss.id] == ss
 	if admitted {
@@ -996,35 +1009,11 @@ func (s *server) retire(ss *sess, f fate, diag string) (parked bool, hops []flee
 			fmt.Fprintf(s.cfg.errLog, "hummingbirdd: %s journal %s: %v\n", verb, ss.id, err)
 		}
 	}
-	eng := ss.eng
+	if ss.eng != nil {
+		ss.eng.ReleaseShared()
+	}
 	ss.eng, ss.jw = nil, nil
-	return s.dispose(eng, f != setAside), hops
-}
-
-// dispose offers a retired engine to the parked-state LRU when park is
-// set, and drops the compile-cache reference of the engine the cache does
-// not keep: eng itself when refused, else the one evicted to make room.
-// It is the daemon's one ReleaseShared call. Reports whether eng was
-// parked.
-func (s *server) dispose(eng *incremental.Engine, park bool) (parked bool) {
-	if eng == nil {
-		return false
-	}
-	if park {
-		s.mu.Lock()
-		evicted, stored := s.cache.put(eng.StateHash(), eng)
-		s.mu.Unlock()
-		if evicted != nil {
-			mCacheEvictions.Inc()
-		}
-		if stored {
-			parked, eng = true, evicted
-		}
-	}
-	if eng != nil {
-		eng.ReleaseShared()
-	}
-	return parked
+	return hops
 }
 
 // quarantine sets aside the live session id names after a fault in one
@@ -1100,7 +1089,7 @@ func (s *server) sessionFor(w http.ResponseWriter, r *http.Request) *sess {
 }
 
 // shutdown retires every live session with its journal kept, and drops
-// the parked and pre-warmed compile references. The replication streams
+// the pre-warmed compile references. The replication streams
 // close unflushed first: peers may be gone, and the journals hold every
 // acknowledged record. The HTTP listener is already drained.
 func (s *server) shutdown() {
@@ -1115,13 +1104,6 @@ func (s *server) shutdown() {
 		if release != nil {
 			release()
 		}
-	}
-	s.mu.Lock()
-	parked := s.cache.drain()
-	s.cache = newLRU(0) // the retirements below park nothing
-	s.mu.Unlock()
-	for _, eng := range parked {
-		s.dispose(eng, false)
 	}
 	for _, ss := range s.sessionsByID() {
 		if ss.live() {
@@ -1180,20 +1162,11 @@ func (s *server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	// Probe the parked-state cache before paying for an elaboration.
 	key := incremental.StateKey(design, opts.Adjustments)
-	s.mu.Lock()
-	eng := s.cache.take(key)
-	s.mu.Unlock()
-	cached, sharedDesign := eng != nil, false
-	if cached {
-		mCacheHits.Inc()
-	} else {
-		mCacheMisses.Inc()
-		if eng, sharedDesign, err = s.openEngine(r.Context(), key, design, opts); err != nil {
-			writeAnalysisError(w, "open design", err)
-			return
-		}
+	eng, sharedDesign, err := s.openEngine(r.Context(), key, design, opts)
+	if err != nil {
+		writeAnalysisError(w, "open design", err)
+		return
 	}
 	ss := &sess{eng: eng, created: time.Now()}
 	if b, merr := json.Marshal(&req); merr == nil {
@@ -1227,8 +1200,8 @@ func (s *server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	// Associate the request trace with the freshly allocated id so the
 	// guard's finish hook files it under the new session.
 	span.Current(r.Context()).Annotate("session", ss.id)
-	resp := map[string]any{"session": ss.id, "cached": cached, "shared_design": sharedDesign}
-	addSummary(resp, ss)
+	resp := map[string]any{"session": ss.id, "shared_design": sharedDesign}
+	addSummary(resp, ss, key)
 	writeJSON(w, http.StatusCreated, resp)
 }
 
@@ -1370,7 +1343,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, ss := range s.sessionsByID() {
 		if ss.live() {
 			m := map[string]any{"session": ss.id}
-			addSummary(m, ss)
+			addSummary(m, ss, ss.eng.StateHash())
 			ss.mu.Unlock()
 			out = append(out, m)
 		}
@@ -1385,17 +1358,18 @@ func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	}
 	defer ss.mu.Unlock()
 	resp := map[string]any{"session": ss.id}
-	addSummary(resp, ss)
+	addSummary(resp, ss, ss.eng.StateHash())
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// addSummary fills the common session fields; callers hold ss.mu.
-func addSummary(m map[string]any, ss *sess) {
+// addSummary fills the common session fields; stateHash is the engine's
+// StateHash, which an open has already computed. Callers hold ss.mu.
+func addSummary(m map[string]any, ss *sess, stateHash string) {
 	eng := ss.eng
 	d := eng.Design()
 	m["design"] = d.Name
 	m["edits"] = ss.edits
-	m["state_hash"] = eng.StateHash()
+	m["state_hash"] = stateHash
 	rep := eng.Report()
 	m["ok"] = rep.OK
 	m["worst_slack"] = timeJSON(rep.WorstSlack())
@@ -1649,10 +1623,10 @@ func sameNetTable(a, b []string) bool {
 }
 
 // handleReport streams the session's JSON report. The report's inputs are
-// taken under the session lock and written after it is released, so a
-// client that reads slowly holds up no other request of the session. A
-// write error ends the response: the status has gone out with the first
-// bytes.
+// taken under the session lock and written after it and the admission
+// slot are released, so a client that reads slowly holds up no other
+// request of the session or the server. A write error ends the response:
+// the status has gone out with the first bytes.
 func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	ss := s.sessionFor(w, r)
 	if ss == nil {
@@ -1660,6 +1634,7 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := report.SnapshotOf(ss.eng.Analyzer(), ss.eng.Report())
 	ss.mu.Unlock()
+	freeSlot(r.Context())
 	_, sp := span.Start(r.Context(), "report.write")
 	defer sp.End()
 	w.Header().Set("Content-Type", "application/json")
@@ -1727,8 +1702,8 @@ func (s *server) handleClose(w http.ResponseWriter, r *http.Request) {
 	}
 	defer ss.mu.Unlock()
 	mSessionsClosed.Inc()
-	parked, _ := s.retire(ss, dropJournal, "")
-	writeJSON(w, http.StatusOK, map[string]any{"session": ss.id, "closed": true, "parked": parked})
+	s.retire(ss, dropJournal, "")
+	writeJSON(w, http.StatusOK, map[string]any{"session": ss.id, "closed": true})
 }
 
 // timeJSON renders a clock.Time as a JSON-friendly value: integer
@@ -1756,69 +1731,6 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	// Keep error bodies single-line JSON for easy client handling.
 	msg = strings.ReplaceAll(msg, "\n", " ")
 	writeJSON(w, status, map[string]any{"error": msg})
-}
-
-// lruCache parks closed sessions' engines, keyed by state hash. take
-// transfers ownership out of the cache (an engine is never shared).
-type lruCache struct {
-	max int
-	ll  *list.List
-	m   map[string]*list.Element
-}
-
-type lruEntry struct {
-	key string
-	eng *incremental.Engine
-}
-
-func newLRU(max int) *lruCache {
-	return &lruCache{max: max, ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-func (c *lruCache) len() int { return c.ll.Len() }
-
-func (c *lruCache) take(key string) *incremental.Engine {
-	el, ok := c.m[key]
-	if !ok {
-		return nil
-	}
-	c.ll.Remove(el)
-	delete(c.m, key)
-	return el.Value.(*lruEntry).eng
-}
-
-// put parks an engine. stored reports whether the cache kept it (false at
-// zero capacity or when the key is already parked); evicted is the engine
-// pushed out to make room, if any. The caller owns whatever the cache did
-// not keep.
-func (c *lruCache) put(key string, eng *incremental.Engine) (evicted *incremental.Engine, stored bool) {
-	if c.max <= 0 {
-		return nil, false
-	}
-	if el, ok := c.m[key]; ok {
-		// Same state already parked; keep the existing one fresh.
-		c.ll.MoveToFront(el)
-		return nil, false
-	}
-	c.m[key] = c.ll.PushFront(&lruEntry{key: key, eng: eng})
-	if c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*lruEntry).key)
-		return oldest.Value.(*lruEntry).eng, true
-	}
-	return nil, true
-}
-
-// drain empties the cache, returning every parked engine.
-func (c *lruCache) drain() []*incremental.Engine {
-	var out []*incremental.Engine
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*lruEntry).eng)
-	}
-	c.ll.Init()
-	c.m = make(map[string]*list.Element)
-	return out
 }
 
 // compileCache refcounts immutable CompiledDesigns by state key so that

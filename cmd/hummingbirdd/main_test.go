@@ -34,12 +34,9 @@ inst g4 BUF_X1 A=q2 Y=OUT
 end
 `
 
-func newTestServer(t *testing.T, maxSessions, cacheSize int) *httptest.Server {
+func newTestServer(t *testing.T, maxSessions int) *httptest.Server {
 	t.Helper()
-	srv := newServer(celllib.Default(), serverConfig{
-		maxSessions: maxSessions,
-		cacheSize:   cacheSize,
-	})
+	srv := newServer(celllib.Default(), serverConfig{maxSessions: maxSessions})
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
 	return ts
@@ -88,7 +85,7 @@ func openSession(t *testing.T, ts *httptest.Server, design string) (string, map[
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	ts := newTestServer(t, 4, 4)
+	ts := newTestServer(t, 4)
 
 	id, m := openSession(t, ts, pipeSrc)
 	if m["design"] != "pipe" {
@@ -97,13 +94,15 @@ func TestSessionLifecycle(t *testing.T) {
 	if ok, _ := m["ok"].(bool); !ok {
 		t.Fatalf("pipe design should meet timing: %v", m)
 	}
-	if m["cached"] != false {
-		t.Fatalf("first open should not be cached: %v", m)
-	}
 
 	status, sum := call(t, ts, "GET", "/v1/sessions/"+id, nil)
 	if status != http.StatusOK || sum["edits"] != float64(0) {
 		t.Fatalf("summary: %d %v", status, sum)
+	}
+	// The open reports the state key it opened under; the summary hashes
+	// the engine's state.
+	if h, _ := m["state_hash"].(string); h == "" || h != sum["state_hash"] {
+		t.Fatalf("open state_hash %v, summary state_hash %v", m["state_hash"], sum["state_hash"])
 	}
 
 	status, list := call(t, ts, "GET", "/v1/sessions", nil)
@@ -174,7 +173,7 @@ func TestSessionLifecycle(t *testing.T) {
 // server and against a local engine, and compares the resulting state
 // hashes and worst slacks.
 func TestEditsMatchDirectEngine(t *testing.T) {
-	ts := newTestServer(t, 4, 4)
+	ts := newTestServer(t, 4)
 	id, _ := openSession(t, ts, pipeSrc)
 
 	d, err := netlist.ParseString(pipeSrc)
@@ -234,29 +233,8 @@ func jsonNumEqual(got, want any) bool {
 	return reflect.DeepEqual(got, want)
 }
 
-// TestCloseReopenHitsCache parks a closed session's analysis state and
-// checks that re-opening the identical design reuses it.
-func TestCloseReopenHitsCache(t *testing.T) {
-	ts := newTestServer(t, 4, 4)
-	id, _ := openSession(t, ts, pipeSrc)
-	status, closed := call(t, ts, "DELETE", "/v1/sessions/"+id, nil)
-	if status != http.StatusOK || closed["parked"] != true {
-		t.Fatalf("close did not park the engine: %d %v", status, closed)
-	}
-	_, m := openSession(t, ts, pipeSrc)
-	if m["cached"] != true {
-		t.Fatalf("reopen of identical design missed the cache: %v", m)
-	}
-	// A different design (trailing whitespace changes nothing semantic, so
-	// perturb an instance) must miss.
-	_, m2 := openSession(t, ts, strings.Replace(pipeSrc, "g3 INV_X1", "g3 INV_X2", 1))
-	if m2["cached"] != false {
-		t.Fatalf("different design hit the cache: %v", m2)
-	}
-}
-
 func TestSessionLimitAndErrors(t *testing.T) {
-	ts := newTestServer(t, 1, 0)
+	ts := newTestServer(t, 1)
 	openSession(t, ts, pipeSrc)
 
 	status, m := call(t, ts, "POST", "/v1/sessions", map[string]any{"design": pipeSrc})
@@ -276,7 +254,7 @@ func TestSessionLimitAndErrors(t *testing.T) {
 }
 
 func TestBadEditsLeaveSessionUsable(t *testing.T) {
-	ts := newTestServer(t, 4, 4)
+	ts := newTestServer(t, 4)
 	id, _ := openSession(t, ts, pipeSrc)
 
 	status, m := call(t, ts, "POST", "/v1/sessions/"+id+"/edits", map[string]any{
@@ -307,7 +285,7 @@ func TestBadEditsLeaveSessionUsable(t *testing.T) {
 // TestConcurrentSessions exercises several sessions editing in parallel;
 // run with -race this doubles as the data-race check for the server.
 func TestConcurrentSessions(t *testing.T) {
-	ts := newTestServer(t, 8, 8)
+	ts := newTestServer(t, 8)
 	const nSessions = 4
 	const nEdits = 6
 	var wg sync.WaitGroup
@@ -348,7 +326,7 @@ func TestConcurrentSessions(t *testing.T) {
 }
 
 func TestHealthAndMetrics(t *testing.T) {
-	ts := newTestServer(t, 2, 2)
+	ts := newTestServer(t, 2)
 	status, h := call(t, ts, "GET", "/healthz", nil)
 	if status != http.StatusOK || h["ok"] != true {
 		t.Fatalf("healthz: %d %v", status, h)
@@ -392,33 +370,6 @@ func TestHealthAndMetrics(t *testing.T) {
 	}
 }
 
-func TestLRUCacheEviction(t *testing.T) {
-	c := newLRU(2)
-	d, _ := netlist.ParseString(pipeSrc)
-	e1, _ := incremental.Open(celllib.Default(), d, core.DefaultOptions())
-	if ev, stored := c.put("a", e1); ev != nil || !stored {
-		t.Fatal("first put evicted or was rejected")
-	}
-	if ev, stored := c.put("b", e1); ev != nil || !stored {
-		t.Fatal("second put evicted or was rejected")
-	}
-	if ev, stored := c.put("c", e1); ev == nil || !stored {
-		t.Fatal("third put into cap-2 cache did not evict")
-	}
-	if c.take("a") != nil {
-		t.Fatal("oldest entry survived eviction")
-	}
-	if c.take("b") == nil || c.take("b") != nil {
-		t.Fatal("take should transfer ownership exactly once")
-	}
-	if ev, _ := c.put("dup", e1); ev != nil {
-		t.Fatal("duplicate key put should not evict")
-	}
-	if ev, _ := c.put("dup", e1); ev != nil {
-		t.Fatal("duplicate key re-put should not evict")
-	}
-}
-
 // readBody fetches a path and returns the raw response bytes.
 func readBody(t *testing.T, ts *httptest.Server, path string) []byte {
 	t.Helper()
@@ -443,7 +394,7 @@ func readBody(t *testing.T, ts *httptest.Server, path string) []byte {
 // the read-only sharing), and produce reports byte-identical to sessions
 // that never shared anything.
 func TestSharedCompiledDesignConcurrency(t *testing.T) {
-	srv := newServer(celllib.Default(), serverConfig{maxSessions: 8, cacheSize: 0})
+	srv := newServer(celllib.Default(), serverConfig{maxSessions: 8})
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -520,7 +471,7 @@ func TestSharedCompiledDesignConcurrency(t *testing.T) {
 	// script serially on a fresh server (fresh compile cache, no second
 	// session, no sharing) and compare the raw report bodies.
 	for id, script := range scripts {
-		iso := newTestServer(t, 2, 0)
+		iso := newTestServer(t, 2)
 		isoID, _ := openSession(t, iso, pipeSrc)
 		for i, ed := range script {
 			status, em := call(t, iso, "POST", "/v1/sessions/"+isoID+"/edits",

@@ -532,7 +532,7 @@ func (s *server) handleReplForget(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePark closes a session's live serving state while keeping its
-// journal on disk: the engine parks in the LRU (same as close), the
+// journal on disk: the engine is released (same as close), the
 // replication streams are flushed and detached, and the response reports
 // each chain hop's residual lag ("hops") so the router knows whether that
 // peer's standby is complete. Step one of a planned migration.
@@ -544,14 +544,14 @@ func (s *server) handlePark(w http.ResponseWriter, r *http.Request) {
 	defer ss.mu.Unlock()
 	// Unlike close, the journal file stays: it is the session's truth for
 	// the adopt that follows.
-	parked, hops := s.retire(ss, keepJournal, "")
+	hops := s.retire(ss, keepJournal, "")
 	mSessionsParked.Inc()
 	lag := 0
 	for _, h := range hops {
 		lag = max(lag, h.Lag)
 	}
 	s.flight.Record(flight.Info, "session.park", ss.id, inboundTraceID(r), "parked (stream lag %d)", lag)
-	writeJSON(w, http.StatusOK, map[string]any{"session": ss.id, "parked": parked, "hops": hops})
+	writeJSON(w, http.StatusOK, map[string]any{"session": ss.id, "hops": hops})
 }
 
 // handleJournalExport serves the session's framed journal bytes — live

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -38,6 +39,29 @@ func (b *blockedResponse) Write(p []byte) (int, error) {
 	return b.body.Write(p)
 }
 
+// stuckReport starts a report of sess on h for a client that stops
+// reading after the first bytes, and returns once the report is writing.
+// release lets the client read on (idempotent, and run at cleanup);
+// served is closed when ServeHTTP returns.
+func stuckReport(t *testing.T, h http.Handler, sess string) (bw *blockedResponse, release func(), served <-chan struct{}) {
+	t.Helper()
+	bw = newBlockedResponse()
+	var once sync.Once
+	release = func() { once.Do(func() { close(bw.release) }) }
+	t.Cleanup(release)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(bw, httptest.NewRequest("GET", sess+"/report", nil))
+	}()
+	select {
+	case <-bw.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the report never started writing")
+	}
+	return bw, release, done
+}
+
 // TestSlowReportReaderHoldsNoLock serves a DES report to a client that
 // stops reading after the first bytes, then asks the same session for a
 // summary and a delay edit: both complete while the report is stuck. The
@@ -49,21 +73,7 @@ func TestSlowReportReaderHoldsNoLock(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", sess+"/report", nil))
 	before := rec.Body.Bytes()
 
-	bw := newBlockedResponse()
-	var releaseOnce sync.Once
-	release := func() { releaseOnce.Do(func() { close(bw.release) }) }
-	defer release()
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		h.ServeHTTP(bw, httptest.NewRequest("GET", sess+"/report", nil))
-	}()
-	select {
-	case <-bw.started:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the report never started writing")
-	}
-
+	bw, release, served := stuckReport(t, h, sess)
 	var body map[string]any
 	if err := json.Unmarshal([]byte(bodies[0]), &body); err != nil {
 		t.Fatal(err)
@@ -87,6 +97,46 @@ func TestSlowReportReaderHoldsNoLock(t *testing.T) {
 	<-served
 	if !bytes.Equal(bw.body.Bytes(), before) {
 		t.Fatalf("the stuck report (%d bytes) is not the session's report when it was asked for (%d bytes)", bw.body.Len(), len(before))
+	}
+}
+
+// TestSlowReportReaderHoldsNoSlot is the stuck report on a server that
+// admits one request at a time: the report frees its admission slot once
+// it has taken its snapshot, so a summary beside it is admitted instead
+// of answering 429 after the queue timeout.
+func TestSlowReportReaderHoldsNoSlot(t *testing.T) {
+	srv, sess, _ := openDES(t, serverConfig{maxSessions: 4, maxInflight: 1, queueTimeout: 200 * time.Millisecond})
+	h := srv.handler()
+	_, release, served := stuckReport(t, h, sess)
+	if code, m := serve(h, "GET", sess, nil); code != http.StatusOK {
+		t.Fatalf("summary beside a stuck report on one admission slot: %d %v, want 200", code, m)
+	}
+	release()
+	<-served
+	if code, m := serve(h, "GET", sess, nil); code != http.StatusOK {
+		t.Fatalf("summary after the report: %d %v, want 200", code, m)
+	}
+}
+
+// TestFinishedRequestWaitsForNoLock holds a session's lock while a report
+// of it, its snapshot taken, finishes writing: the request returns and
+// its trace becomes the session's last without the lock. net/http sends
+// a response only once ServeHTTP returns, so a wait here would hold every
+// response of a busy session behind whatever holds its lock.
+func TestFinishedRequestWaitsForNoLock(t *testing.T) {
+	srv, sess, _ := openDES(t, serverConfig{maxSessions: 4})
+	_, release, served := stuckReport(t, srv.handler(), sess)
+	ss := srv.session(strings.TrimPrefix(sess, "/v1/sessions/"))
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	release()
+	select {
+	case <-served:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a finished report waited for its session's lock")
+	}
+	if tr := ss.lastTrace.Load(); tr == nil || tr.Tree().Name != "server.report" {
+		t.Fatalf("last trace %v, want the report's", tr)
 	}
 }
 

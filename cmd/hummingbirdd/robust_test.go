@@ -78,7 +78,7 @@ func rawPost(t *testing.T, ts *httptest.Server, path, body string) (int, map[str
 }
 
 func TestMalformedJSONRejected(t *testing.T) {
-	ts := newTestServer(t, 4, 4)
+	ts := newTestServer(t, 4)
 	if status, m := rawPost(t, ts, "/v1/sessions", "{not json"); status != http.StatusBadRequest {
 		t.Fatalf("malformed open: %d %v", status, m)
 	}
@@ -93,7 +93,7 @@ func TestMalformedJSONRejected(t *testing.T) {
 }
 
 func TestOversizedBodyRejected(t *testing.T) {
-	ts := newTestServer(t, 4, 4)
+	ts := newTestServer(t, 4)
 	id, _ := openSession(t, ts, pipeSrc)
 	// The edits endpoint caps bodies at 1 MiB.
 	big := `{"edits":[{"op":"adjust","inst":"` + strings.Repeat("x", 2<<20) + `","delta":"1ns"}]}`
@@ -113,7 +113,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 }
 
 func TestUnknownSessionEndpoints(t *testing.T) {
-	ts := newTestServer(t, 4, 4)
+	ts := newTestServer(t, 4)
 	for _, probe := range []struct{ method, path string }{
 		{"GET", "/v1/sessions/s999"},
 		{"GET", "/v1/sessions/s999/report"},
@@ -138,7 +138,7 @@ func TestUnknownSessionEndpoints(t *testing.T) {
 // check for the close path.
 func TestEditCloseRace(t *testing.T) {
 	for round := 0; round < 5; round++ {
-		ts := newTestServer(t, 4, 4)
+		ts := newTestServer(t, 4)
 		id, _ := openSession(t, ts, pipeSrc)
 		var wg sync.WaitGroup
 		errs := make(chan error, 9)
@@ -180,7 +180,7 @@ func TestPanicQuarantinesOnlyTheFaultingSession(t *testing.T) {
 	t.Cleanup(telemetry.Disable)
 	before := mPanicsRecovered.Load()
 
-	ts := newTestServer(t, 4, 4)
+	ts := newTestServer(t, 4)
 	victim, _ := openSession(t, ts, pipeSrc)
 	bystander, _ := openSession(t, ts, pipeSrc)
 
@@ -239,7 +239,6 @@ func TestPanicQuarantinesOnlyTheFaultingSession(t *testing.T) {
 func TestRequestDeadlineCancelsAnalysis(t *testing.T) {
 	_, ts := newTestServerCfg(t, serverConfig{
 		maxSessions:    4,
-		cacheSize:      0,
 		requestTimeout: 150 * time.Millisecond,
 	})
 	id, _ := openSession(t, ts, chainSrc(25))
@@ -279,7 +278,6 @@ func TestAdmissionControlSheds(t *testing.T) {
 
 	srv, ts := newTestServerCfg(t, serverConfig{
 		maxSessions:  4,
-		cacheSize:    0,
 		maxInflight:  1,
 		queueTimeout: 50 * time.Millisecond,
 	})
@@ -336,7 +334,7 @@ func TestJournalReplayRestoresSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 4, journal: jm1})
+	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm1})
 
 	id, _ := openSession(t, ts, pipeSrc)
 	batches := [][]map[string]any{
@@ -391,7 +389,7 @@ func TestJournalReplayRestoresSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, ts2 := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 4, journal: jm2})
+	srv2, ts2 := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm2})
 	if n := srv2.recoverSessions(); n != 1 {
 		t.Fatalf("recovered %d sessions, want 1", n)
 	}
@@ -421,7 +419,7 @@ func TestJournalReplayRestoresSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv3, ts3 := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 4, journal: jm3})
+	srv3, ts3 := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm3})
 	if n := srv3.recoverSessions(); n != 1 {
 		t.Fatalf("second recovery: %d sessions, want 1", n)
 	}
@@ -447,7 +445,7 @@ func TestJournalReplayToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 0, journal: jm1})
+	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm1})
 	id, _ := openSession(t, ts, pipeSrc)
 	status, m := call(t, ts, "POST", "/v1/sessions/"+id+"/edits", map[string]any{
 		"edits": []map[string]any{{"op": "adjust", "inst": "g2", "delta": "250ps"}},
@@ -473,7 +471,7 @@ func TestJournalReplayToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, ts2 := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 0, journal: jm2})
+	srv2, ts2 := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm2})
 	if n := srv2.recoverSessions(); n != 1 {
 		t.Fatalf("recovered %d sessions, want 1", n)
 	}
@@ -503,7 +501,7 @@ func TestBrokenJournalQuarantinedOnReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 0, journal: jm2})
+	srv, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm2})
 	if n := srv.recoverSessions(); n != 0 {
 		t.Fatalf("recovered %d sessions from a broken journal", n)
 	}
@@ -543,7 +541,6 @@ func TestCancelledEditKeepsJournalConsistent(t *testing.T) {
 	}
 	_, ts := newTestServerCfg(t, serverConfig{
 		maxSessions:    4,
-		cacheSize:      0,
 		journal:        jm1,
 		requestTimeout: 50 * time.Millisecond,
 	})
@@ -595,7 +592,7 @@ func TestCancelledEditKeepsJournalConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, ts2 := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 0, journal: jm2})
+	srv2, ts2 := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm2})
 	if n := srv2.recoverSessions(); n != 1 {
 		t.Fatalf("recovered %d sessions, want 1", n)
 	}
@@ -650,7 +647,7 @@ func TestRecoveryRewriteFailureQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 0, journal: jm1})
+	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm1})
 	id, _ := openSession(t, ts, pipeSrc)
 	status, m := call(t, ts, "POST", "/v1/sessions/"+id+"/edits", map[string]any{
 		"edits": []map[string]any{{"op": "adjust", "inst": "g2", "delta": "250ps"}},
@@ -670,7 +667,7 @@ func TestRecoveryRewriteFailureQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(failpoint.DisarmAll)
-	srv2, ts2 := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 0, journal: jm2})
+	srv2, ts2 := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm2})
 	if n := srv2.recoverSessions(); n != 0 {
 		t.Fatalf("recovered %d sessions despite rewrite failure", n)
 	}
@@ -700,7 +697,7 @@ func TestRecoveryRewriteFailureQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv3, ts3 := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 0, journal: jm3})
+	srv3, ts3 := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm3})
 	if n := srv3.recoverSessions(); n != 1 {
 		t.Fatalf("recovery after restore: %d sessions, want 1", n)
 	}
@@ -718,7 +715,7 @@ func TestCleanCloseDropsJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 4, journal: jm1})
+	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm1})
 	id, _ := openSession(t, ts, pipeSrc)
 	if status, m := call(t, ts, "DELETE", "/v1/sessions/"+id, nil); status != http.StatusOK {
 		t.Fatalf("close: %d %v", status, m)
@@ -727,7 +724,7 @@ func TestCleanCloseDropsJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, _ := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 4, journal: jm2})
+	srv2, _ := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm2})
 	if n := srv2.recoverSessions(); n != 0 {
 		t.Fatalf("closed session resurrected: %d", n)
 	}
@@ -736,7 +733,7 @@ func TestCleanCloseDropsJournal(t *testing.T) {
 // TestFailpointEndpointsGated checks /debug/failpoints is a 404 without
 // the flag and functional with it.
 func TestFailpointEndpointsGated(t *testing.T) {
-	_, tsOff := newTestServerCfg(t, serverConfig{maxSessions: 1, cacheSize: 0})
+	_, tsOff := newTestServerCfg(t, serverConfig{maxSessions: 1})
 	resp, err := tsOff.Client().Get(tsOff.URL + "/debug/failpoints")
 	if err != nil {
 		t.Fatal(err)
@@ -746,7 +743,7 @@ func TestFailpointEndpointsGated(t *testing.T) {
 		t.Fatalf("failpoints served without the flag: %d", resp.StatusCode)
 	}
 
-	_, tsOn := newTestServerCfg(t, serverConfig{maxSessions: 1, cacheSize: 0, failpoints: true})
+	_, tsOn := newTestServerCfg(t, serverConfig{maxSessions: 1, failpoints: true})
 	t.Cleanup(failpoint.DisarmAll)
 	req, err := http.NewRequest("PUT", tsOn.URL+"/debug/failpoints/sta.cluster", strings.NewReader("1*error(hi)"))
 	if err != nil {
@@ -794,7 +791,7 @@ func TestJournalAppendFailureQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 0, journal: jm})
+	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm})
 	id, _ := openSession(t, ts, pipeSrc)
 
 	if err := failpoint.Arm("journal.append", "1*error(disk gone)"); err != nil {

@@ -142,7 +142,7 @@ func TestRequestTrace(t *testing.T) {
 	}
 	traceDir := t.TempDir()
 	srv, ts := newTestServerCfg(t, serverConfig{
-		maxSessions: 4, cacheSize: 4,
+		maxSessions: 4,
 		maxInflight: 4, queueTimeout: time.Second,
 		journal: jm, traceDir: traceDir,
 	})
@@ -244,7 +244,7 @@ func awaitTrace(t *testing.T, ts *httptest.Server, id, tid string) *span.Node {
 // rebuild, with the elaboration (core.load) and the first block analysis
 // (sta.analyze) side by side under it, all nested under the request root.
 func TestTopologyEditTrace(t *testing.T) {
-	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 4})
+	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4})
 	id, _ := openSession(t, ts, designText(t, workload.DES))
 	status, m, tid := doTraced(t, ts, "POST", "/v1/sessions/"+id+"/edits", map[string]any{
 		"edits": []map[string]any{
@@ -298,7 +298,7 @@ func TestTopologyEditTrace(t *testing.T) {
 // report.write span under the request root, annotated with the bytes the
 // client received, in the session's last trace and under /v1/traces/{id}.
 func TestReportTrace(t *testing.T) {
-	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 4})
+	_, ts := newTestServerCfg(t, serverConfig{maxSessions: 4})
 	id, _ := openSession(t, ts, designText(t, workload.DES))
 	resp, err := ts.Client().Get(ts.URL + "/v1/sessions/" + id + "/report")
 	if err != nil {
@@ -336,7 +336,7 @@ func TestTraceFreshAfterReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1, ts1 := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 4, journal: jm1})
+	srv1, ts1 := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm1})
 	srv1.recoverSessions()
 	id, _ := openSession(t, ts1, pipeSrc)
 	status, m, preTID := doTraced(t, ts1, "POST", "/v1/sessions/"+id+"/edits", map[string]any{
@@ -351,7 +351,7 @@ func TestTraceFreshAfterReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, ts2 := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 4, journal: jm2})
+	srv2, ts2 := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm2})
 	if n := srv2.recoverSessions(); n != 1 {
 		t.Fatalf("recovered %d sessions, want 1", n)
 	}
@@ -377,7 +377,7 @@ func TestReadyzGatesOnReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, cacheSize: 4, journal: jm})
+	srv, ts := newTestServerCfg(t, serverConfig{maxSessions: 4, journal: jm})
 
 	status, h := call(t, ts, "GET", "/healthz", nil)
 	if status != http.StatusOK || h["ok"] != true {
@@ -399,7 +399,7 @@ func TestReadyzGatesOnReplay(t *testing.T) {
 func TestSlowRequestLog(t *testing.T) {
 	var logBuf syncBuffer
 	_, ts := newTestServerCfg(t, serverConfig{
-		maxSessions: 4, cacheSize: 4,
+		maxSessions:   4,
 		slowThreshold: time.Nanosecond,
 		errLog:        &logBuf,
 	})

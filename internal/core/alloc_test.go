@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hummingbird/internal/celllib"
+	"hummingbird/internal/netlist"
 	"hummingbird/internal/workload"
 )
 
@@ -40,5 +41,39 @@ func TestLoadAllocs(t *testing.T) {
 	const maxAllocs, maxBytes = 5.4, 1200
 	if allocs > maxAllocs || bytes > maxBytes {
 		t.Fatalf("Load allocates %.1f times and %.0f B per cell; budget %.1f and %d", allocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
+// TestCellCountsMatchCellStats holds the analyzer's cell and latch counts,
+// read from the binding, to Design.CellStats against the resolved library
+// on flat and hierarchical designs: SM1H's module instances count as one
+// rolled-up cell each.
+func TestCellCountsMatchCellStats(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		design func() (*netlist.Design, error)
+	}{
+		{"DES", workload.DES},
+		{"DES gated", workload.DESGated},
+		{"ALU", workload.ALU},
+		{"SM1F", func() (*netlist.Design, error) { return workload.SM1F(), nil }},
+		{"SM1H", func() (*netlist.Design, error) { return workload.SM1H(), nil }},
+		{"SoC(4, 4, 4, 3)", func() (*netlist.Design, error) { return workload.SoC(4, 4, 4, 3) }},
+	} {
+		d, err := c.design()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Load(celllib.Default(), d, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := d.CellStats(a.Lib)
+		if a.Cells != want.Cells || a.Latches != want.Latches {
+			t.Errorf("%s: %d cells, %d latches, CellStats gives %d and %d", c.name, a.Cells, a.Latches, want.Cells, want.Latches)
+		}
+		if shared := LoadCompiled(a.CD, d, DefaultOptions()); shared.Cells != a.Cells || shared.Latches != a.Latches {
+			t.Errorf("%s: a shared analyzer counts %d cells and %d latches, want %d and %d", c.name, shared.Cells, shared.Latches, a.Cells, a.Latches)
+		}
 	}
 }

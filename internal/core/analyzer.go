@@ -92,9 +92,9 @@ type Analyzer struct {
 
 	// Cells and Latches are Design.CellStats' leaf-cell and
 	// synchronising-element counts against Lib, taken once when the
-	// analyzer is built. No delay-only edit changes them (a resize swaps
-	// one non-synchronising cell for another of its interface), and every
-	// other edit builds a new analyzer.
+	// analyzer is built (see cellCounts). No delay-only edit changes them
+	// (a resize swaps one non-synchronising cell for another of its
+	// interface), and every other edit builds a new analyzer.
 	Cells, Latches int
 
 	// dirty/dirtyIDs are sweep's reusable dirty-cluster bitset and sorted
@@ -112,14 +112,30 @@ type Analyzer struct {
 
 // newAnalyzer wires an analyzer onto a compiled design with a fresh state.
 func newAnalyzer(lib *celllib.Library, design *netlist.Design, cd *cluster.CompiledDesign, opts Options) *Analyzer {
-	st := design.CellStats(lib)
-	return &Analyzer{
+	a := &Analyzer{
 		Lib: lib, Design: design, CD: cd,
 		St:    sta.NewState(cd),
 		Opts:  opts,
-		Cells: st.Cells, Latches: st.Latches,
 		dirty: newBitset(len(cd.Network.Clusters)),
 	}
+	a.Cells, a.Latches = cellCounts(cd)
+	return a
+}
+
+// cellCounts reads the leaf-cell and synchronising-element counts from
+// the compiled design's binding (cluster.Build requires its delay
+// calculator, so every compiled design carries one). The binding has
+// resolved every instance against the resolved library, where each
+// instance is one cell, a rolled-up module included, so the counts equal
+// Design.CellStats' without hashing a name.
+func cellCounts(cd *cluster.CompiledDesign) (cells, latches int) {
+	bound := cd.Calc.Binding().Cells
+	for _, c := range bound {
+		if c.IsSync() {
+			latches++
+		}
+	}
+	return len(bound), latches
 }
 
 // Load validates a design, resolves its hierarchy (rolling combinational

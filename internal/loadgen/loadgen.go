@@ -19,14 +19,14 @@
 //	edit_topo    topology edit batch (add + remove a buffer → full rebuild)
 //	whatif       speculative edit, read the verdict, revert (3 requests)
 //	report       full analysis report read
-//	park_resume  close (park) and re-open the same design
+//	park_resume  close a session and re-open the same design
 //
 // A background poller watches /readyz: when the replica reports the
 // draining state, the generator stops scheduling session-creating
 // operations against it (ramp for a fleet drain story), while continuing
 // the in-flight mix. Before and after the run it scrapes /metrics.json
 // so client-observed latency can be correlated with server-side signals
-// (fsync lag, inflight, GC pause, compile-cache hits). When trace
+// (fsync lag, inflight, GC pause, compile-cache occupancy). When trace
 // tagging is on, every request carries a generator-chosen X-Trace-Id;
 // after the run the slowest operation is replayed under its tag and the
 // matching span tree is fetched from the session's /trace/last.
@@ -707,7 +707,7 @@ func (r *runner) executeWhatIf(ctx context.Context, rnd *rand.Rand, cs *classSta
 	ok1 := err == nil && status < 400
 	if ok1 {
 		// Only a successfully applied probe is read back and reverted; an
-		// errored apply (e.g. the session was parked mid-probe) ends the op.
+		// errored apply (e.g. the session was closed mid-probe) ends the op.
 		if st, _, e := r.doRaw(ctx, "", replayable{method: http.MethodGet, path: "/v1/sessions/" + sid}); e == nil && st >= 400 {
 			status = st
 		}
@@ -721,9 +721,10 @@ func (r *runner) executeWhatIf(ctx context.Context, rnd *rand.Rand, cs *classSta
 		replayable{method: http.MethodPost, path: editPath, body: apply})
 }
 
-// executeParkResume closes a session (parking its engine) and re-opens
-// the same design, which should hit the parked-state LRU or the shared
-// compile cache. One operation, two requests.
+// executeParkResume closes a session, which releases its engine, and
+// re-opens the same design: the open shares the compiled design while
+// another session holds it, and elaborates it otherwise. One operation,
+// two requests.
 func (r *runner) executeParkResume(ctx context.Context, rnd *rand.Rand, cs *classStats, op scheduledOp) {
 	sid, ok := r.takeSession(rnd)
 	if !ok {
@@ -929,7 +930,7 @@ func (r *runner) attachSlowest(ctx context.Context, res *Result) {
 	if r.cfg.TraceTag == "" || req.path == "" {
 		return
 	}
-	// The slowest op's session may have been parked by a later
+	// The slowest op's session may have been closed by a later
 	// park_resume; substitute a session that is still in the pool.
 	if sid != "" && !r.inPool(sid) {
 		live, ok := r.anySession()
@@ -1057,7 +1058,6 @@ func (r *Result) WriteText(w io.Writer) {
 	if delta := r.ServerDelta(); len(delta) > 0 {
 		keys := []string{
 			"server.requests_shed", "server.panics_recovered",
-			"hummingbirdd.cache_hits", "hummingbirdd.cache_misses",
 			"compile_cache.designs", "compile_cache.refs",
 			"server.inflight", "runtime.goroutines", "runtime.gc_pause_last_ns",
 		}

@@ -78,27 +78,44 @@ type Trace struct {
 	root    *Span
 	process string // emitting process ("router", "r2"); "" if unset
 	parent  string // remote parent span id, "" for a trace root
-	nextID  int64  // span id allocator; root is "1"
+	nextID  int64  // span id allocator; root is 1
 }
 
 // Span is one timed phase within a trace. The zero *Span (nil) is a
-// valid no-op receiver for every method.
+// valid no-op receiver for every method. Its id and integer attributes
+// are kept as integers and formatted only when they are read or the
+// trace is exported.
 type Span struct {
 	tr       *Trace
-	id       string
+	id       int64
 	name     string
 	start    time.Time
 	dur      time.Duration
 	ended    bool
-	attrs    map[string]string
+	attrs    []attr
 	children []*Span
+}
+
+// attr is one span attribute: a string, or an integer when isNum is set.
+type attr struct {
+	key   string
+	str   string
+	num   int64
+	isNum bool
+}
+
+func (a *attr) value() string {
+	if a.isNum {
+		return strconv.FormatInt(a.num, 10)
+	}
+	return a.str
 }
 
 // New starts a trace: the root span (named for the operation) begins
 // immediately.
 func New(id, name string) *Trace {
 	tr := &Trace{id: id, nextID: 1}
-	tr.root = &Span{tr: tr, id: "1", name: name, start: time.Now()}
+	tr.root = &Span{tr: tr, id: 1, name: name, start: time.Now()}
 	return tr
 }
 
@@ -180,7 +197,7 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	child := &Span{tr: parent.tr, name: name, start: time.Now()}
 	parent.tr.mu.Lock()
 	parent.tr.nextID++
-	child.id = strconv.FormatInt(parent.tr.nextID, 10)
+	child.id = parent.tr.nextID
 	parent.children = append(parent.children, child)
 	parent.tr.mu.Unlock()
 	return context.WithValue(ctx, ctxKey{}, child), child
@@ -201,7 +218,7 @@ func (s *Span) ID() string {
 	if s == nil {
 		return ""
 	}
-	return s.id
+	return strconv.FormatInt(s.id, 10)
 }
 
 // Inject stamps outbound request headers with ctx's trace id and
@@ -213,7 +230,7 @@ func Inject(ctx context.Context, h http.Header) {
 		return
 	}
 	h.Set(TraceIDHeader, sp.tr.id)
-	h.Set(ParentSpanHeader, sp.id)
+	h.Set(ParentSpanHeader, strconv.FormatInt(sp.id, 10))
 }
 
 // End closes the span, fixing its duration. Double-End keeps the first
@@ -230,25 +247,32 @@ func (s *Span) End() {
 	s.tr.mu.Unlock()
 }
 
-// Annotate attaches a key/value attribute to the span; nil-safe.
-func (s *Span) Annotate(key, value string) {
+// Annotate attaches a key/value attribute to the span, replacing an
+// earlier value of the key; nil-safe.
+func (s *Span) Annotate(key, value string) { s.set(key, value, 0, false) }
+
+// AnnotateInt is Annotate for integer values, which are kept unformatted;
+// nil-safe.
+func (s *Span) AnnotateInt(key string, value int) { s.set(key, "", int64(value), true) }
+
+// set does the work of Annotate and AnnotateInt, which inline to a
+// single call of it: the nil check is made and the attr built here, not
+// at every call site, so untraced hot callers (core.sweep,
+// sta.RecomputeContext) stay small.
+func (s *Span) set(key, str string, num int64, isNum bool) {
 	if s == nil {
 		return
 	}
+	a := attr{key: key, str: str, num: num, isNum: isNum}
 	s.tr.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = make(map[string]string, 4)
+	defer s.tr.mu.Unlock()
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			s.attrs[i] = a
+			return
+		}
 	}
-	s.attrs[key] = value
-	s.tr.mu.Unlock()
-}
-
-// AnnotateInt is Annotate for integer values; nil-safe without formatting
-// the value, so untraced hot paths do not allocate.
-func (s *Span) AnnotateInt(key string, value int) {
-	if s != nil {
-		s.Annotate(key, strconv.Itoa(value))
-	}
+	s.attrs = append(s.attrs, a)
 }
 
 // Attr returns the value of a previously attached attribute ("" if
@@ -259,7 +283,12 @@ func (s *Span) Attr(key string) string {
 	}
 	s.tr.mu.Lock()
 	defer s.tr.mu.Unlock()
-	return s.attrs[key]
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			return s.attrs[i].value()
+		}
+	}
+	return ""
 }
 
 // Finish ends the root span — and, so every export is well-nested,
@@ -316,7 +345,7 @@ func (t *Trace) Tree() *Node {
 func (t *Trace) exportLocked(s *Span) *Node {
 	n := &Node{
 		Name:     s.name,
-		SpanID:   s.id,
+		SpanID:   strconv.FormatInt(s.id, 10),
 		OffsetNs: s.start.Sub(t.root.start).Nanoseconds(),
 		DurNs:    s.dur.Nanoseconds(),
 	}
@@ -325,8 +354,8 @@ func (t *Trace) exportLocked(s *Span) *Node {
 	}
 	if len(s.attrs) > 0 {
 		n.Attrs = make(map[string]string, len(s.attrs))
-		for k, v := range s.attrs {
-			n.Attrs[k] = v
+		for i := range s.attrs {
+			n.Attrs[s.attrs[i].key] = s.attrs[i].value()
 		}
 	}
 	for _, c := range s.children {

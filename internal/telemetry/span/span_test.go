@@ -27,7 +27,9 @@ func TestNestingAndExport(t *testing.T) {
 	// not a child of it.
 	ctx3, journal := Start(ctx, "journal.append")
 	_, fsync := Start(ctx3, "journal.fsync")
-	fsync.Annotate("bytes", "128")
+	fsync.Annotate("bytes", "64")
+	fsync.AnnotateInt("bytes", 128) // a later value of a key replaces it
+	fsync.AnnotateInt("records", -3)
 	time.Sleep(time.Millisecond)
 	fsync.End()
 	journal.End()
@@ -48,8 +50,14 @@ func TestNestingAndExport(t *testing.T) {
 	if len(jr.Children) != 1 || jr.Children[0].Name != "journal.fsync" {
 		t.Fatalf("fsync not nested under append: %+v", jr)
 	}
-	if jr.Children[0].Attrs["bytes"] != "128" {
+	if a := jr.Children[0].Attrs; len(a) != 2 || a["bytes"] != "128" || a["records"] != "-3" {
 		t.Fatalf("attrs lost: %+v", jr.Children[0])
+	}
+	if fsync.Attr("bytes") != "128" || fsync.Attr("none") != "" {
+		t.Fatalf("Attr reads %q and %q", fsync.Attr("bytes"), fsync.Attr("none"))
+	}
+	if fsync.ID() != "4" || jr.Children[0].SpanID != "4" {
+		t.Fatalf("fsync span id %q, exported %q, want 4", fsync.ID(), jr.Children[0].SpanID)
 	}
 
 	// Child durations must fit inside their parent's interval.
