@@ -15,6 +15,7 @@ import (
 
 	"hummingbird/internal/celllib"
 	"hummingbird/internal/failpoint"
+	"hummingbird/internal/fleet"
 	"hummingbird/internal/journal"
 	"hummingbird/internal/workload"
 )
@@ -154,6 +155,45 @@ func TestNoReferenceOutlivesSessions(t *testing.T) {
 			assertNoReferences(t, srv)
 		})
 	}
+}
+
+// TestStandbyHoldsNoCompiledDesign streams a DES session's journal from
+// sequence 0 to a replica, as a migration hand-off does. The replica holds
+// the frames and no compiled design; the adopt replays them into a
+// session in the primary's state, and its close leaves no reference.
+func TestStandbyHoldsNoCompiledDesign(t *testing.T) {
+	primary, path, edits := openDES(t, serverConfig{maxSessions: 4, replicaID: "r1", journal: newJournal(t, t.TempDir())})
+	ph := primary.handler()
+	do(t, ph, "POST", path+"/edits", edits[0], http.StatusOK)
+	id := strings.TrimPrefix(path, "/v1/sessions/")
+	rec := httptest.NewRecorder()
+	ph.ServeHTTP(rec, httptest.NewRequest("GET", path+"/journal", nil))
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Hb-Frames") != "2" {
+		t.Fatalf("export: %d, %s frames", rec.Code, rec.Header().Get("X-Hb-Frames"))
+	}
+
+	replica := newServer(celllib.Default(), serverConfig{maxSessions: 4, replicaID: "r2", journal: newJournal(t, t.TempDir())})
+	rh := replica.handler()
+	req := httptest.NewRequest("POST", "/v1/replication/sessions/"+id+"/frames", rec.Body)
+	req.Header.Set(fleet.FirstSeqHeader, "0")
+	pushed := httptest.NewRecorder()
+	rh.ServeHTTP(pushed, req)
+	if pushed.Code != http.StatusOK || !strings.Contains(pushed.Body.String(), `"next": 2`) {
+		t.Fatalf("push: %d %s", pushed.Code, pushed.Body)
+	}
+	time.Sleep(time.Second)
+	assertNoReferences(t, replica)
+
+	m := do(t, rh, "POST", "/v1/replication/sessions/"+id+"/adopt", "", http.StatusOK)
+	if m["adopted"] != true || m["records"] != float64(2) {
+		t.Fatalf("adopt: %v", m)
+	}
+	want := do(t, ph, "GET", path, "", http.StatusOK)["state_hash"]
+	if got := do(t, rh, "GET", path, "", http.StatusOK)["state_hash"]; got != want {
+		t.Fatalf("adopted session's state %v, primary's %v", got, want)
+	}
+	do(t, rh, "DELETE", path, "", http.StatusOK)
+	assertNoReferences(t, replica)
 }
 
 // TestRetiredSessionReadsClosed forces the interleaving a session lookup

@@ -419,19 +419,12 @@ type server struct {
 	compile *compileCache
 
 	// Fleet replication (see replication.go): outbound journal streams by
-	// session, inbound standby journals from peers, and the HTTP client
-	// the streams share. adoptMu serializes adopt promotions.
+	// session and the HTTP client they share; the journal manager keeps
+	// the standby journals peers stream here. adoptMu serializes adopt
+	// promotions.
 	streams      *fleet.StreamSet
-	standby      *standbyStore
 	streamClient *http.Client
 	adoptMu      sync.Mutex
-
-	// warm holds compile-cache references pre-acquired from streamed
-	// standby frame 0, so adopting a session here finds its
-	// CompiledDesign hot. Guarded by warmMu; a nil value marks a warm
-	// build in flight (see warmStandby in replication.go).
-	warmMu sync.Mutex
-	warm   map[string]func()
 
 	// traces retains recently finished request traces for
 	// GET /v1/traces/{id} — the fragment store the fleet router's
@@ -467,7 +460,6 @@ func newServer(lib *celllib.Library, cfg serverConfig) *server {
 		sessions:    make(map[string]*sess),
 		quarantined: make(map[string]string),
 		compile:     newCompileCache(),
-		warm:        make(map[string]func()),
 		traces:      span.NewRing(cfg.traceRetain),
 	}
 	s.flight = flight.NewRecorder(s.processName(), cfg.eventsRetain)
@@ -479,12 +471,6 @@ func newServer(lib *celllib.Library, cfg serverConfig) *server {
 	} else {
 		s.streams = fleet.NewStreamSet()
 		s.streamClient = &http.Client{Timeout: 5 * time.Second}
-		st, err := newStandbyStore(cfg.journal.Dir())
-		if err != nil {
-			fmt.Fprintf(cfg.errLog, "hummingbirdd: %v (journal replication disabled)\n", err)
-		} else {
-			s.standby = st
-		}
 		telemetry.NewGaugeFunc("fleet.stream_lag_frames", func() float64 {
 			return float64(s.streams.TotalLag())
 		})
@@ -626,6 +612,10 @@ func freeSlot(ctx context.Context) {
 		t.freeSlot()
 	}
 }
+
+// Unwrap gives http.ResponseController the connection's writer, so a
+// handler can set its write deadline.
+func (t *startTracker) Unwrap() http.ResponseWriter { return t.ResponseWriter }
 
 func (t *startTracker) WriteHeader(code int) {
 	t.started = true
@@ -1088,22 +1078,13 @@ func (s *server) sessionFor(w http.ResponseWriter, r *http.Request) *sess {
 	return nil
 }
 
-// shutdown retires every live session with its journal kept, and drops
-// the pre-warmed compile references. The replication streams
-// close unflushed first: peers may be gone, and the journals hold every
-// acknowledged record. The HTTP listener is already drained.
+// shutdown retires every live session with its journal kept. The
+// replication streams close unflushed first: peers may be gone, and the
+// journals hold every acknowledged record. The HTTP listener is already
+// drained.
 func (s *server) shutdown() {
 	if s.streams != nil {
 		s.streams.CloseAll()
-	}
-	s.warmMu.Lock()
-	warm := s.warm
-	s.warm = make(map[string]func())
-	s.warmMu.Unlock()
-	for _, release := range warm {
-		if release != nil {
-			release()
-		}
 	}
 	for _, ss := range s.sessionsByID() {
 		if ss.live() {
@@ -1293,10 +1274,11 @@ func (s *server) restore(id string) (*sess, error) {
 
 // replaySession rebuilds ss's engine from its journal records, returning
 // the open request and edit batches a compact journal is rewritten from.
-// The open record goes through the compile cache like a live open, so
-// recovered and adopted sessions share CompiledDesigns — and find the one
-// a standby pre-warm built (replication.go). ss.eng is set as soon as the
-// engine exists, so a failed replay releases it through retire.
+// The open record goes through the compile cache like a live open, so a
+// recovered or adopted session shares the compiled design of a live
+// session on the same design and elaborates otherwise. ss.eng is set as
+// soon as the engine exists, so a failed replay releases it through
+// retire.
 func (s *server) replaySession(ss *sess) (*openRequest, []json.RawMessage, error) {
 	recs, err := s.cfg.journal.Read(ss.id)
 	if err != nil {
@@ -1625,8 +1607,10 @@ func sameNetTable(a, b []string) bool {
 // handleReport streams the session's JSON report. The report's inputs are
 // taken under the session lock and written after it and the admission
 // slot are released, so a client that reads slowly holds up no other
-// request of the session or the server. A write error ends the response:
-// the status has gone out with the first bytes.
+// request of the session or the server. The write ends at the request's
+// deadline: a client that stops reading cannot keep the handler, its
+// buffer and the snapshot's design past -request-timeout. A write error
+// ends the response: the status has gone out with the first bytes.
 func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	ss := s.sessionFor(w, r)
 	if ss == nil {
@@ -1637,6 +1621,10 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	freeSlot(r.Context())
 	_, sp := span.Start(r.Context(), "report.write")
 	defer sp.End()
+	if deadline, ok := r.Context().Deadline(); ok {
+		// A writer without deadlines (a test recorder) writes as before.
+		http.NewResponseController(w).SetWriteDeadline(deadline)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	n, err := snap.WriteTo(w)
 	sp.AnnotateInt("bytes", int(n))

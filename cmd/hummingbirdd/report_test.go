@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -267,5 +268,57 @@ func TestReportWriteErrorEndsResponse(t *testing.T) {
 	h.ServeHTTP(fw, httptest.NewRequest("GET", sess+"/report", nil))
 	if len(fw.headers) != 1 || fw.headers[0] != http.StatusOK || fw.writes != 1 {
 		t.Fatalf("statuses %v and %d writes after a failed write, want [200] and 1", fw.headers, fw.writes)
+	}
+}
+
+// smallBuffers sets a small send buffer on every connection it accepts,
+// so a response the client does not read blocks its writer soon.
+type smallBuffers struct{ net.Listener }
+
+func (l smallBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4 << 10)
+	}
+	return c, err
+}
+
+// TestReportWriteEndsAtDeadline asks a real listener for a DES report and
+// never reads the answer. The handler's write fails at the request's
+// 300 ms deadline instead of holding the handler, its buffer and the
+// report's design until the connection dies: the session's last trace,
+// stored when the handler returns, has a report.write span carrying the
+// write error within a second.
+func TestReportWriteEndsAtDeadline(t *testing.T) {
+	srv, sess, _ := openDES(t, serverConfig{maxSessions: 4, requestTimeout: 300 * time.Millisecond})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &http.Server{Handler: srv.handler()}
+	go hs.Serve(smallBuffers{l})
+	defer hs.Close()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	ss := srv.session(strings.TrimPrefix(sess, "/v1/sessions/"))
+	opened := ss.lastTrace.Load()
+	start := time.Now()
+	fmt.Fprintf(conn, "GET %s/report HTTP/1.1\r\nHost: hb\r\n\r\n", sess)
+	for ss.lastTrace.Load() == opened {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the report handler is still writing to a client that does not read")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("the report handler returned after %v, want under 1s", d)
+	}
+	writes := findSpans(ss.lastTrace.Load().Tree(), "report.write")
+	if len(writes) != 1 || writes[0].Attrs["error"] == "" {
+		t.Fatalf("report.write spans %+v, want one carrying the write error", writes)
 	}
 }

@@ -238,8 +238,8 @@ func allPositive(res *sta.Result) bool { return res.WorstSlack() > 0 }
 func (a *Analyzer) ResetOffsets() { a.St.Reset() }
 
 // IdentifySlowPaths runs Algorithm 1 from a fresh block analysis and
-// returns the report. It has no deadline; callers with one analyze with
-// sta.AnalyzeContext and continue with IdentifySlowPathsFromCtx.
+// returns the report. It has no deadline; the incremental engine, which
+// has one, runs IdentifySlowPathsReplay.
 func (a *Analyzer) IdentifySlowPaths() (*Report, error) {
 	t0 := time.Now()
 	defer func() { tAnalysis.Observe(time.Since(t0)) }()
@@ -252,24 +252,15 @@ func (a *Analyzer) IdentifySlowPaths() (*Report, error) {
 	return a.identifySlowPathsFrom(ctx, res, nil)
 }
 
-// IdentifySlowPathsFrom is IdentifySlowPathsFromCtx without a deadline.
-func (a *Analyzer) IdentifySlowPathsFrom(res *sta.Result) (*Report, error) {
-	return a.IdentifySlowPathsFromCtx(context.Background(), res)
-}
-
-// IdentifySlowPathsFromCtx runs Algorithm 1 starting from res, which must
-// be the block analysis of the network at its current offsets (for
-// example a cached result brought up to date with sta.RecomputeContext).
+// IdentifySlowPathsFrom runs Algorithm 1 without a deadline, starting
+// from res, which must be the block analysis of the network at its
+// current offsets (sign-off runs its steps as separate calls this way).
 // res is consumed: the fixed point mutates it in place and the report
-// retains it. The context is checked inside every fixed-point sweep
-// (between cluster re-analyses), so an expired deadline interrupts even a
-// single long-running sweep. The error is then a *CancelledError wrapping
-// the cause; res has been partially mutated and must be discarded along
-// with the offsets (call ResetOffsets before reusing the analyzer).
-func (a *Analyzer) IdentifySlowPathsFromCtx(ctx context.Context, res *sta.Result) (*Report, error) {
+// retains it.
+func (a *Analyzer) IdentifySlowPathsFrom(res *sta.Result) (*Report, error) {
 	t0 := time.Now()
 	defer func() { tAnalysis.Observe(time.Since(t0)) }()
-	return a.identifySlowPathsFrom(ctx, res, nil)
+	return a.identifySlowPathsFrom(context.Background(), res, nil)
 }
 
 // IdentifySlowPathsReplay is the incremental engine's Algorithm 1: it
@@ -278,7 +269,10 @@ func (a *Analyzer) IdentifySlowPathsFromCtx(ctx context.Context, res *sta.Result
 // started from a result of base's layout, this run replays it as a diff
 // (see sweep); on success the record of this run replaces it in t. base
 // is not written: the report's result is a clone the fixed point moved.
-// Errors are IdentifySlowPathsFromCtx's, and leave t as it was.
+// The context is checked inside every fixed-point sweep (between
+// cluster re-analyses), so an expired deadline interrupts even a single
+// long-running sweep; the error is then a *CancelledError wrapping the
+// cause. Errors leave t as it was.
 func (a *Analyzer) IdentifySlowPathsReplay(ctx context.Context, base *sta.Result, t *Trajectory) (*Report, error) {
 	t0 := time.Now()
 	defer func() { tAnalysis.Observe(time.Since(t0)) }()

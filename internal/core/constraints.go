@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"sort"
 	"time"
 
 	"hummingbird/internal/clock"
+	"hummingbird/internal/cluster"
 	"hummingbird/internal/sta"
 	"hummingbird/internal/syncelem"
 	"hummingbird/internal/telemetry"
@@ -26,13 +28,17 @@ type Constraints struct {
 	Ready []sta.PassDetail
 	// Required holds the pass details after the forward-snatch fixed
 	// point; its ReqR/ReqF fields are the recorded required times at all
-	// cell outputs.
+	// cell outputs. Both are in (cluster, pass) order, so Required[i] is
+	// the pass Ready[i] is.
 	Required []sta.PassDetail
 	// BackwardSnatches and ForwardSnatches count the fixed-point sweeps.
 	BackwardSnatches, ForwardSnatches int
 	// Trajectory is the convergence trace of the snatch iterations, one
 	// event per sweep. Populated only when Options.Trace is set.
 	Trajectory []telemetry.SweepEvent
+
+	// lay locates each net's cluster and its slot in the cluster's passes.
+	lay *cluster.Layout
 }
 
 // GenerateConstraints runs Algorithm 2 from a fresh block analysis. The
@@ -77,7 +83,7 @@ func (a *Analyzer) generateConstraintsFrom(ctx context.Context, res *sta.Result)
 	a.conv.reset(a.Opts.Trace != nil)
 	a.startRun(nil, nil)
 	defer a.stopRun()
-	c := &Constraints{}
+	c := &Constraints{lay: a.CD.Layout}
 
 	// Iteration 1: snatch time backward across all synchronising elements
 	// until none is snatched; this traces actual ready times forward
@@ -150,31 +156,30 @@ func (n NetTimes) Required() clock.Time {
 	return n.ReqFall
 }
 
-// NetTimes collects the per-pass recorded times of one net (global id).
+// passes returns the net's cluster and its slot there, and the range of
+// that cluster's passes in Ready and Required; an empty range for a net
+// outside every cluster.
+func (c *Constraints) passes(net int) (cl, slot, lo, hi int) {
+	if net < 0 || net >= len(c.lay.NetCluster) || c.lay.NetCluster[net] < 0 {
+		return -1, -1, 0, 0
+	}
+	cl, slot = int(c.lay.NetCluster[net]), int(c.lay.NetLocal[net])
+	lo = sort.Search(len(c.Ready), func(i int) bool { return c.Ready[i].Cluster >= cl })
+	return cl, slot, lo, lo + len(c.lay.Breaks[cl])
+}
+
+// NetTimes collects the per-pass recorded times of one net (global id):
+// one entry per pass of its cluster.
 func (c *Constraints) NetTimes(net int) []NetTimes {
+	_, li, lo, hi := c.passes(net)
 	var out []NetTimes
-	for pi := range c.Ready {
-		rp := &c.Ready[pi]
-		var qp *sta.PassDetail
-		for qi := range c.Required {
-			if c.Required[qi].Cluster == rp.Cluster && c.Required[qi].Pass == rp.Pass {
-				qp = &c.Required[qi]
-				break
-			}
-		}
-		if qp == nil {
-			continue
-		}
-		for li, id := range rp.Nets {
-			if id != net {
-				continue
-			}
-			out = append(out, NetTimes{
-				Cluster: rp.Cluster, Pass: rp.Pass, Beta: rp.Beta,
-				ReadyRise: rp.ReadyR[li], ReadyFall: rp.ReadyF[li],
-				ReqRise: qp.ReqR[li], ReqFall: qp.ReqF[li],
-			})
-		}
+	for i := lo; i < hi; i++ {
+		rp, qp := &c.Ready[i], &c.Required[i]
+		out = append(out, NetTimes{
+			Cluster: rp.Cluster, Pass: rp.Pass, Beta: rp.Beta,
+			ReadyRise: rp.ReadyR[li], ReadyFall: rp.ReadyF[li],
+			ReqRise: qp.ReqR[li], ReqFall: qp.ReqF[li],
+		})
 	}
 	return out
 }
@@ -183,47 +188,23 @@ func (c *Constraints) NetTimes(net int) []NetTimes {
 // passes where both are analyzed: min over passes of (required(to) −
 // ready(from)). A combinational path from→to is fast enough whenever its
 // worst delay does not exceed this budget. Returns +Inf if the pair never
-// appears in a common pass.
+// appears in a common pass: the nets are in different clusters, or either
+// in none.
 func (c *Constraints) Allowed(from, to int) clock.Time {
 	budget := clock.Inf
-	for pi := range c.Ready {
-		rp := &c.Ready[pi]
-		var qp *sta.PassDetail
-		for qi := range c.Required {
-			if c.Required[qi].Cluster == rp.Cluster && c.Required[qi].Pass == rp.Pass {
-				qp = &c.Required[qi]
-				break
-			}
-		}
-		if qp == nil {
-			continue
-		}
-		fi, ti := -1, -1
-		for li, id := range rp.Nets {
-			if id == from {
-				fi = li
-			}
-			if id == to {
-				ti = li
-			}
-		}
-		if fi < 0 || ti < 0 {
-			continue
-		}
-		ready := rp.ReadyR[fi]
-		if rp.ReadyF[fi] > ready {
-			ready = rp.ReadyF[fi]
-		}
-		req := qp.ReqR[ti]
-		if qp.ReqF[ti] < req {
-			req = qp.ReqF[ti]
-		}
+	fc, fi, lo, hi := c.passes(from)
+	tc, ti, _, _ := c.passes(to)
+	if fc < 0 || fc != tc {
+		return budget
+	}
+	for i := lo; i < hi; i++ {
+		rp, qp := &c.Ready[i], &c.Required[i]
+		ready := max(rp.ReadyR[fi], rp.ReadyF[fi])
+		req := min(qp.ReqR[ti], qp.ReqF[ti])
 		if ready == -clock.Inf || req == clock.Inf {
 			continue
 		}
-		if b := req - ready; b < budget {
-			budget = b
-		}
+		budget = min(budget, req-ready)
 	}
 	return budget
 }

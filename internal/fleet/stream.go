@@ -113,7 +113,7 @@ func (s *SessionStream) SetFlightRecorder(rec *flight.Recorder) {
 }
 
 // NewSessionStream builds a stream to peerURL for the session, primed
-// with the journal's existing frames (see journal.ReadFrames) so a
+// with the journal's existing frames (see journal.Writer.Frames) so a
 // stream attached after the open record — or after an adopt-time
 // rewrite — replicates the whole file, not just the tail. The primed
 // backlog is pushed on the first Commit or Flush.

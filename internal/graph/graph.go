@@ -1,6 +1,7 @@
 // Package graph provides the small directed-graph substrate used throughout
-// the timing analyzer: topological ordering, cycle detection, reachability
-// and strongly connected components over dense integer-indexed node sets.
+// the timing analyzer: topological ordering, cycle detection, reachability,
+// connected components and strongly connected components over dense
+// integer-indexed node sets.
 //
 // The combinational portions of a design are required to be acyclic (paper
 // §3, assumption 2); this package supplies the machinery both to verify that
@@ -12,30 +13,15 @@ import (
 	"fmt"
 )
 
-// Digraph is a directed graph over nodes 0..N-1 with adjacency lists.
-// The zero value is an empty graph; grow it with AddNode/AddEdge.
+// Digraph is a directed graph over nodes 0..n-1 with successor lists.
 type Digraph struct {
 	out [][]int
-	in  [][]int
 	m   int // edge count
 }
 
 // New returns a digraph with n nodes and no edges.
 func New(n int) *Digraph {
-	return &Digraph{out: make([][]int, n), in: make([][]int, n)}
-}
-
-// N returns the number of nodes.
-func (g *Digraph) N() int { return len(g.out) }
-
-// M returns the number of edges.
-func (g *Digraph) M() int { return g.m }
-
-// AddNode appends a new node and returns its index.
-func (g *Digraph) AddNode() int {
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	return len(g.out) - 1
+	return &Digraph{out: make([][]int, n)}
 }
 
 // AddEdge inserts the directed edge u -> v, rejecting out-of-range
@@ -52,23 +38,8 @@ func (g *Digraph) AddEdge(u, v int) error {
 // addEdge is AddEdge for indices already known to be in range.
 func (g *Digraph) addEdge(u, v int) {
 	g.out[u] = append(g.out[u], v)
-	g.in[v] = append(g.in[v], u)
 	g.m++
 }
-
-// Out returns the successors of u. The returned slice is owned by the graph
-// and must not be modified.
-func (g *Digraph) Out(u int) []int { return g.out[u] }
-
-// In returns the predecessors of u. The returned slice is owned by the graph
-// and must not be modified.
-func (g *Digraph) In(u int) []int { return g.in[u] }
-
-// OutDegree returns the number of edges leaving u.
-func (g *Digraph) OutDegree(u int) int { return len(g.out[u]) }
-
-// InDegree returns the number of edges entering u.
-func (g *Digraph) InDegree(u int) int { return len(g.in[u]) }
 
 // ErrCycle is returned by TopoSort when the graph contains a directed cycle.
 var ErrCycle = errors.New("graph: directed cycle detected")
@@ -154,12 +125,6 @@ func (g *Digraph) Levels() ([]int, error) {
 	return lvl, nil
 }
 
-// HasCycle reports whether the graph contains a directed cycle.
-func (g *Digraph) HasCycle() bool {
-	_, err := g.TopoSort()
-	return err != nil
-}
-
 // FindCycle returns one directed cycle as a node sequence (first node not
 // repeated at the end), or nil if the graph is acyclic. Used to produce
 // actionable diagnostics when a design violates the §3 acyclicity
@@ -235,30 +200,6 @@ func ReachCSR(start, succ []int32, src int32, seen []bool, visited []int32) []in
 		}
 	}
 	return visited
-}
-
-// CoReachableTo returns the set of nodes from which any of the given sinks is
-// reachable (sinks included), as a boolean mask indexed by node.
-func (g *Digraph) CoReachableTo(sinks ...int) []bool {
-	seen := make([]bool, len(g.out))
-	stack := make([]int, 0, len(sinks))
-	for _, s := range sinks {
-		if !seen[s] {
-			seen[s] = true
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.in[u] {
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
 }
 
 // Components partitions nodes 0..n-1 into weakly connected components as
@@ -366,28 +307,6 @@ func (g *Digraph) SCC() (comp []int, count int) {
 		}
 	}
 	return comp, count
-}
-
-// Sources returns all nodes with in-degree zero, in increasing order.
-func (g *Digraph) Sources() []int {
-	var s []int
-	for v := 0; v < len(g.out); v++ {
-		if len(g.in[v]) == 0 {
-			s = append(s, v)
-		}
-	}
-	return s
-}
-
-// Sinks returns all nodes with out-degree zero, in increasing order.
-func (g *Digraph) Sinks() []int {
-	var s []int
-	for v := 0; v < len(g.out); v++ {
-		if len(g.out[v]) == 0 {
-			s = append(s, v)
-		}
-	}
-	return s
 }
 
 // Induced returns the subgraph induced by keep (nodes where keep[v] is true)

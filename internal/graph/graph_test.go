@@ -51,9 +51,6 @@ func TestTopoSortCycle(t *testing.T) {
 	if _, err := g.TopoSort(); err != ErrCycle {
 		t.Fatalf("want ErrCycle, got %v", err)
 	}
-	if !g.HasCycle() {
-		t.Fatal("HasCycle = false on a 3-cycle")
-	}
 }
 
 func TestTopoSortEmpty(t *testing.T) {
@@ -86,7 +83,7 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 			pos[v] = i
 		}
 		for u := 0; u < n; u++ {
-			for _, v := range g.Out(u) {
+			for _, v := range g.out[u] {
 				if pos[u] >= pos[v] {
 					return false
 				}
@@ -142,7 +139,7 @@ func TestFindCycleReturnsRealCycle(t *testing.T) {
 	}
 	// Verify every consecutive pair is an edge, and last->first closes it.
 	has := func(u, v int) bool {
-		for _, w := range g.Out(u) {
+		for _, w := range g.out[u] {
 			if w == v {
 				return true
 			}
@@ -169,7 +166,7 @@ func TestSelfLoopCycle(t *testing.T) {
 // ReachCSR walk per source over a shared mask.
 func reach(g *Digraph, sources ...int) []bool {
 	start, succ := g.CSR()
-	seen := make([]bool, g.N())
+	seen := make([]bool, len(start)-1)
 	for _, s := range sources {
 		ReachCSR(start, succ, int32(s), seen, nil)
 	}
@@ -179,7 +176,7 @@ func reach(g *Digraph, sources ...int) []bool {
 func TestReachableFrom(t *testing.T) {
 	g := mk(6, [][2]int{{0, 1}, {1, 2}, {3, 4}})
 	start, succ := g.CSR()
-	seen := make([]bool, g.N())
+	seen := make([]bool, len(start)-1)
 	visited := ReachCSR(start, succ, 0, seen, nil)
 	if !reflect.DeepEqual(visited, []int32{0, 1, 2}) {
 		t.Fatalf("visited = %v, want [0 1 2]", visited)
@@ -197,28 +194,20 @@ func TestReachableFrom(t *testing.T) {
 	}
 }
 
-func TestCoReachableTo(t *testing.T) {
-	g := mk(5, [][2]int{{0, 1}, {1, 2}, {3, 2}, {2, 4}})
-	r := g.CoReachableTo(2)
-	want := []bool{true, true, true, true, false}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("coreach = %v, want %v", r, want)
-		}
-	}
-}
-
 func TestReachCoReachDual(t *testing.T) {
-	// Property: v reachable from u <=> u in CoReachableTo(v).
+	// Property: v reachable from u <=> u reachable from v over the
+	// reversed edges.
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(20)
-		g := New(n)
+		g, rev := New(n), New(n)
 		for i := 0; i < 3*n; i++ {
-			g.AddEdge(r.Intn(n), r.Intn(n))
+			a, b := r.Intn(n), r.Intn(n)
+			g.AddEdge(a, b)
+			rev.AddEdge(b, a)
 		}
 		u, v := r.Intn(n), r.Intn(n)
-		return reach(g, u)[v] == g.CoReachableTo(v)[u]
+		return reach(g, u)[v] == reach(rev, v)[u]
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -293,22 +282,11 @@ func TestSCCCountMatchesCycleFreedom(t *testing.T) {
 			g.AddEdge(b, a)
 		}
 		_, c := g.SCC()
-		singletons := c == n
-		return singletons == !g.HasCycle()
+		_, err := g.TopoSort()
+		return (c == n) == (err == nil)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSourcesSinks(t *testing.T) {
-	g := mk(5, [][2]int{{0, 2}, {1, 2}, {2, 3}, {2, 4}})
-	src, snk := g.Sources(), g.Sinks()
-	if len(src) != 2 || src[0] != 0 || src[1] != 1 {
-		t.Fatalf("sources = %v", src)
-	}
-	if len(snk) != 2 || snk[0] != 3 || snk[1] != 4 {
-		t.Fatalf("sinks = %v", snk)
 	}
 }
 
@@ -316,8 +294,8 @@ func TestInduced(t *testing.T) {
 	g := mk(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}})
 	keep := []bool{true, true, true, false, false}
 	sub, o2n, n2o := g.Induced(keep)
-	if sub.N() != 3 || sub.M() != 2 {
-		t.Fatalf("induced N=%d M=%d", sub.N(), sub.M())
+	if len(sub.out) != 3 || sub.m != 2 {
+		t.Fatalf("induced N=%d M=%d", len(sub.out), sub.m)
 	}
 	if o2n[3] != -1 || o2n[0] != 0 {
 		t.Fatalf("oldToNew = %v", o2n)
@@ -334,34 +312,7 @@ func TestAddEdgeRejectsOutOfRange(t *testing.T) {
 			t.Errorf("edge %v accepted", e)
 		}
 	}
-	if g.M() != 0 {
-		t.Fatalf("rejected edges counted: M=%d", g.M())
-	}
-}
-
-func TestAddNode(t *testing.T) {
-	g := New(1)
-	id := g.AddNode()
-	if id != 1 || g.N() != 2 {
-		t.Fatalf("AddNode id=%d N=%d", id, g.N())
-	}
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if g.OutDegree(0) != 1 || g.InDegree(1) != 1 {
-		t.Fatal("degree bookkeeping wrong after AddNode")
-	}
-}
-
-func TestInOut(t *testing.T) {
-	g := mk(3, [][2]int{{0, 1}, {2, 1}})
-	if len(g.In(1)) != 2 || g.In(1)[0] != 0 || g.In(1)[1] != 2 {
-		t.Fatalf("In(1) = %v", g.In(1))
-	}
-	if len(g.In(0)) != 0 || len(g.Out(1)) != 0 {
-		t.Fatal("empty adjacency wrong")
-	}
-	if g.M() != 2 || g.N() != 3 {
-		t.Fatal("counts wrong")
+	if g.m != 0 {
+		t.Fatalf("rejected edges counted: M=%d", g.m)
 	}
 }

@@ -67,8 +67,6 @@ var (
 	mFullFallbacks     = telemetry.NewCounter("incr.full_fallbacks")
 	mChecksumFallbacks = telemetry.NewCounter("incr.checksum_fallbacks")
 	mDirtyClusters     = telemetry.NewCounter("incr.dirty_clusters")
-	mCacheHits         = telemetry.NewCounter("incr.result_cache_hits")
-	mCacheMisses       = telemetry.NewCounter("incr.result_cache_misses")
 )
 
 // Op enumerates the edit kinds.
@@ -242,7 +240,6 @@ func OpenSharedContext(ctx context.Context, lib *celllib.Library, design *netlis
 	opts.Adjustments = cloneAdjust(opts.Adjustments)
 	e := &Engine{lib: lib, opts: opts, design: design, sharedCD: true, release: release}
 	mFullAnalyses.Inc()
-	mCacheMisses.Inc()
 	an := core.LoadCompiled(cd, design, e.opts)
 	if err := e.analyzeFresh(ctx, an); err != nil {
 		e.ReleaseShared()
@@ -652,7 +649,6 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 	}
 
 	mIncrAnalyses.Inc()
-	mCacheHits.Inc()
 	mDirtyClusters.Add(int64(len(ids)))
 
 	// Replay the from-scratch computation: initial offsets, a clone of the
@@ -852,7 +848,6 @@ func (e *Engine) editedCopy(edits []Edit) (*netlist.Design, map[string]clock.Tim
 // interrupted or non-convergent analysis.
 func (e *Engine) loadFull(ctx context.Context) error {
 	mFullAnalyses.Inc()
-	mCacheMisses.Inc()
 	_, sp := span.Start(ctx, "core.load")
 	an, err := core.Load(e.lib, e.design, e.opts)
 	sp.End()

@@ -1,43 +1,39 @@
-// Package journal provides the append-only per-session edit journals that
-// give hummingbirdd crash recovery: every session-mutating operation (the
-// open request, then each applied edit batch) is appended as one
-// CRC-framed JSON record before the response is acknowledged, so a daemon
-// restarted after a crash can replay the journals and restore every
-// session to its exact pre-crash state.
+// Package journal is hummingbirdd's journal store: the append-only
+// per-session edit journals that give it crash recovery, and the standby
+// copies that let a peer take a session over. Every session-mutating
+// operation (the open request, then each applied edit batch) is appended
+// as one CRC-framed JSON record, and fsynced, before the response is
+// acknowledged:
 //
-// # Format
+//	<crc32c-hex> SP {"kind":"open"|"edits","seq":N,"body":<caller JSON>} LF
 //
-// A journal is a text file of newline-terminated records:
-//
-//	<crc32c-hex> <payload-json>\n
-//
-// where the checksum covers the payload bytes. The payload is
-//
-//	{"kind":"open"|"edits","seq":N,"body":<caller JSON>}
-//
-// with seq increasing from 0 within one file. The framing makes replay
-// torn-write-tolerant: a crash mid-append leaves a final line that is
-// truncated or fails its checksum, and Read stops there, returning every
-// record the daemon had previously acknowledged (records are fsynced
-// before the HTTP response, so an acknowledged edit is never lost).
-//
-// # Durability
+// A journal replays to its intact prefix, the frames before the first
+// one that is torn (no LF), fails its checksum, does not decode or is out
+// of sequence; a crash mid-append leaves at most such a tail, and it was
+// never acknowledged. docs/FORMATS.md, §6, has the grammar and the rules.
+// This package is the only code that encodes or decodes a frame (one
+// encoder, encodeFrame; one check, checkFrame; one scanner, scan) and the
+// only code that touches a journal file: a Manager owns the live journals
+// of one directory and, under standby/, the copies streamed from peers.
 //
 // Appends are group-committed: the record is written under the file lock,
 // then Append waits on a shared fsync barrier — concurrent appenders that
-// land while another fsync is in flight share the next one, so a burst of
-// edits costs one or two fsyncs rather than one each.
+// land while another fsync is in flight share the next one. A standby
+// push is one write and one fsync.
 package journal
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,11 +77,11 @@ const (
 )
 
 // A Sink receives a session's committed journal frames for replication.
-// Commit is called with one or more complete framed lines (each
-// "<crc32c-hex> <payload-json>\n"), strictly in sequence order, and only
-// after the frames are durable in the local journal (the group-commit
-// fsync covering them has returned). Delivery is serialized: Commit is
-// never called concurrently for one writer. A sink must not block
+// Commit is called with one or more complete frames, LF included,
+// strictly in sequence order, and only after the frames are durable in
+// the local journal (the group-commit fsync covering them has returned).
+// The sink owns the frames it is handed. Delivery is serialized: Commit
+// is never called concurrently for one writer. A sink must not block
 // indefinitely — it runs on the request path between fsync and the HTTP
 // response — and it owns its own retry/buffering policy; Commit has no
 // error return because replication failure must degrade (lag grows),
@@ -99,6 +95,115 @@ type Record struct {
 	Kind string          `json:"kind"`
 	Seq  int64           `json:"seq"`
 	Body json.RawMessage `json:"body"`
+}
+
+// frameBuf is a frame under construction that encoding/json writes a
+// body into, leaving room for one more byte: the frame's LF.
+type frameBuf []byte
+
+func (b *frameBuf) Write(p []byte) (int, error) {
+	*b = append(slices.Grow(*b, len(p)+1), p...)
+	return len(p), nil
+}
+
+const hexDigits = "0123456789abcdef"
+
+// encodeFrame encodes one record into its frame in one buffer, the body
+// encoded in place and the checksum filled in last: the bytes of
+// json.Marshal of the Record (compact, HTML-escaped) framed by "%08x %s\n".
+func encodeFrame(kind string, seq int64, body any) ([]byte, error) {
+	if kind != KindOpen && kind != KindEdits { // the kind is copied unescaped
+		return nil, fmt.Errorf("journal: unknown record kind %q", kind)
+	}
+	b := make(frameBuf, 0, 256)
+	b = append(b, `00000000 {"kind":"`...)
+	b = append(b, kind...)
+	b = append(b, `","seq":`...)
+	b = strconv.AppendInt(b, seq, 10)
+	b = append(b, `,"body":`...)
+	if err := json.NewEncoder(&b).Encode(body); err != nil {
+		return nil, fmt.Errorf("journal: encode body: %w", err)
+	}
+	b[len(b)-1] = '}' // Encode ends the body with a LF
+	b = append(b, '\n')
+	crc := crc32.Checksum(b[9:len(b)-1], castagnoli)
+	for i := 7; i >= 0; i-- {
+		b[i] = hexDigits[crc&0xf]
+		crc >>= 4
+	}
+	return b, nil
+}
+
+// checkFrame decodes line as frame seq of a journal: it must end in its
+// LF, its checksum must cover its payload, the payload must decode to a
+// record of sequence seq, and frame 0 must be the open record.
+func checkFrame(line []byte, seq int64) (Record, error) {
+	frame, ok := bytes.CutSuffix(line, []byte{'\n'})
+	if !ok {
+		return Record{}, fmt.Errorf("journal: frame %d has no LF", seq)
+	}
+	crcHex, payload, ok := bytes.Cut(frame, []byte{' '})
+	if !ok {
+		return Record{}, fmt.Errorf("journal: frame %d has no checksum separator", seq)
+	}
+	want, err := strconv.ParseUint(string(crcHex), 16, 32)
+	if err != nil {
+		return Record{}, fmt.Errorf("journal: frame %d: bad checksum %q", seq, crcHex)
+	}
+	if crc32.Checksum(payload, castagnoli) != uint32(want) {
+		return Record{}, fmt.Errorf("journal: frame %d: checksum mismatch", seq)
+	}
+	var rec Record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return Record{}, fmt.Errorf("journal: frame %d: %w", seq, err)
+	}
+	if rec.Seq != seq {
+		return Record{}, fmt.Errorf("journal: frame %d carries seq %d", seq, rec.Seq)
+	}
+	if seq == 0 && rec.Kind != KindOpen {
+		return Record{}, fmt.Errorf("journal: frame 0 is %q, want %q", rec.Kind, KindOpen)
+	}
+	return rec, nil
+}
+
+// scan reads the journal at path and calls fn with each frame of its
+// intact prefix — the line, LF included, in a buffer fn may keep, and its
+// record — until fn returns false. bad is why it stopped at a frame that
+// fails checkFrame, nil at the end of the file or when fn stopped it; err
+// is an open or read error.
+func scan(path string, fn func(line []byte, rec Record) bool) (bad, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	br := bufio.NewReaderSize(f, 64<<10)
+	for seq := int64(0); ; seq++ {
+		line, rerr := br.ReadBytes('\n')
+		if len(line) == 0 && rerr == io.EOF {
+			return nil, nil
+		}
+		if rerr != nil && rerr != io.EOF {
+			return nil, rerr
+		}
+		rec, cerr := checkFrame(line, seq)
+		if cerr != nil {
+			return cerr, nil
+		}
+		if !fn(line, rec) {
+			return nil, nil
+		}
+	}
+}
+
+// readFrames returns the frames of the intact prefix of the file at path.
+func readFrames(path string) ([][]byte, error) {
+	var frames [][]byte
+	_, err := scan(path, func(line []byte, _ Record) bool {
+		frames = append(frames, line)
+		return true
+	})
+	return frames, err
 }
 
 // Writer appends records to one session's journal file.
@@ -126,7 +231,7 @@ type Writer struct {
 
 // SetSink attaches (or, with nil, detaches) the replication sink. Frames
 // appended from now on are delivered to it after they are durable;
-// frames already in the file are the caller's to prime (see ReadFrames).
+// frames already in the file are the caller's to prime (see Frames).
 // Callers attach the sink before the writer is visible to concurrent
 // appenders.
 func (w *Writer) SetSink(s Sink) {
@@ -150,16 +255,30 @@ func (w *Writer) deliver() {
 	}
 }
 
-// Manager owns a directory of session journals, one file per session id.
+// Frames returns the frames the writer's file holds, LF included, for
+// priming a replication stream. The caller keeps appends out while it
+// reads.
+func (w *Writer) Frames() ([][]byte, error) { return readFrames(w.path) }
+
+// Manager owns a journal directory: the live journals, one file per
+// session id, and the standby journals under standby/.
 type Manager struct {
-	dir string
+	dir, standby string
+
+	// mu serializes standby mutations; next holds each standby's next
+	// expected sequence, recovered from its file on first touch after a
+	// restart, so a push costs O(frames pushed).
+	mu   sync.Mutex
+	next map[string]int64
 }
 
-// NewManager ensures the directory exists and returns a manager over it.
-// Stale compaction temporaries (a crash mid-Rewrite) are removed: the
-// original journal each was meant to replace is still intact.
+// NewManager ensures the directory and its standby directory exist and
+// returns a manager over them. Stale compaction temporaries (a crash
+// mid-Rewrite) are removed: the original journal each was meant to
+// replace is still intact.
 func NewManager(dir string) (*Manager, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	standby := filepath.Join(dir, "standby")
+	if err := os.MkdirAll(standby, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	if ents, err := os.ReadDir(dir); err == nil {
@@ -169,36 +288,24 @@ func NewManager(dir string) (*Manager, error) {
 			}
 		}
 	}
-	return &Manager{dir: dir}, nil
+	return &Manager{dir: dir, standby: standby, next: make(map[string]int64)}, nil
 }
 
-// Dir returns the journal directory.
-func (m *Manager) Dir() string { return m.dir }
-
-func (m *Manager) path(session string) string {
+// Path returns the on-disk path of the session's live journal (which may
+// not exist yet).
+func (m *Manager) Path(session string) string {
 	return filepath.Join(m.dir, session+".journal")
 }
 
-// Path returns the on-disk path of the session's journal file (which may
-// not exist yet). Replication uses it to prime streams and to promote an
-// adopted standby journal into the live directory.
-func (m *Manager) Path(session string) string { return m.path(session) }
+func (m *Manager) standbyPath(session string) string {
+	return filepath.Join(m.standby, session+".journal")
+}
 
 // Create starts a fresh journal for the session, writing (and syncing) the
 // open record. An existing journal for the same id is truncated — the
 // caller allocates ids that never collide with live sessions.
 func (m *Manager) Create(session string, openBody any) (*Writer, error) {
-	f, err := os.OpenFile(m.path(session), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	w := &Writer{f: f, path: m.path(session)}
-	if err := w.Append(KindOpen, openBody); err != nil {
-		f.Close()
-		os.Remove(w.path)
-		return nil, err
-	}
-	return w, nil
+	return create(m.Path(session), openBody, nil)
 }
 
 // Rewrite atomically replaces the session's journal with a compacted one —
@@ -209,13 +316,30 @@ func (m *Manager) Create(session string, openBody any) (*Writer, error) {
 // journal or the complete new one on disk, never neither; on error the
 // original journal is untouched.
 func (m *Manager) Rewrite(session string, openBody any, batches []json.RawMessage) (*Writer, error) {
-	final := m.path(session)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	final := m.Path(session)
+	w, err := create(final+".tmp", openBody, batches)
+	if err != nil {
+		return nil, err
+	}
+	if err := os.Rename(w.path, final); err != nil {
+		w.f.Close()
+		os.Remove(w.path)
+		return nil, fmt.Errorf("journal: rewrite %s: %w", session, err)
+	}
+	w.path = final
+	syncDir(m.dir)
+	return w, nil
+}
+
+// create writes a journal of the open record and batches at path, each
+// record synced, and returns a writer appending to it. On error nothing
+// is left at path.
+func create(path string, openBody any, batches []json.RawMessage) (*Writer, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	w := &Writer{f: f, path: tmp}
+	w := &Writer{f: f, path: path}
 	err = w.Append(KindOpen, openBody)
 	for _, b := range batches {
 		if err != nil {
@@ -223,18 +347,11 @@ func (m *Manager) Rewrite(session string, openBody any, batches []json.RawMessag
 		}
 		err = w.Append(KindEdits, b)
 	}
-	if err == nil {
-		if rerr := os.Rename(tmp, final); rerr != nil {
-			err = fmt.Errorf("journal: rewrite %s: %w", session, rerr)
-		}
-	}
 	if err != nil {
 		f.Close()
-		os.Remove(tmp)
+		os.Remove(path)
 		return nil, err
 	}
-	w.path = final
-	syncDir(m.dir)
 	return w, nil
 }
 
@@ -247,93 +364,235 @@ func syncDir(dir string) {
 	}
 }
 
+// gone is err, or nil when err says the file was already gone.
+func gone(err error) error {
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	return err
+}
+
 // Remove deletes the session's journal (normal close: the state is parked
 // or discarded deliberately, so there is nothing left to replay).
-func (m *Manager) Remove(session string) error {
-	err := os.Remove(m.path(session))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	return nil
-}
+func (m *Manager) Remove(session string) error { return gone(os.Remove(m.Path(session))) }
 
 // Quarantine renames the session's journal aside (suffix ".quarantined")
 // so a poisoned session's history survives for diagnosis without being
 // replayed into the next process.
 func (m *Manager) Quarantine(session string) error {
-	err := os.Rename(m.path(session), m.path(session)+".quarantined")
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	return nil
+	return gone(os.Rename(m.Path(session), m.Path(session)+".quarantined"))
 }
 
-// Sessions lists the session ids with a journal on disk, sorted.
-func (m *Manager) Sessions() ([]string, error) {
-	ents, err := os.ReadDir(m.dir)
+// Sessions lists the session ids with a live journal on disk, sorted.
+func (m *Manager) Sessions() ([]string, error) { return sessions(m.dir) }
+
+// sessions lists the ids of the journals in dir, sorted.
+func sessions(dir string) ([]string, error) {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var ids []string
 	for _, e := range ents {
-		name := e.Name()
-		if e.Type().IsRegular() && strings.HasSuffix(name, ".journal") {
-			ids = append(ids, strings.TrimSuffix(name, ".journal"))
+		if id, ok := strings.CutSuffix(e.Name(), ".journal"); ok && e.Type().IsRegular() {
+			ids = append(ids, id)
 		}
 	}
 	sort.Strings(ids)
 	return ids, nil
 }
 
-// Read replays the session's journal, tolerating a torn tail: records
-// after the first truncated or checksum-failing line are dropped (they
-// were never acknowledged). The returned slice starts with the KindOpen
-// record. Counts one journal.replays.
+// Read replays the session's live journal: the records of its intact
+// prefix, starting with the KindOpen record. A torn tail is dropped (it
+// was never acknowledged) and counted in journal.torn_tails. Counts one
+// journal.replays.
 func (m *Manager) Read(session string) ([]Record, error) {
-	f, err := os.Open(m.path(session))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	var recs []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64<<10), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		crcHex, payload, ok := strings.Cut(string(line), " ")
-		if !ok {
-			mTornTails.Inc()
-			break
-		}
-		want, err := strconv.ParseUint(crcHex, 16, 32)
-		if err != nil || crc32.Checksum([]byte(payload), castagnoli) != uint32(want) {
-			mTornTails.Inc()
-			break
-		}
-		var rec Record
-		if err := json.Unmarshal([]byte(payload), &rec); err != nil {
-			mTornTails.Inc()
-			break
-		}
-		if rec.Seq != int64(len(recs)) {
-			// A sequence gap means the file was tampered with or
-			// mis-assembled; stop at the last consistent prefix.
-			mTornTails.Inc()
-			break
-		}
+	bad, err := scan(m.Path(session), func(_ []byte, rec Record) bool {
 		recs = append(recs, rec)
+		return true
+	})
+	if bad != nil {
+		mTornTails.Inc()
 	}
-	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
+	if err != nil {
 		return recs, err
 	}
 	if len(recs) == 0 {
+		if bad != nil {
+			return nil, fmt.Errorf("journal %s: no intact records: %w", session, bad)
+		}
 		return nil, fmt.Errorf("journal %s: no intact records", session)
-	}
-	if recs[0].Kind != KindOpen {
-		return nil, fmt.Errorf("journal %s: first record is %q, want %q", session, recs[0].Kind, KindOpen)
 	}
 	mReplays.Inc()
 	return recs, nil
+}
+
+// Export returns the frames of the session's live journal, or of its
+// standby when it has no live one, LF included.
+func (m *Manager) Export(session string) ([][]byte, error) {
+	frames, err := readFrames(m.Path(session))
+	if errors.Is(err, os.ErrNotExist) {
+		frames, err = readFrames(m.standbyPath(session))
+	}
+	return frames, err
+}
+
+// ErrSeqGap refuses a push that starts past the frames a standby holds:
+// the primary resends from the next sequence AppendStandby returns.
+var ErrSeqGap = errors.New("journal: push starts past the standby's next sequence")
+
+// AppendStandby appends a push of streamed frames, the first of sequence
+// firstSeq, to the session's standby journal. Frames it holds already are
+// skipped (delivery is at least once); every other frame must pass
+// checkFrame before any is written, in one write and one fsync. next is
+// the standby's next expected sequence whatever the outcome; frames counts
+// an accepted push's frames, held ones included. An empty push only
+// reports next.
+func (m *Manager) AppendStandby(session string, firstSeq int64, push []byte) (next int64, frames int, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	next, err = m.standbyNext(session)
+	if err != nil || len(push) == 0 {
+		return next, 0, err
+	}
+	if firstSeq > next {
+		return next, 0, ErrSeqGap
+	}
+	fresh := -1 // offset of the first frame not yet held
+	seq := firstSeq
+	for off := 0; off < len(push); seq++ {
+		end := len(push)
+		if i := bytes.IndexByte(push[off:], '\n'); i >= 0 {
+			end = off + i + 1
+		}
+		if seq >= next {
+			if fresh < 0 {
+				fresh = off
+			}
+			if _, err := checkFrame(push[off:end], seq); err != nil {
+				return next, 0, err
+			}
+		}
+		off = end
+		frames++
+	}
+	if fresh < 0 {
+		return next, frames, nil
+	}
+	f, err := os.OpenFile(m.standbyPath(session), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return next, 0, err
+	}
+	_, err = f.Write(push[fresh:])
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		// The file may end in part of the push: recount and cut it off
+		// on the next touch.
+		delete(m.next, session)
+		return next, 0, err
+	}
+	m.next[session] = seq
+	return seq, frames, nil
+}
+
+// standbyNext returns the session's next expected standby sequence. On
+// first touch after a restart it counts the frames on disk and cuts off a
+// torn tail, so the next push lands right after the last intact frame.
+// A session without a standby is not remembered: probes of unknown ids
+// leave nothing behind. Caller holds m.mu.
+func (m *Manager) standbyNext(session string) (int64, error) {
+	if n, ok := m.next[session]; ok {
+		return n, nil
+	}
+	path := m.standbyPath(session)
+	var n, size int64
+	bad, err := scan(path, func(line []byte, _ Record) bool {
+		n++
+		size += int64(len(line))
+		return true
+	})
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return 0, nil
+	case err != nil:
+		return 0, err
+	case bad != nil:
+		if err := os.Truncate(path, size); err != nil {
+			return 0, err
+		}
+	}
+	m.next[session] = n
+	return n, nil
+}
+
+// A Standby is one standby journal: its session, the frames it holds (its
+// next expected sequence) and the body of frame 0, nil when it holds none.
+type Standby struct {
+	Session string
+	Next    int64
+	Open    json.RawMessage
+}
+
+// Standbys lists the standby journals, sorted by session id.
+func (m *Manager) Standbys() ([]Standby, error) {
+	ids, err := sessions(m.standby)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Standby, 0, len(ids))
+	for _, id := range ids {
+		m.mu.Lock()
+		next, err := m.standbyNext(id)
+		m.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		sb := Standby{Session: id, Next: next}
+		if next > 0 {
+			// Frame 0 is never rewritten, so it reads without the lock; a
+			// read that fails leaves Open nil, as for an empty standby.
+			scan(m.standbyPath(id), func(_ []byte, rec Record) bool {
+				sb.Open = rec.Body
+				return false
+			})
+		}
+		out = append(out, sb)
+	}
+	return out, nil
+}
+
+// ReleaseStandby drops the session's standby journal.
+func (m *Manager) ReleaseStandby(session string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.next, session)
+	return gone(os.Remove(m.standbyPath(session)))
+}
+
+// Promote renames the session's standby journal into the live directory
+// for Read to restore, syncing both directories. A session with a live
+// journal (parked here, then adopted back) keeps it. The error wraps
+// os.ErrNotExist when the session has neither.
+func (m *Manager) Promote(session string) error {
+	live := m.Path(session)
+	if _, err := os.Stat(live); err == nil {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := os.Rename(m.standbyPath(session), live); err != nil {
+		return err
+	}
+	delete(m.next, session)
+	syncDir(m.standby)
+	syncDir(m.dir)
+	return nil
 }
 
 // Append frames, writes and fsyncs one record. The record is durable when
@@ -348,39 +607,31 @@ func (w *Writer) Append(kind string, body any) error {
 // "journal.fsync" child covering the group-commit barrier. The context is
 // used only for tracing, never for cancellation — an append the caller
 // initiated must reach the disk regardless of deadlines, or the journal
-// would disagree with the acknowledged state.
+// would disagree with the acknowledged state. The record is encoded
+// under the file lock, which fixes its sequence, and the sink is handed
+// the frame that was written.
 func (w *Writer) AppendContext(ctx context.Context, kind string, body any) error {
-	sctx, sp := span.Start(ctx, "journal.append")
+	ctx, sp := span.Start(ctx, "journal.append")
 	defer sp.End()
-	return w.append(sctx, kind, body)
-}
-
-func (w *Writer) append(ctx context.Context, kind string, body any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("journal: encode body: %w", err)
-	}
 	w.mu.Lock()
-	rec := Record{Kind: kind, Seq: w.seq, Body: raw}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		w.mu.Unlock()
-		return fmt.Errorf("journal: encode record: %w", err)
+	frame, err := encodeFrame(kind, w.seq, body)
+	if err == nil {
+		err = failpoint.Hit("journal.append")
 	}
-	if err := failpoint.Hit("journal.append"); err != nil {
+	if err == nil {
+		if _, werr := w.f.Write(frame); werr != nil {
+			err = fmt.Errorf("journal: append: %w", werr)
+		}
+	}
+	if err != nil {
 		w.mu.Unlock()
 		return err
-	}
-	line := fmt.Sprintf("%08x %s\n", crc32.Checksum(payload, castagnoli), payload)
-	if _, err := w.f.WriteString(line); err != nil {
-		w.mu.Unlock()
-		return fmt.Errorf("journal: append: %w", err)
 	}
 	w.seq++
 	w.writeGen++
 	gen := w.writeGen
 	if w.sink != nil {
-		w.pending = append(w.pending, []byte(line))
+		w.pending = append(w.pending, frame)
 	}
 	w.mu.Unlock()
 	mAppends.Inc()
@@ -450,9 +701,6 @@ func (w *Writer) Close() error {
 	return syncErr
 }
 
-// Path returns the journal file's path (diagnostics).
-func (w *Writer) Path() string { return w.path }
-
 // Seq returns the next sequence number the writer will append — equal to
 // the count of records already in the file. The fleet's reconcile flow
 // compares it across replicas to resolve double-claimed sessions.
@@ -460,89 +708,4 @@ func (w *Writer) Seq() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.seq
-}
-
-// ParseFrame validates one framed journal line the way CheckFrame does
-// (any sequence) and returns the decoded record. Replicas use it to read
-// the open record out of a streamed standby journal's first frame — for
-// compile pre-warming and for recovering the session's design key —
-// without replaying the file.
-func ParseFrame(line []byte) (Record, error) {
-	s := strings.TrimSuffix(string(line), "\n")
-	crcHex, payload, ok := strings.Cut(s, " ")
-	if !ok {
-		return Record{}, fmt.Errorf("journal: frame has no checksum separator")
-	}
-	want, err := strconv.ParseUint(crcHex, 16, 32)
-	if err != nil {
-		return Record{}, fmt.Errorf("journal: bad frame checksum %q", crcHex)
-	}
-	if crc32.Checksum([]byte(payload), castagnoli) != uint32(want) {
-		return Record{}, fmt.Errorf("journal: frame checksum mismatch")
-	}
-	var rec Record
-	if err := json.Unmarshal([]byte(payload), &rec); err != nil {
-		return Record{}, fmt.Errorf("journal: decode frame: %w", err)
-	}
-	return rec, nil
-}
-
-// CheckFrame validates one framed journal line (with or without its
-// trailing newline): the checksum must cover the payload and the payload
-// must decode to a record carrying sequence wantSeq (any sequence when
-// wantSeq < 0). Returns the record kind. This is the admission check a
-// replica runs on every replicated frame before appending it to a
-// standby journal — a frame that fails here must be rejected, not
-// stored, or the standby would replay differently from the primary.
-func CheckFrame(line []byte, wantSeq int64) (string, error) {
-	s := strings.TrimSuffix(string(line), "\n")
-	crcHex, payload, ok := strings.Cut(s, " ")
-	if !ok {
-		return "", fmt.Errorf("journal: frame has no checksum separator")
-	}
-	want, err := strconv.ParseUint(crcHex, 16, 32)
-	if err != nil {
-		return "", fmt.Errorf("journal: bad frame checksum %q", crcHex)
-	}
-	if crc32.Checksum([]byte(payload), castagnoli) != uint32(want) {
-		return "", fmt.Errorf("journal: frame checksum mismatch")
-	}
-	var rec Record
-	if err := json.Unmarshal([]byte(payload), &rec); err != nil {
-		return "", fmt.Errorf("journal: decode frame: %w", err)
-	}
-	if wantSeq >= 0 && rec.Seq != wantSeq {
-		return "", fmt.Errorf("journal: frame seq %d, want %d", rec.Seq, wantSeq)
-	}
-	return rec.Kind, nil
-}
-
-// ReadFrames returns the intact framed lines of the journal file at
-// path, trailing newlines included, stopping silently at the first torn
-// or corrupt line (same tolerance as Read, without decoding bodies).
-// Callers use it to prime a replication stream with a journal's existing
-// frames and to recover a standby journal's next-expected sequence.
-func ReadFrames(path string) ([][]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var frames [][]byte
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64<<10), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if _, err := CheckFrame(line, int64(len(frames))); err != nil {
-			break
-		}
-		frame := make([]byte, len(line)+1)
-		copy(frame, line)
-		frame[len(line)] = '\n'
-		frames = append(frames, frame)
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
-		return frames, err
-	}
-	return frames, nil
 }

@@ -82,7 +82,7 @@ func TestTornTailDropsOnlyLastRecord(t *testing.T) {
 	}
 	w.Close()
 
-	path := filepath.Join(m.Dir(), "s1.journal")
+	path := filepath.Join(m.dir, "s1.journal")
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestTornTailDropsOnlyLastRecord(t *testing.T) {
 
 func TestReadRejectsEmptyAndHeaderless(t *testing.T) {
 	m := newManager(t)
-	if err := os.WriteFile(filepath.Join(m.Dir(), "bad.journal"), nil, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(m.dir, "bad.journal"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Read("bad"); err == nil {
@@ -134,7 +134,7 @@ func TestRemoveAndQuarantine(t *testing.T) {
 	if ids, _ := m.Sessions(); len(ids) != 0 {
 		t.Fatalf("quarantined journal still listed: %v", ids)
 	}
-	if _, err := os.Stat(filepath.Join(m.Dir(), "s1.journal.quarantined")); err != nil {
+	if _, err := os.Stat(filepath.Join(m.dir, "s1.journal.quarantined")); err != nil {
 		t.Fatalf("quarantined file missing: %v", err)
 	}
 	w2, _ := m.Create("s2", openRec{})
@@ -163,7 +163,7 @@ func TestRewriteCompactsAtomically(t *testing.T) {
 		}
 	}
 	w.Close()
-	path := filepath.Join(m.Dir(), "s1.journal")
+	path := filepath.Join(m.dir, "s1.journal")
 	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	f.WriteString(`deadbeef {"kind":"edits","se`)
 	f.Close()
@@ -180,8 +180,8 @@ func TestRewriteCompactsAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w2.Path() != path {
-		t.Fatalf("rewritten journal at %s, want %s", w2.Path(), path)
+	if w2.path != path {
+		t.Fatalf("rewritten journal at %s, want %s", w2.path, path)
 	}
 	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("rewrite left its temp file: %v", err)
@@ -215,7 +215,7 @@ func TestRewriteFailureKeepsOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	before, err := os.ReadFile(filepath.Join(m.Dir(), "s1.journal"))
+	before, err := os.ReadFile(filepath.Join(m.dir, "s1.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +226,14 @@ func TestRewriteFailureKeepsOriginal(t *testing.T) {
 	if _, err := m.Rewrite("s1", openRec{Design: "x"}, nil); !errors.Is(err, failpoint.ErrInjected) {
 		t.Fatalf("rewrite under failpoint: %v", err)
 	}
-	after, err := os.ReadFile(filepath.Join(m.Dir(), "s1.journal"))
+	after, err := os.ReadFile(filepath.Join(m.dir, "s1.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(before) != string(after) {
 		t.Fatal("failed rewrite modified the original journal")
 	}
-	if _, err := os.Stat(filepath.Join(m.Dir(), "s1.journal.tmp")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(filepath.Join(m.dir, "s1.journal.tmp")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("failed rewrite left its temp file")
 	}
 }
