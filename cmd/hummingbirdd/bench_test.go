@@ -146,14 +146,13 @@ func BenchmarkSessionEdit_DES(b *testing.B) {
 }
 
 // Bounds on one served DES edit_delay, request construction and response
-// decoding included: ~1.25× the 261 allocations and 30.4 KB measured (267
-// to 270 allocations under -race, whose pools drop a quarter of what is
-// put back: 36.5 to 39.5 KB, held to the race bound). They trip on
-// anything that allocates per net — a per-net allocation in the
-// slack-delta build adds thousands — or copies a whole result's slacks
-// (70 KB per edit on DES).
+// decoding included: ~1.25× the 258 allocations and 29.9 KB measured (264
+// allocations under -race, whose pools drop a quarter of what is put
+// back: 36.2 KB, held to the race bound). They trip on anything that
+// allocates per net — a per-net allocation in the slack-delta build adds
+// thousands — or copies a whole result's slacks (70 KB per edit on DES).
 const (
-	sessionEditAllocs    = 326
+	sessionEditAllocs    = 323
 	sessionEditBytes     = 38_000
 	sessionEditBytesRace = 40_000
 )
@@ -241,12 +240,12 @@ func BenchmarkSessionReport_DES(b *testing.B) {
 }
 
 // Bounds on one served DES report, request construction included: ~1.25×
-// the 27 allocations and 2.2 KB measured (27 under -race). Nearly all of
+// the 24 allocations and 2.2 KB measured (24 under -race). Nearly all of
 // it is the request's trace and the guard; the report is written from a
 // reused buffer. Encoding through reflection, or into a buffer that grows
 // with the report, allocates about 1.16 MB.
 const (
-	sessionReportAllocs = 34
+	sessionReportAllocs = 30
 	sessionReportBytes  = 2_750
 )
 

@@ -130,10 +130,12 @@ var traceSeq atomic.Int64
 
 // newTraceID generates a request trace id at admission: wall-clock millis
 // in base36 plus a process-wide sequence number, unique within and across
-// restarts of one daemon.
+// restarts of one daemon. Both numbers go into one buffer, converted once.
 func newTraceID() string {
-	return strconv.FormatInt(time.Now().UnixMilli(), 36) + "-" +
-		strconv.FormatInt(traceSeq.Add(1), 36)
+	var buf [27]byte // two base-36 int64s and the dash
+	b := strconv.AppendInt(buf[:0], time.Now().UnixMilli(), 36)
+	b = append(b, '-')
+	return string(strconv.AppendInt(b, traceSeq.Add(1), 36))
 }
 
 // inboundTraceID returns the client's X-Trace-Id when span.ValidID
@@ -633,13 +635,14 @@ func (t *startTracker) Write(b []byte) (int, error) {
 // panicking handler quarantines only the session it ran against; the
 // recover here keeps the rest of the process serving.
 func (s *server) guard(op string, h http.HandlerFunc) http.HandlerFunc {
+	root := "server." + op
 	return func(rw http.ResponseWriter, r *http.Request) {
 		w := &startTracker{ResponseWriter: rw}
 		// The trace starts the moment the request reaches the guard. This
 		// finish defer is declared before the recover defer below, so a
 		// panicking request's spans are force-ended and recorded too
 		// (defers run LIFO).
-		tr := s.requestTrace(w, r, op, true)
+		tr := s.requestTrace(w, r, root, true)
 		defer s.finishRequest(op, tr)
 		trCtx := span.NewContext(r.Context(), tr)
 		// The admission span's returned context is discarded: later spans
@@ -712,15 +715,16 @@ func (s *server) guard(op string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// requestTrace starts the span tree of one request: under the client's
-// X-Trace-Id when it is valid (counted in server.trace_ids_inherited),
-// else under a fresh id when mint is set, else not at all (nil). A valid
+// requestTrace starts the span tree of one request, with a root span named
+// root: under the client's X-Trace-Id when it is valid (counted in
+// server.trace_ids_inherited), else under a fresh id when mint is set,
+// else not at all (nil). A valid
 // X-Hb-Parent-Span marks the request as one hop of a distributed
 // operation (the router's failover or migration): the fragment records
 // the remote span it hangs off, so the fleet stitcher can splice it into
 // the cross-process tree. The id is echoed in X-Trace-Id, so a client can
 // match a slow response to the daemon's trace exports.
-func (s *server) requestTrace(w http.ResponseWriter, r *http.Request, op string, mint bool) *span.Trace {
+func (s *server) requestTrace(w http.ResponseWriter, r *http.Request, root string, mint bool) *span.Trace {
 	id := inboundTraceID(r)
 	switch {
 	case id != "":
@@ -730,7 +734,7 @@ func (s *server) requestTrace(w http.ResponseWriter, r *http.Request, op string,
 	default:
 		return nil
 	}
-	tr := span.New(id, "server."+op)
+	tr := span.New(id, root)
 	tr.SetProcess(s.processName())
 	if ps := r.Header.Get(span.ParentSpanHeader); span.ValidID(ps) {
 		tr.SetRemoteParent(ps)
@@ -749,8 +753,9 @@ func (s *server) requestTrace(w http.ResponseWriter, r *http.Request, op string,
 // /v1/traces/{id}; the high-rate standby frame stream from a peer
 // primary carries no trace header and keeps its zero-overhead path.
 func (s *server) traced(op string, h http.HandlerFunc) http.HandlerFunc {
+	root := "server." + op
 	return func(w http.ResponseWriter, r *http.Request) {
-		tr := s.requestTrace(w, r, op, false)
+		tr := s.requestTrace(w, r, root, false)
 		if tr == nil {
 			h(w, r)
 			return

@@ -440,3 +440,30 @@ func TestVersionFlag(t *testing.T) {
 		t.Fatalf("version output %q lacks toolchain version", line)
 	}
 }
+
+// TestNewTraceIDFormat: a minted trace id is the wall-clock millis and a
+// sequence number, both base 36, joined by a dash; span.ValidID accepts
+// it, so a client may send it back as its X-Trace-Id.
+func TestNewTraceIDFormat(t *testing.T) {
+	before := time.Now().UnixMilli()
+	id := newTraceID()
+	after := time.Now().UnixMilli()
+	if !span.ValidID(id) {
+		t.Fatalf("minted id %q is not a valid trace id", id)
+	}
+	ms, seq, ok := strings.Cut(id, "-")
+	if !ok {
+		t.Fatalf("minted id %q has no dash", id)
+	}
+	m, err := strconv.ParseInt(ms, 36, 64)
+	if err != nil || m < before || m > after {
+		t.Fatalf("minted id %q: millis %d (%v), want within [%d, %d]", id, m, err, before, after)
+	}
+	n, err := strconv.ParseInt(seq, 36, 64)
+	if err != nil || n <= 0 {
+		t.Fatalf("minted id %q: sequence %d (%v)", id, n, err)
+	}
+	if next := newTraceID(); next == id {
+		t.Fatalf("two minted ids are both %q", id)
+	}
+}

@@ -103,6 +103,9 @@ type Analyzer struct {
 	dirtyIDs []int
 	// run is the sweep machinery of the current fixed-point run (sweep.go).
 	run sweepRun
+	// undo logs the offsets runs write, once IdentifySlowPathsReplay has
+	// turned it on (sweep.go).
+	undo offsetLog
 
 	// conv is the convergence trail of the current fixed-point run (see
 	// trace.go); reset at the top of IdentifySlowPaths and
@@ -228,8 +231,8 @@ type Report struct {
 // WorstSlack returns the minimum terminal slack of the final analysis.
 func (r *Report) WorstSlack() clock.Time { return r.Result.WorstSlack() }
 
-// allPositive reports whether every element terminal slack is > 0: an
-// O(clusters) read of the segment minima.
+// allPositive reports whether every element terminal slack is > 0: a read
+// of the result's worst slack.
 func allPositive(res *sta.Result) bool { return res.WorstSlack() > 0 }
 
 // ResetOffsets restores every element's initial offsets (Algorithm 1's
@@ -249,7 +252,7 @@ func (a *Analyzer) IdentifySlowPaths() (*Report, error) {
 		a.conv.reset(a.Opts.Trace != nil)
 		return nil, a.cancelled("", 0, err)
 	}
-	return a.identifySlowPathsFrom(ctx, res, nil)
+	return a.identifySlowPathsFrom(ctx, res, nil, nil, nil)
 }
 
 // IdentifySlowPathsFrom runs Algorithm 1 without a deadline, starting
@@ -260,26 +263,37 @@ func (a *Analyzer) IdentifySlowPaths() (*Report, error) {
 func (a *Analyzer) IdentifySlowPathsFrom(res *sta.Result) (*Report, error) {
 	t0 := time.Now()
 	defer func() { tAnalysis.Observe(time.Since(t0)) }()
-	return a.identifySlowPathsFrom(context.Background(), res, nil)
+	return a.identifySlowPathsFrom(context.Background(), res, nil, nil, nil)
 }
 
 // IdentifySlowPathsReplay is the incremental engine's Algorithm 1: it
-// runs from base, the block analysis at the initial offsets, which the
-// analyzer's offsets must hold, and keeps the run in t. When t's last run
-// started from a result of base's layout, this run replays it as a diff
-// (see sweep); on success the record of this run replaces it in t. base
-// is not written: the report's result is a clone the fixed point moved.
+// runs from base, the block analysis at the initial offsets, and keeps
+// the run in t. The caller patches base in place between runs: stale
+// lists the clusters whose segments it replaced since t's last run, and
+// was holds their segments then. When t's last run started from base,
+// this run replays it as a diff (see sweep); when that run's record is
+// whole with at most one sweep, the analyzer's offsets must hold its end
+// state, and the run starts from there (see replay). Otherwise the run
+// sets the offsets to their initial values first. On success the record
+// of this run, with the report's result, replaces t's last. base is not
+// written: the report's result is a clone that the fixed point moved.
 // The context is checked inside every fixed-point sweep (between
 // cluster re-analyses), so an expired deadline interrupts even a single
 // long-running sweep; the error is then a *CancelledError wrapping the
-// cause. Errors leave t as it was.
-func (a *Analyzer) IdentifySlowPathsReplay(ctx context.Context, base *sta.Result, t *Trajectory) (*Report, error) {
+// cause. From the first call on, the analyzer logs every offset write: an
+// error undoes the log, leaving the offsets and t as they were, and
+// success empties it.
+func (a *Analyzer) IdentifySlowPathsReplay(ctx context.Context, base *sta.Result, stale []int, was []sta.Segment, t *Trajectory) (*Report, error) {
 	t0 := time.Now()
 	defer func() { tAnalysis.Observe(time.Since(t0)) }()
-	rep, err := a.identifySlowPathsFrom(ctx, base, t)
+	a.logOffsets()
+	rep, err := a.identifySlowPathsFrom(ctx, base, t, stale, was)
 	if err != nil {
+		a.UndoOffsets()
 		return nil, err
 	}
+	a.keepOffsets()
+	t.rec.final = rep.Result
 	t.last, t.rec = t.rec, t.last
 	t.rec.reset(nil)
 	return rep, nil
@@ -287,15 +301,13 @@ func (a *Analyzer) IdentifySlowPathsReplay(ctx context.Context, base *sta.Result
 
 // identifySlowPathsFrom is Algorithm 1; every sweep is interruptible, with
 // interruptions surfaced as *CancelledError. With a trajectory t, res is
-// the run's base, replayed against and recorded into t (see startRun), and
-// the fixed point moves a clone of it.
-func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result, t *Trajectory) (*Report, error) {
+// the run's base, replayed against and recorded into t (see startRun),
+// and the fixed point moves a clone of it or of the previous run's
+// result (see own and replay).
+func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result, t *Trajectory, stale []int, was []sta.Segment) (*Report, error) {
 	a.conv.reset(a.Opts.Trace != nil)
-	a.startRun(t, res)
+	a.startRun(t, res, stale, was)
 	defer a.stopRun()
-	if t != nil {
-		res = res.Clone()
-	}
 	rep := &Report{}
 
 	// Iteration 1: complete forward slack transfer to a fixed point.
@@ -385,6 +397,7 @@ func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result, t
 }
 
 func (a *Analyzer) finish(rep *Report, res *sta.Result) (*Report, error) {
+	res = a.own(res)
 	rep.Result = res
 	rep.OK = allPositive(res)
 	rep.Trajectory = a.conv.full

@@ -81,7 +81,7 @@ func (a *Analyzer) GenerateConstraintsFromCtx(ctx context.Context, res *sta.Resu
 // generateConstraintsFrom is Algorithm 2; every sweep is interruptible.
 func (a *Analyzer) generateConstraintsFrom(ctx context.Context, res *sta.Result) (*Constraints, error) {
 	a.conv.reset(a.Opts.Trace != nil)
-	a.startRun(nil, nil)
+	a.startRun(nil, nil, nil, nil)
 	defer a.stopRun()
 	c := &Constraints{lay: a.CD.Layout}
 

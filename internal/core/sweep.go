@@ -50,15 +50,20 @@ type Trajectory struct {
 // sweepLog records a fixed-point run sweep by sweep: per sweep, its
 // iteration and index, the elements it moved with their new offsets (so
 // its moved count), and the clusters whose segments it replaced with the
-// new segments; and the block analysis the run started from.
+// new segments; the block analysis the run started from, and its final
+// result, which is the published report's and which nothing writes
+// again. A record is whole unless cut: a record that stopped growing at
+// trajectoryWords is shorter than its run, and a FullSweeps run records
+// none of its sweeps.
 type sweepLog struct {
-	base   *sta.Result
-	sweeps []sweepRecord
-	elems  []int32
-	odz    []clock.Time
-	clus   []int32
-	segs   []sta.Segment
-	words  int
+	base, final *sta.Result
+	cut         bool
+	sweeps      []sweepRecord
+	elems       []int32
+	odz         []clock.Time
+	clus        []int32
+	segs        []sta.Segment
+	words       int
 }
 
 // sweepRecord is one sweep of a log. Its moves end at elemEnd in the
@@ -103,15 +108,17 @@ func (l *sweepLog) starts(i int) (int, int) {
 }
 
 // reset empties the log for a run from base, keeping its buffers. The
-// segments it held are dropped, so that they can be collected.
+// segments it held are dropped, so that they can be collected; a log
+// only grows between resets, so nothing past its length holds one.
 func (l *sweepLog) reset(base *sta.Result) {
-	clear(l.segs[:cap(l.segs)])
+	clear(l.segs)
 	*l = sweepLog{base: base, sweeps: l.sweeps[:0], elems: l.elems[:0], odz: l.odz[:0], clus: l.clus[:0], segs: l.segs[:0]}
 }
 
 // keepLast makes l the record of src's last sweep alone (src may be l):
 // a run that keeps no record needs only the sweep before the current
-// one.
+// one. Only the scratch log keeps a last sweep, and stopRun drops it
+// whole.
 func (l *sweepLog) keepLast(src *sweepLog) {
 	n := len(src.sweeps)
 	if n == 0 {
@@ -138,6 +145,12 @@ type sweepRun struct {
 	// maxWords is the recorded log's bound (trajectoryWords per element).
 	maxWords int
 
+	// base is the block analysis a trajectory run starts from, which the
+	// run reads and never writes (see own); nil for other runs.
+	base *sta.Result
+	// inPlace is the previous run while the offsets still hold its end
+	// state (an in-place start, see replay), nil otherwise.
+	inPlace *sweepLog
 	// prev is the run being replayed, nil when there is none or the
 	// replay stopped; next is its sweep the current sweep replays.
 	prev *sweepLog
@@ -159,7 +172,8 @@ type sweepRun struct {
 	// among prev's moves, and whether it moved. Then, sized to the design
 	// on the first replay: prev's offset of each visited element; prev's
 	// segment of each cluster it replaced or that is in the diff, with the
-	// set marking them; and the set of the next diff's clusters.
+	// set marking them (zeroed again as the replay takes them); and the
+	// set of the next diff's clusters.
 	at      []int
 	stepped []bool
 	refOdz  []clock.Time
@@ -184,42 +198,77 @@ func (b bitset) each(fn func(int32)) {
 }
 
 // startRun readies the sweep machinery for a fixed-point run. With a
-// trajectory t, the run starts from base, records into t's second record
-// and replays t's last run when that run started from a result of base's
-// layout: both runs start at the initial offsets, so they differ only in
-// the clusters whose base segments differ — those whose arc delays
-// changed in between — which stay in the diff as stale. Without one, the
-// run records into scratch and replays nothing.
-func (a *Analyzer) startRun(t *Trajectory, base *sta.Result) {
+// trajectory t, the run starts from base at the initial offsets and
+// records into t's second record. When t's last run started from base
+// too, which its owner patches in place between runs, the run replays it:
+// both runs start at the initial offsets, so they differ only in the
+// stale clusters, whose base segments the owner replaced (was holds the
+// old ones), and those stay in the diff. When that record is whole and
+// has at most one sweep, the offsets hold its run's end state and stay
+// there (an in-place start, see replay and own); otherwise they go back
+// to their initial values. Without a trajectory, the run records into
+// scratch, replays nothing and starts from the offsets as they are.
+func (a *Analyzer) startRun(t *Trajectory, base *sta.Result, stale []int, was []sta.Segment) {
 	r := &a.run
-	r.prev, r.next = nil, 0
-	if t != nil {
-		t.rec.reset(base)
+	r.prev, r.next, r.base, r.inPlace = nil, 0, nil, nil
+	if t == nil {
+		r.log = &r.scratch
+		r.scratch.reset(nil)
+		return
 	}
-	if t == nil || a.Opts.FullSweeps {
-		// Under FullSweeps t records an empty run, so the next run
-		// replays nothing either.
+	r.base = base
+	t.rec.reset(base)
+	last := &t.last
+	same := last.base == base
+	if same && !last.cut && len(last.sweeps) <= 1 {
+		r.inPlace = last
+	} else {
+		a.resetOffsets()
+	}
+	if a.Opts.FullSweeps {
+		// Under FullSweeps t records a cut empty run, so the next run
+		// replays nothing and starts from the initial offsets.
+		t.rec.cut = true
 		r.log = &r.scratch
 		r.scratch.reset(nil)
 		return
 	}
 	r.log = &t.rec
 	r.maxWords = trajectoryWords * len(a.CD.Elems)
-	last := &t.last
-	if last.base == nil || len(last.sweeps) == 0 || !last.base.SameLayout(base) {
+	if !same || len(last.sweeps) == 0 {
 		return
 	}
 	a.initScratch(true)
 	r.prev = last
 	r.dElems, r.dOdz = r.dElems[:0], r.dOdz[:0]
 	r.dClus, r.dSegs, r.stale = r.dClus[:0], r.dSegs[:0], r.stale[:0]
-	for c := range a.CD.CC {
-		if !base.SameSegment(last.base, c) {
-			r.stale = append(r.stale, int32(c))
-			r.dClus = append(r.dClus, int32(c))
-			r.dSegs = append(r.dSegs, last.base.Segment(c))
+	for i, c := range stale {
+		r.stale = append(r.stale, int32(c))
+		r.dClus = append(r.dClus, int32(c))
+		r.dSegs = append(r.dSegs, was[i])
+	}
+}
+
+// own readies a trajectory run for a sweep or a finish that does not
+// replay in place, and returns the result to write: the elements the
+// previous run's one sweep moved go back to their initial offsets if the
+// offsets still hold that run's end state, and res is cloned if it is
+// the base, which nothing writes.
+func (a *Analyzer) own(res *sta.Result) *sta.Result {
+	r := &a.run
+	if p := r.inPlace; p != nil {
+		r.inPlace = nil
+		if len(p.sweeps) > 0 {
+			init := a.CD.InitialOdz
+			for _, e := range p.elems[:p.sweeps[0].elemEnd] {
+				a.setOdz(e, init[e])
+			}
 		}
 	}
+	if res == r.base {
+		res = res.Clone()
+	}
+	return res
 }
 
 // stopRun ends a run: the scratch log goes, so an analyzer that records
@@ -227,11 +276,10 @@ func (a *Analyzer) startRun(t *Trajectory, base *sta.Result) {
 // segments it holds.
 func (a *Analyzer) stopRun() {
 	r := &a.run
-	r.log, r.prev = nil, nil
+	r.log, r.prev, r.base, r.inPlace = nil, nil, nil, nil
 	r.scratch = sweepLog{}
 	clear(r.dSegs[:cap(r.dSegs)])
 	clear(r.nSegs[:cap(r.nSegs)])
-	clear(r.refSeg)
 }
 
 // initScratch allocates the design-sized scratch once per analyzer: the
@@ -301,8 +349,9 @@ func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Resul
 	if log == &r.scratch {
 		log.keepLast(log)
 	} else if log.words > r.maxWords {
-		// The record is full: it ends here, and the rest of the run is
-		// kept like an unrecorded one's.
+		// The record is full: it ends here, cut, and the rest of the run
+		// is kept like an unrecorded one's.
+		log.cut = true
 		r.scratch.keepLast(log)
 		log, r.log = &r.scratch, &r.scratch
 	}
@@ -312,8 +361,12 @@ func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Resul
 	if a.replaying(iter, k) {
 		mSweepsReplayed.Inc()
 		sp.Annotate("reference", "previous run")
-		moved, visited, ids = a.replay(res, op, in, log, ids)
+		if r.inPlace == nil {
+			res = a.own(res)
+		}
+		res, moved, visited, ids = a.replay(res, op, in, log, ids)
 	} else {
+		res = a.own(res)
 		if n := len(log.sweeps); !a.Opts.FullSweeps && n > 0 && log.sweeps[n-1].iter == iter && log.sweeps[n-1].k == k-1 {
 			sp.Annotate("reference", "previous sweep")
 			moved, visited = a.stepChanged(res, op, in, log)
@@ -353,6 +406,7 @@ func (a *Analyzer) sweep(ctx context.Context, iter string, k int, res *sta.Resul
 			log.replace(int32(c), res.Segment(c))
 		}
 	}
+	res.Settle()
 	log.end(iter, k)
 	return res, moved, len(ids), nil
 }
@@ -370,7 +424,7 @@ func (a *Analyzer) transferElem(e int32, res *sta.Result, op transfer, in bool) 
 	if amt <= 0 {
 		return false
 	}
-	a.St.Odz[e] = odz
+	a.setOdz(e, odz)
 	a.markMoved(e)
 	return true
 }
@@ -471,13 +525,37 @@ func (a *Analyzer) replaying(iter string, k int) bool {
 }
 
 // replay is a sweep against the previous run's same sweep (see sweep).
-// It appends the clusters to re-analyze to ids. A sweep records its moves
-// in element order, so the visited elements are found among the previous
-// run's moves by binary search, and the moves between them are copied in
-// runs.
-func (a *Analyzer) replay(res *sta.Result, op transfer, in bool, log *sweepLog, ids []int) (moved, visited int, _ []int) {
+// It appends the clusters to re-analyze to ids and returns the result the
+// sweep wrote. A sweep records its moves in element order, so the visited
+// elements are found among the previous run's moves by binary search, and
+// the moves between them are copied in runs.
+//
+// After an in-place start (see startRun) the first sweep replays the
+// previous run's one sweep over that run's end state instead: the offsets
+// hold its offsets after the sweep, and its final result its segments
+// after the sweep. The sweep sets each visited element to its initial
+// offset before its transfer and writes only the visited elements, since
+// every other element already holds the outcome a replay would copy; it
+// still records all of its moves. res is then the base: the visited
+// elements read only stale clusters' slacks, and the base holds the
+// stale clusters' pre-sweep segments. The sweep's result is a clone of
+// the previous run's final result, in which it re-analyzes the next
+// diff's dirty clusters and sets the diff's other clusters back to their
+// base segments; the previous run's other replacements are there
+// already, and are only recorded.
+//
+// This is exact. A replay from the initial offsets leaves every element
+// and cluster outside the visited elements and the next diff at the
+// previous run's state after the sweep (see sweep), and both runs start
+// from the initial offsets and the base. An in-place start already holds
+// the previous run's state after its one sweep, so writing the visited
+// elements and the next diff's clusters gives the same offsets, segments
+// and record, bit for bit, and every later sweep runs as it would have.
+func (a *Analyzer) replay(res *sta.Result, op transfer, in bool, log *sweepLog, ids []int) (_ *sta.Result, moved, visited int, _ []int) {
 	r := &a.run
-	prev, odz, lay := r.prev, a.St.Odz, a.CD.Layout
+	prev, odz, lay, init := r.prev, a.St.Odz, a.CD.Layout, a.CD.InitialOdz
+	inPlace := r.inPlace != nil
+	r.inPlace = nil
 	e0, c0 := prev.starts(r.next)
 	sw := prev.sweeps[r.next]
 	r.next++
@@ -513,6 +591,9 @@ func (a *Analyzer) replay(res *sta.Result, op transfer, in bool, log *sweepLog, 
 	nE, nO := r.nElems[:0], r.nOdz[:0]
 	stepped := r.stepped[:0]
 	for _, e := range r.visit {
+		if inPlace && odz[e] != init[e] {
+			a.setOdz(e, init[e])
+		}
 		ok := a.transferElem(e, res, op, in)
 		if ok {
 			moved++
@@ -525,16 +606,28 @@ func (a *Analyzer) replay(res *sta.Result, op transfer, in bool, log *sweepLog, 
 	}
 	r.stepped = stepped
 
-	// The previous run's segments after its sweep: its replacements, else
-	// the diff's, else this run's, which were equal until now.
+	// The previous run's segments after its sweep: in place, its final
+	// result's; otherwise its replacements, else the diff's, else this
+	// run's, which were equal until now.
 	pc, ps := prev.clus[c0:sw.clusEnd], prev.segs[c0:sw.clusEnd]
-	for i, c := range r.dClus {
-		r.refSeg[c] = r.dSegs[i]
-		r.hasRef.set(c)
+	if !inPlace {
+		for i, c := range r.dClus {
+			r.refSeg[c] = r.dSegs[i]
+			r.hasRef.set(c)
+		}
+		for i, c := range pc {
+			r.refSeg[c] = ps[i]
+			r.hasRef.set(c)
+		}
 	}
-	for i, c := range pc {
-		r.refSeg[c] = ps[i]
-		r.hasRef.set(c)
+	prevSeg := func(c int32) sta.Segment {
+		switch {
+		case inPlace:
+			return prev.final.Segment(int(c))
+		case r.hasRef.has(c):
+			return r.refSeg[c]
+		}
+		return res.Segment(int(c))
 	}
 	// The next diff's clusters: the stale ones and those on a terminal of
 	// an element in the next diff. No other cluster's delays or boundary
@@ -546,11 +639,7 @@ func (a *Analyzer) replay(res *sta.Result, op transfer, in bool, log *sweepLog, 
 		}
 		r.inDiff.set(c)
 		nC = append(nC, c)
-		if r.hasRef.has(c) {
-			nS = append(nS, r.refSeg[c])
-		} else {
-			nS = append(nS, res.Segment(int(c)))
-		}
+		nS = append(nS, prevSeg(c))
 	}
 	for _, c := range r.stale {
 		addDiff(c)
@@ -585,12 +674,21 @@ func (a *Analyzer) replay(res *sta.Result, op transfer, in bool, log *sweepLog, 
 	}
 
 	// Record the moves in element order: the previous run's between the
-	// visited elements, applied here, and the visited ones that moved.
+	// visited elements, which the unvisited elements take (in place, they
+	// hold them already), and the visited ones that moved.
+	alike := func(from, to int) {
+		if !inPlace {
+			for i, e := range pe[from:to] {
+				a.setOdz(e, po[from+i])
+			}
+		}
+		log.moves(pe[from:to], po[from:to])
+	}
 	from := 0
 	for i, e := range r.visit {
 		r.inVisit.unset(e)
 		j := at[i]
-		applyMoves(odz, pe[from:j], po[from:j], log)
+		alike(from, j)
 		if j < len(pe) && pe[j] == e {
 			j++
 		}
@@ -599,45 +697,119 @@ func (a *Analyzer) replay(res *sta.Result, op transfer, in bool, log *sweepLog, 
 			log.move(e, odz[e])
 		}
 	}
-	applyMoves(odz, pe[from:], po[from:], log)
+	alike(from, len(pe))
 
 	// A dirty cluster in the next diff, or one the previous run's sweep
-	// left alone, is re-analyzed; every other cluster the previous run's
+	// left alone, is re-analyzed. Every other cluster the previous run's
 	// sweep replaced, or that leaves the diff, takes the previous run's
 	// segment.
-	a.dirty.each(func(c int32) {
-		if r.inDiff.has(c) || !r.hasRef.has(c) {
-			ids = append(ids, int(c))
+	if inPlace {
+		// The previous run's sweep left a cluster outside the diff alone
+		// exactly when its final segment is still the base's.
+		base := res
+		a.dirty.each(func(c int32) {
+			if r.inDiff.has(c) || prev.final.Segment(int(c)).Is(base.Segment(int(c))) {
+				ids = append(ids, int(c))
+			}
+		})
+		for i, c := range pc {
+			if !r.inDiff.has(c) {
+				log.replace(c, ps[i])
+			}
 		}
-	})
-	take := func(c int32) {
-		if !r.hasRef.has(c) {
-			return
+		res = prev.final.Clone()
+		for _, c := range nC {
+			if !a.dirty.has(c) {
+				res.SetSegment(int(c), base.Segment(int(c)))
+			}
 		}
-		r.hasRef.unset(c)
-		if s := r.refSeg[c]; !r.inDiff.has(c) && !res.Segment(int(c)).Is(s) {
-			res.SetSegment(int(c), s)
-			log.replace(c, s)
+	} else {
+		a.dirty.each(func(c int32) {
+			if r.inDiff.has(c) || !r.hasRef.has(c) {
+				ids = append(ids, int(c))
+			}
+		})
+		take := func(c int32) {
+			if !r.hasRef.has(c) {
+				return
+			}
+			r.hasRef.unset(c)
+			s := r.refSeg[c]
+			r.refSeg[c] = sta.Segment{}
+			if !r.inDiff.has(c) && !res.Segment(int(c)).Is(s) {
+				res.SetSegment(int(c), s)
+				log.replace(c, s)
+			}
 		}
-	}
-	for _, c := range r.dClus {
-		take(c)
-	}
-	for _, c := range pc {
-		take(c)
+		for _, c := range r.dClus {
+			take(c)
+		}
+		for _, c := range pc {
+			take(c)
+		}
 	}
 	for _, c := range nC {
 		r.inDiff.unset(c)
 	}
 	r.dElems, r.nElems, r.dOdz, r.nOdz = nE, r.dElems, nO, r.dOdz
 	r.dClus, r.nClus, r.dSegs, r.nSegs = nC, r.dClus, nS, r.dSegs
-	return moved, len(r.visit), ids
+	return res, moved, len(r.visit), ids
 }
 
-// applyMoves sets the offsets of elems to odzs and records the moves.
-func applyMoves(odz []clock.Time, elems []int32, odzs []clock.Time, log *sweepLog) {
-	for i, e := range elems {
-		odz[e] = odzs[i]
+// offsetLog is the undo log of an analyzer that replays runs: the offset
+// each element held before its first write since the log was last
+// emptied. It is bounded by the element count, and off (nil logged)
+// until logOffsets.
+type offsetLog struct {
+	logged bitset
+	elems  []int32
+	odz    []clock.Time
+}
+
+// setOdz sets element e's offset, logging the old value when the log is
+// on. Every offset write of a fixed-point run goes through it.
+func (a *Analyzer) setOdz(e int32, v clock.Time) {
+	if u := &a.undo; u.logged != nil && !u.logged.has(e) {
+		u.logged.set(e)
+		u.elems = append(u.elems, e)
+		u.odz = append(u.odz, a.St.Odz[e])
 	}
-	log.moves(elems, odzs)
+	a.St.Odz[e] = v
+}
+
+// resetOffsets sets every offset that differs from its initial value
+// back to it.
+func (a *Analyzer) resetOffsets() {
+	for e, v := range a.CD.InitialOdz {
+		if a.St.Odz[e] != v {
+			a.setOdz(int32(e), v)
+		}
+	}
+}
+
+// logOffsets turns the undo log on.
+func (a *Analyzer) logOffsets() {
+	if u := &a.undo; u.logged == nil {
+		u.logged = newBitset(len(a.CD.Elems))
+	}
+}
+
+// UndoOffsets puts back every offset written since the analyzer's undo
+// log was last emptied, and empties it. The log is on once the analyzer
+// has run IdentifySlowPathsReplay; before that, it is empty.
+func (a *Analyzer) UndoOffsets() {
+	u := &a.undo
+	for i, e := range u.elems {
+		a.St.Odz[e] = u.odz[i]
+	}
+	a.keepOffsets()
+}
+
+// keepOffsets empties the undo log, keeping the offsets.
+func (a *Analyzer) keepOffsets() {
+	u := &a.undo
+	for _, e := range u.elems {
+		u.logged.unset(e)
+	}
+	u.elems, u.odz = u.elems[:0], u.odz[:0]
 }

@@ -10,28 +10,30 @@ import (
 	"hummingbird/internal/clock"
 	"hummingbird/internal/core"
 	"hummingbird/internal/netlist"
+	"hummingbird/internal/testlib"
 	"hummingbird/internal/workload"
 )
 
 // TestDelayEditAllocs is the allocation-regression guard for incremental
 // edit application: a steady-state delay-only ApplyContext — the call
 // hummingbirdd and the benchmark's edit loop make — must stay within a
-// handful of allocations — two result clones (the patched base and the
-// working result handed to the caller, two each), one segment per
-// re-analyzed cluster, the report and outcome structs — and nothing
-// per-arc, per-net or per-pass. The engine's scratch maps, undo log and
+// handful of allocations — one result clone (the working result handed to
+// the caller, two allocations: the base is patched in place), one segment
+// per re-analyzed cluster, the report and outcome structs — and nothing
+// per-arc, per-net or per-pass: six on the SoC, five on the pipeline,
+// whose runs take no sweep. The engine's scratch slices, undo logs and
 // dirty-cluster ids are reused across edits; a regression here (a
-// per-call map, a third result clone, sort.Slice garbage) trips the guard.
-// On the SoC every edit's fixed point moves 263 offsets and re-dirties the
-// clusters around them; the replay of the previous edit's run takes their
-// segments from it, so re-analyzing them (one segment each) trips it too.
-// The engine's two trajectory records swap buffers, so recording the run
-// allocates nothing once they have grown: a record reallocated per edit
-// trips it as well. The SoC row
-// also bounds the bytes an edit allocates: 1.5× two segment slices (one
-// header per cluster) plus the edited cluster's two fresh segments (its
-// kernel runs in the base, then in the first sweep). Clones share
-// segments, so copying slacks — a whole-result copy — trips it.
+// per-call map, a second result clone, sort.Slice garbage) trips the
+// guard. On the SoC every edit's fixed point moves 263 offsets and
+// re-dirties the clusters around them; the replay of the previous edit's
+// run takes their segments from it, so re-analyzing them (one segment
+// each) trips it too. The engine's two trajectory records swap buffers,
+// so recording the run allocates nothing once they have grown: a record
+// reallocated per edit trips it as well. The SoC row also bounds the
+// bytes an edit allocates: 1.5× one segment slice (one header per
+// cluster) plus the edited cluster's two fresh segments (its kernel runs
+// in the base, then in the first sweep). Clones share segments, so
+// copying slacks — a whole-result copy — trips it.
 func TestDelayEditAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -79,9 +81,15 @@ func TestDelayEditAllocs(t *testing.T) {
 			apply()
 
 			allocs := testing.AllocsPerRun(50, apply)
-			const limit = 10
+			// Under the race detector a sync.Pool drops a quarter of what
+			// is put back, so a kernel run makes its scratch arena again
+			// about once per edit: 7 allocations on the SoC.
+			limit := 6.0
+			if testlib.Race {
+				limit = 7
+			}
 			if allocs > limit {
-				t.Fatalf("delay-only ApplyContext allocates %.1f times per run, limit %d", allocs, limit)
+				t.Fatalf("delay-only ApplyContext allocates %.1f times per run, limit %.0f", allocs, limit)
 			}
 			if !tc.boundBytes {
 				return
@@ -96,13 +104,13 @@ func TestDelayEditAllocs(t *testing.T) {
 			perEdit := (after.TotalAlloc - before.TotalAlloc) / runs
 			cd := eng.CompiledDesign()
 			word := uint64(unsafe.Sizeof(clock.Time(0)))
-			segs := 2 * uint64(len(cd.CC)) * uint64(unsafe.Sizeof([]clock.Time(nil)))
+			segs := uint64(len(cd.CC)) * uint64(unsafe.Sizeof([]clock.Time(nil)))
 			// A segment: the minimum, one slot per net and terminal, and
 			// four detail vectors per pass.
 			cc := cd.CC[eng.byInst.of(eng.instIdx[inst])[0].cluster]
 			n := len(cc.Nets)
 			fresh := 2 * uint64(1+n+len(cc.Inputs)+len(cc.Outputs)+4*n*cc.Plan.Passes()) * word
-			t.Logf("%d B per edit; two segment slices: %d B; the edited cluster's two segments: %d B", perEdit, segs, fresh)
+			t.Logf("%d B per edit; one segment slice: %d B; the edited cluster's two segments: %d B", perEdit, segs, fresh)
 			if limit := (segs + fresh) * 3 / 2; perEdit > limit {
 				t.Fatalf("delay-only ApplyContext allocates %d B per run, limit %d B", perEdit, limit)
 			}

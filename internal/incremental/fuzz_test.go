@@ -124,7 +124,8 @@ func encodeReport(t *testing.T, a *core.Analyzer, rep *core.Report) []byte {
 // FuzzEditReplay replays fuzzer-chosen edit batches on a small design.
 // After every batch the engine's report must encode to the bytes of a
 // fresh core.Load plus Algorithm 1 on its design and cumulative options,
-// and its Algorithm 2 constraints must deep-equal the fresh ones, and its
+// its offsets must equal the fresh fixed point's, its Algorithm 2
+// constraints must deep-equal the fresh ones, and its
 // running topology checksum must equal a full rehash; a batch the engine
 // refuses must leave it exactly as it was. At the end every
 // report the engine handed out must still encode to its bytes at
@@ -181,6 +182,9 @@ func FuzzEditReplay(f *testing.F) {
 			got := encodeReport(t, eng.Analyzer(), eng.Report())
 			if want := encodeReport(t, fresh, rep); !bytes.Equal(got, want) {
 				t.Fatalf("batch %d %v: engine report differs from a fresh load's", b, batch)
+			}
+			if !slices.Equal(eng.Analyzer().St.Odz, fresh.St.Odz) {
+				t.Fatalf("batch %d %v: engine offsets differ from a fresh load's fixed point", b, batch)
 			}
 			// Algorithm 2 may not converge on a design with slow paths;
 			// then both must fail alike, trailing sweeps included.

@@ -12,13 +12,15 @@
 //   - Delay-only edits (adjustments, and resizes that preserve the cell's
 //     pin/arc interface, on combinational instances outside the clock
 //     cones) patch the affected arc delays in place, recompute only the
-//     clusters owning those arcs against the cached initial-offset result,
-//     and re-run the Algorithm 1 fixed point from there. The fixed point
-//     replays the previous edit's run as a diff, kept in a core.Trajectory:
-//     each sweep visits only the elements whose offset or slack differs
-//     from that run's same sweep, takes that run's moves for the others,
-//     and takes its segment for every cluster whose delays and boundary
-//     offsets match it (core.Analyzer.IdentifySlowPathsReplay).
+//     clusters owning those arcs in the cached initial-offset result, in
+//     place, and re-run the Algorithm 1 fixed point from there. The fixed
+//     point replays the previous edit's run as a diff, kept in a
+//     core.Trajectory: each sweep visits only the elements whose offset or
+//     slack differs from that run's same sweep, takes that run's moves for
+//     the others, and takes its segment for every cluster whose delays and
+//     boundary offsets match it. After a run of at most one sweep the
+//     offsets stay at its fixed point, and the next run writes only what
+//     differs from it (core.Analyzer.IdentifySlowPathsReplay).
 //   - Anything that reshapes the timing network — replacing a cell with a
 //     different interface, adding or removing instances, rewiring pins, or
 //     touching a synchronising element or a control cone — falls back to a
@@ -41,6 +43,7 @@
 package incremental
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -143,6 +146,14 @@ type arcRef struct {
 	cluster, arc int32
 }
 
+// cmp orders arcs by cluster, then by index.
+func (r arcRef) cmp(o arcRef) int {
+	if c := cmp.Compare(r.cluster, o.cluster); c != 0 {
+		return c
+	}
+	return cmp.Compare(r.arc, o.arc)
+}
+
 // arcTable is a CSR index of the compiled design's arcs: the arcs filed
 // under key k are refs[start[k]:start[k+1]].
 type arcTable struct {
@@ -162,31 +173,29 @@ type Engine struct {
 
 	design *netlist.Design
 	an     *core.Analyzer
-	// base is the block analysis at the *initial* offsets (ResetOffsets
-	// state) for the current design and delays: the cached sta.Result that
-	// delay-only edits patch by clone-and-swap — sta.RecomputeContext over
-	// just the clusters whose delays changed, into a clone adopted only
-	// when the whole edit succeeds — instead of re-running every cluster.
-	// It is never handed out; each edit's working result is one Clone of
-	// it.
+	// base is the block analysis at the *initial* offsets for the current
+	// design and delays. Delay-only edits patch it in place: they
+	// re-analyze just the clusters whose delays changed, against init,
+	// and put back the segments they replaced if the batch fails. It is
+	// never handed out.
 	base *sta.Result
+	// init is a read-only analysis state at the initial offsets, beside
+	// the analyzer's, whose offsets stay at the last run's fixed point.
+	init *sta.AnalysisState
 	// traj keeps the last Algorithm 1 run, from base, for the next delay
 	// edit's run to replay as a diff.
 	traj core.Trajectory
-	// Reusable applyDelayOnly scratch (cleared, never reallocated, so
-	// steady-state delay edits stay off the allocator).
-	scrArcs map[arcRef]bool
-	scrNets map[string]bool
+	// Reusable applyDelayOnly scratch (truncated, never reallocated, so
+	// steady-state delay edits stay off the allocator): the batch's dirty
+	// arcs, the ids of the nets whose loads it shifted, its undo steps,
+	// its dirty clusters and their segments in base before it.
+	scrArcs []arcRef
+	scrNets []int
 	scrUndo []undoStep
 	scrIDs  []int
+	scrWas  []sta.Segment
 	rep     *core.Report
 	cons    *core.Constraints
-	// odz is a second offset vector, of the analyzer's length, that holds
-	// the Algorithm-1 fixed point while something else moves the state's:
-	// a delay edit swaps it in before the replay, so a failed batch swaps
-	// it back, and Constraints copies it in before the snatch sweeps and
-	// back after them.
-	odz []clock.Time
 	// topo is TopologyChecksum(design, an.Lib), hashed in full at open and
 	// after a checksum fallback, and shifted by every other batch.
 	topo uint64
@@ -305,6 +314,7 @@ func (e *Engine) unshare() error {
 	cd2.Network.Calc = calc
 	e.an.CD = cd2
 	e.an.St.Rebind(cd2)
+	e.init.Rebind(cd2)
 	e.ReleaseShared()
 	return nil
 }
@@ -335,17 +345,17 @@ func (e *Engine) Constraints() (*core.Constraints, error) {
 
 // ConstraintsContext runs Algorithm 2 at the current fixed point, reusing
 // the final Algorithm 1 analysis instead of re-analyzing, and restores the
-// fixed-point offsets afterwards (the snatch sweeps move them). The result
-// is cached until the next edit. An interrupted snatch fixed point also
-// restores the Algorithm-1 offsets before returning, so the engine stays
-// usable; only the constraints cache is left cold.
+// fixed-point offsets afterwards through the analyzer's undo log (the
+// snatch sweeps move them). The result is cached until the next edit. An
+// interrupted snatch fixed point also restores the Algorithm-1 offsets
+// before returning, so the engine stays usable; only the constraints
+// cache is left cold.
 func (e *Engine) ConstraintsContext(ctx context.Context) (*core.Constraints, error) {
 	if e.cons != nil {
 		return e.cons, nil
 	}
-	e.snapshotOffsets()
 	cons, err := e.an.GenerateConstraintsFromCtx(ctx, e.rep.Result.Clone())
-	e.restoreOffsets()
+	e.an.UndoOffsets()
 	if err != nil {
 		return nil, err
 	}
@@ -535,27 +545,19 @@ type undoStep struct {
 }
 
 // applyDelayOnly patches arc delays in place and recomputes only the dirty
-// clusters, into a clone of the cached initial-offset result. Every error
-// path runs the undo log, so a failed batch (cancellation, non-convergence,
-// a failed checksum-fallback rebuild) leaves the engine bit-identical to
-// its state before the call — including the cached base, which a failed
-// batch never replaced, and the still-valid previous report.
+// clusters of the cached initial-offset result, in place. Every error path
+// runs the undo log and puts back the base's replaced segments, so a
+// failed batch (cancellation, non-convergence, a failed checksum-fallback
+// rebuild) leaves the engine bit-identical to its state before the call —
+// including the cached base and the still-valid previous report, and the
+// offsets and trajectory, which the fixed point's own error path restores.
 func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, error) {
 	// Delay-only edits mutate arc delays and the delay calculator — never
 	// a shared compiled design. Unshare (copy-on-write) first.
 	if err := e.unshare(); err != nil {
 		return nil, err
 	}
-	if e.scrArcs == nil {
-		e.scrArcs = map[arcRef]bool{}
-		e.scrNets = map[string]bool{}
-	}
-	clear(e.scrArcs)
-	clear(e.scrNets)
-	affectedNets := e.scrNets
-	dirtyArcs := e.scrArcs
-	undo := e.scrUndo[:0]
-	swapped := false // the fixed point's offsets are in e.odz
+	nets, arcs, undo := e.scrNets[:0], e.scrArcs[:0], e.scrUndo[:0]
 	rollback := func() {
 		for i := len(undo) - 1; i >= 0; i-- {
 			u := undo[i]
@@ -567,15 +569,12 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 				e.an.CD.Calc.Adjust(u.inst, -u.delta)
 			} else {
 				inst := &e.design.Instances[u.instIdx]
-				e.shiftPinLoads(inst, e.an.Lib.Cell(inst.Ref), e.an.Lib.Cell(u.oldRef), affectedNets)
+				e.shiftPinLoads(inst, e.an.Lib.Cell(inst.Ref), e.an.Lib.Cell(u.oldRef), nil)
 				inst.Ref = u.oldRef
 			}
 		}
-		for r := range dirtyArcs {
+		for _, r := range arcs {
 			e.reevalArc(r)
-		}
-		if swapped {
-			e.an.St.Odz, e.odz = e.odz, e.an.St.Odz
 		}
 	}
 	// topo tracks the checksum across the batch: the sum-composed
@@ -597,39 +596,30 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 			e.an.CD.Calc.Adjust(inst.Name, ed.Delta)
 			undo = append(undo, undoStep{isAdjust: true, inst: inst.Name, delta: ed.Delta})
 		case Resize:
-			e.shiftPinLoads(inst, e.an.Lib.Cell(inst.Ref), e.an.Lib.Cell(ed.To), affectedNets)
+			nets = e.shiftPinLoads(inst, e.an.Lib.Cell(inst.Ref), e.an.Lib.Cell(ed.To), nets)
 			topo -= instanceTerm(inst, e.an.Lib, nil)
 			undo = append(undo, undoStep{instIdx: idx, oldRef: inst.Ref})
 			inst.Ref = ed.To
 			topo += instanceTerm(inst, e.an.Lib, nil)
 		}
-		for _, r := range e.byInst.of(idx) {
-			dirtyArcs[r] = true
-		}
+		arcs = append(arcs, e.byInst.of(idx)...)
 	}
-	for net := range affectedNets {
-		if id, ok := e.an.CD.NetIdx[net]; ok {
-			for _, r := range e.byTo.of(id) {
-				dirtyArcs[r] = true
-			}
-		}
+	// Each shifted net and dirty arc counts once per batch; sorted, the
+	// arcs list their clusters in order.
+	slices.Sort(nets)
+	for _, id := range slices.Compact(nets) {
+		arcs = append(arcs, e.byTo.of(id)...)
 	}
+	slices.SortFunc(arcs, arcRef.cmp)
+	arcs = slices.Compact(arcs)
 	ids := e.scrIDs[:0]
-	for r := range dirtyArcs {
+	for _, r := range arcs {
 		e.reevalArc(r)
-		seen := false
-		for _, id := range ids {
-			if id == int(r.cluster) {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if n := len(ids); n == 0 || ids[n-1] != int(r.cluster) {
 			ids = append(ids, int(r.cluster))
 		}
 	}
-	sort.Ints(ids)
-	e.scrUndo, e.scrIDs = undo, ids
+	e.scrNets, e.scrArcs, e.scrUndo, e.scrIDs = nets, arcs, undo, ids
 
 	// Checksum fallback: if the batch somehow changed the design's
 	// structure (e.g. a resize onto a cell whose interface differs in a way
@@ -651,37 +641,43 @@ func (e *Engine) applyDelayOnly(ctx context.Context, edits []Edit) (*Outcome, er
 	mIncrAnalyses.Inc()
 	mDirtyClusters.Add(int64(len(ids)))
 
-	// Replay the from-scratch computation: initial offsets, a clone of the
-	// cached base with just the dirty clusters recomputed, then the
-	// incremental Algorithm 1 fixed point on one clone of that. Both clones
-	// copy one segment header per cluster. Any interruption rolls the
-	// patches back and drops the clone — the cached base and the
-	// trajectory were never written, the previous report stays live, and
-	// the caller can retry the identical batch. The fixed point's offsets
-	// wait in e.odz, swapped out rather than copied.
-	e.an.St.Odz, e.odz = e.odz, e.an.St.Odz
-	swapped = true
-	e.an.ResetOffsets()
-	base := e.base
+	// Replay the from-scratch computation: the base with just the dirty
+	// clusters re-analyzed at the initial offsets, in place, then the
+	// incremental Algorithm 1 fixed point from it. The segments the
+	// recompute replaces are kept: any interruption puts them back and
+	// rolls the patches back, the fixed point restores the offsets and
+	// leaves the trajectory as it was, the previous report stays live, and
+	// the caller can retry the identical batch.
+	was := e.scrWas[:0]
+	for _, c := range ids {
+		was = append(was, e.base.Segment(c))
+	}
+	e.scrWas = was
+	defer clear(was)
+	fail := func(err error) (*Outcome, error) {
+		for i, c := range ids {
+			e.base.SetSegment(c, was[i])
+		}
+		e.base.Settle()
+		rollback()
+		return nil, err
+	}
 	if len(ids) > 0 {
-		base = e.base.Clone()
 		// Large dirty sets (≥ the sta threshold) ride the level-scheduled
 		// parallel walk when the engine was opened with Options.Workers;
 		// small ones stay on the inline path.
-		if err := sta.RecomputeContext(ctx, e.an.CD, e.an.St, base, ids, e.opts.Workers); err != nil {
-			rollback()
-			return nil, err
+		if err := sta.RecomputeContext(ctx, e.an.CD, e.init, e.base, ids, e.opts.Workers); err != nil {
+			return fail(err)
 		}
 	}
 	// The fixed point replays the previous edit's run as a diff: that run
 	// started from the same initial offsets and a base that differs only
 	// in the clusters recomputed above (core.Analyzer.IdentifySlowPathsReplay).
-	rep, err := e.an.IdentifySlowPathsReplay(ctx, base, &e.traj)
+	rep, err := e.an.IdentifySlowPathsReplay(ctx, e.base, ids, was, &e.traj)
 	if err != nil {
-		rollback()
-		return nil, err
+		return fail(err)
 	}
-	e.base, e.rep, e.cons = base, rep, nil
+	e.rep, e.cons = rep, nil
 	return &Outcome{Incremental: true, DirtyClusters: len(ids), Report: rep}, nil
 }
 
@@ -717,9 +713,9 @@ func (e *Engine) reevalArc(r arcRef) {
 
 // shiftPinLoads moves the load of each net on one of inst's input pins by
 // that pin's capacitance change from cell from to cell to (the same
-// interface) and adds the net to nets: a changed load alters the delay of
-// every arc driving the net.
-func (e *Engine) shiftPinLoads(inst *netlist.Instance, from, to *celllib.Cell, nets map[string]bool) {
+// interface) and appends the net's id to nets: a changed load alters the
+// delay of every arc driving the net.
+func (e *Engine) shiftPinLoads(inst *netlist.Instance, from, to *celllib.Cell, nets []int) []int {
 	for _, p := range from.Pins {
 		if p.Dir != celllib.In {
 			continue
@@ -727,10 +723,13 @@ func (e *Engine) shiftPinLoads(inst *netlist.Instance, from, to *celllib.Cell, n
 		if np := to.Pin(p.Name); np != nil && np.C != p.C {
 			if net, ok := inst.Conns[p.Name]; ok {
 				e.an.CD.Calc.ShiftLoad(net, np.C-p.C)
-				nets[net] = true
+				if id, ok := e.an.CD.NetIdx[net]; ok {
+					nets = append(nets, id)
+				}
 			}
 		}
 	}
+	return nets
 }
 
 // applyFull applies the batch to a copy of the design and re-elaborates;
@@ -871,21 +870,16 @@ func (e *Engine) analyzeFresh(ctx context.Context, an *core.Analyzer) error {
 	if err != nil {
 		return err
 	}
-	// A new elaboration's base has a layout of its own, so the run
-	// replays nothing and records afresh.
-	rep, err := an.IdentifySlowPathsReplay(ctx, base, &e.traj)
+	// A new elaboration's base is not the one the trajectory's last run
+	// started from, so the run replays nothing and records afresh.
+	rep, err := an.IdentifySlowPathsReplay(ctx, base, nil, nil, &e.traj)
 	if err != nil {
 		return err
 	}
-	e.an, e.base, e.rep, e.cons = an, base, rep, nil
-	e.snapshotOffsets() // sizes odz to the new analyzer's elements
+	e.an, e.base, e.init, e.rep, e.cons = an, base, an.St.Initial(), rep, nil
 	e.buildIndexes()
 	return nil
 }
-
-func (e *Engine) snapshotOffsets() { e.odz = e.an.St.SnapshotOffsets(e.odz) }
-
-func (e *Engine) restoreOffsets() { e.an.St.RestoreOffsets(e.odz) }
 
 // buildIndexes indexes the instances by name and files every cluster arc
 // under its instance and under its driven net.

@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -230,7 +231,7 @@ func TestBatchWithTopologyEditRebuildsOnce(t *testing.T) {
 func TestConstraintsCachedAndOffsetsRestored(t *testing.T) {
 	eng := openPipe(t)
 	st := eng.Analyzer().St
-	odz := st.SnapshotOffsets(nil)
+	odz := slices.Clone(st.Odz)
 	c1, err := eng.Constraints()
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -17,10 +18,19 @@ import (
 
 // openSoC opens an engine on the small SoC the rollback and ownership
 // tests share.
-func openSoC(t *testing.T) *Engine {
+func openSoC(t *testing.T) *Engine { return openSoCAt(t, 100) }
+
+// openSoCAt opens an engine on that SoC with its clocks scaled to pct%.
+// At 100% its runs take one sweep, so each starts in place from the
+// previous run's end state; at 22% they take tens of sweeps and start
+// from the initial offsets.
+func openSoCAt(t *testing.T, pct int64) *Engine {
 	t.Helper()
 	d, err := workload.SoC(8, 8, 4, 3)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err = core.ScaleClocks(d, pct, 100); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := Open(celllib.Default(), d, core.DefaultOptions())
@@ -52,44 +62,62 @@ func gatesInTwoClusters(t *testing.T, eng *Engine) (a, b string) {
 }
 
 // TestCancelledDelayEditRestoresBase: a delay edit recomputes its stale
-// clusters inside the engine's cached base result, so a cancelled edit
-// must put them back. The edit on a gate in cluster A is cancelled at
-// its k-th cluster analysis for every k from 0 (inside the base
-// recompute) until the edit completes (past the first sweep); after an
-// edit on a gate in cluster B, the report and the cached base must equal
-// those of a reference engine that applied only B's edit. The base is
-// compared directly because the fixed point can mask a stale cluster in
-// it: a sweep that re-dirties A copies it from the previous fixed point.
+// clusters inside the engine's cached base result, in place, and moves
+// the offsets the engine keeps at the last fixed point, so a cancelled
+// edit must put both back. On both starts — the SoC at its nominal clock,
+// whose runs start in place, and at 22%, whose runs start from the
+// initial offsets — the edit on a gate in cluster A is cancelled at its
+// k-th cluster analysis, from 0 (inside the base recompute) until the
+// edit completes (past the first sweep). The engine's offsets, base and
+// report must then be as before the edit; and after an edit on a gate in
+// cluster B, its report, base and offsets must equal those of a
+// reference engine that applied only B's edit, so its trajectory was
+// kept too. The base is compared directly because the fixed point can
+// mask a stale cluster in it: a sweep that re-dirties A copies it from
+// the previous fixed point.
 func TestCancelledDelayEditRestoresBase(t *testing.T) {
-	ref := openSoC(t)
-	a, b := gatesInTwoClusters(t, ref)
-	editA := Edit{Op: Adjust, Inst: a, Delta: 700}
-	editB := Edit{Op: Adjust, Inst: b, Delta: -300}
-	if _, err := ref.Apply(editB); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Report()
-	for k := 0; ; k++ {
-		eng := openSoC(t)
-		if _, err := eng.ApplyContext(&countdownCtx{Context: context.Background(), k: k}, editA); err == nil {
-			if k < 2 {
-				t.Fatalf("edit on %s ran %d cluster analyses; want one in the base recompute and one in a sweep", a, k)
+	for _, pct := range []int64{100, 22} {
+		t.Run(fmt.Sprintf("%d%%", pct), func(t *testing.T) {
+			ref := openSoCAt(t, pct)
+			a, b := gatesInTwoClusters(t, ref)
+			editA := Edit{Op: Adjust, Inst: a, Delta: 700}
+			editB := Edit{Op: Adjust, Inst: b, Delta: -300}
+			if _, err := ref.Apply(editB); err != nil {
+				t.Fatal(err)
 			}
-			break
-		}
-		out, err := eng.Apply(editB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.Incremental {
-			t.Fatalf("k=%d: edit on %s fell back to a full analysis", k, b)
-		}
-		if !reflect.DeepEqual(eng.Report(), want) {
-			t.Fatalf("edit on %s cancelled at cluster analysis %d, then one on %s: report differs from the reference's", a, k, b)
-		}
-		if !reflect.DeepEqual(eng.base, ref.base) {
-			t.Fatalf("edit on %s cancelled at cluster analysis %d, then one on %s: cached base differs from the reference's", a, k, b)
-		}
+			want := ref.Report()
+			// At 22% an edit runs hundreds of cluster analyses: every
+			// cancellation point up to 8, then every fourth.
+			for k := 0; ; k += 1 + 3*min(1, k/8) {
+				eng := openSoCAt(t, pct)
+				rep, base, odz := eng.Report(), eng.base.Clone(), slices.Clone(eng.Analyzer().St.Odz)
+				if _, err := eng.ApplyContext(&countdownCtx{Context: context.Background(), k: k}, editA); err == nil {
+					if k < 2 {
+						t.Fatalf("edit on %s ran %d cluster analyses; want one in the base recompute and one in a sweep", a, k)
+					}
+					break
+				}
+				if eng.Report() != rep || !reflect.DeepEqual(eng.base, base) || !slices.Equal(eng.Analyzer().St.Odz, odz) {
+					t.Fatalf("edit on %s cancelled at cluster analysis %d: the report, base or offsets changed", a, k)
+				}
+				out, err := eng.Apply(editB)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !out.Incremental {
+					t.Fatalf("k=%d: edit on %s fell back to a full analysis", k, b)
+				}
+				if !reflect.DeepEqual(eng.Report(), want) {
+					t.Fatalf("edit on %s cancelled at cluster analysis %d, then one on %s: report differs from the reference's", a, k, b)
+				}
+				if !reflect.DeepEqual(eng.base, ref.base) {
+					t.Fatalf("edit on %s cancelled at cluster analysis %d, then one on %s: cached base differs from the reference's", a, k, b)
+				}
+				if !slices.Equal(eng.Analyzer().St.Odz, ref.Analyzer().St.Odz) {
+					t.Fatalf("edit on %s cancelled at cluster analysis %d, then one on %s: offsets differ from the reference's", a, k, b)
+				}
+			}
+		})
 	}
 }
 

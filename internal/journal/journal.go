@@ -331,21 +331,24 @@ func (m *Manager) Rewrite(session string, openBody any, batches []json.RawMessag
 	return w, nil
 }
 
-// create writes a journal of the open record and batches at path, each
-// record synced, and returns a writer appending to it. On error nothing
-// is left at path.
+// create writes a journal of the open record and batches at path, synced
+// once after its last record, and returns a writer appending to it. On
+// error nothing is left at path.
 func create(path string, openBody any, batches []json.RawMessage) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	w := &Writer{f: f, path: path}
-	err = w.Append(KindOpen, openBody)
+	_, err = w.write(KindOpen, openBody)
 	for _, b := range batches {
 		if err != nil {
 			break
 		}
-		err = w.Append(KindEdits, b)
+		_, err = w.write(KindEdits, b)
+	}
+	if err == nil {
+		err = w.Sync()
 	}
 	if err != nil {
 		f.Close()
@@ -613,7 +616,22 @@ func (w *Writer) Append(kind string, body any) error {
 func (w *Writer) AppendContext(ctx context.Context, kind string, body any) error {
 	ctx, sp := span.Start(ctx, "journal.append")
 	defer sp.End()
+	gen, err := w.write(kind, body)
+	if err != nil {
+		return err
+	}
+	if err := w.barrier(ctx, gen); err != nil {
+		return err
+	}
+	w.deliver()
+	return nil
+}
+
+// write frames and writes one record without syncing it, and returns its
+// write generation, which a barrier makes durable.
+func (w *Writer) write(kind string, body any) (int64, error) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	frame, err := encodeFrame(kind, w.seq, body)
 	if err == nil {
 		err = failpoint.Hit("journal.append")
@@ -624,22 +642,15 @@ func (w *Writer) AppendContext(ctx context.Context, kind string, body any) error
 		}
 	}
 	if err != nil {
-		w.mu.Unlock()
-		return err
+		return 0, err
 	}
 	w.seq++
 	w.writeGen++
-	gen := w.writeGen
 	if w.sink != nil {
 		w.pending = append(w.pending, frame)
 	}
-	w.mu.Unlock()
 	mAppends.Inc()
-	if err := w.barrier(ctx, gen); err != nil {
-		return err
-	}
-	w.deliver()
-	return nil
+	return w.writeGen, nil
 }
 
 // barrier is the group-commit fsync: returns once a sync covering write

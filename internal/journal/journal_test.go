@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hummingbird/internal/failpoint"
+	"hummingbird/internal/telemetry"
 )
 
 type openRec struct {
@@ -197,6 +198,32 @@ func TestRewriteCompactsAtomically(t *testing.T) {
 	}
 	if string(recs2[0].Body) != string(recs[0].Body) || string(recs2[1].Body) != string(recs[1].Body) {
 		t.Fatal("compaction changed record bodies")
+	}
+}
+
+// TestRewriteSyncsOnce: a compaction writes every record and then syncs
+// the temporary file once, before the rename; a sync per record would
+// make a restore of N batches pay N+1 fsyncs on the request path.
+func TestRewriteSyncsOnce(t *testing.T) {
+	telemetry.Enable()
+	t.Cleanup(telemetry.Disable)
+	m := newManager(t)
+	batches := make([]json.RawMessage, 20)
+	for i := range batches {
+		batches[i] = json.RawMessage(fmt.Sprintf(`[{"op":"adjust","inst":"g%d"}]`, i))
+	}
+	before := mSyncs.Load()
+	w, err := m.Rewrite("s1", openRec{Design: "x"}, batches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := mSyncs.Load() - before; n != 1 {
+		t.Fatalf("a rewrite of %d batches synced %d times, want 1", len(batches), n)
+	}
+	w.Close()
+	recs, err := m.Read("s1")
+	if err != nil || len(recs) != len(batches)+1 {
+		t.Fatalf("read: %d records, %v; want %d", len(recs), err, len(batches)+1)
 	}
 }
 

@@ -85,6 +85,15 @@ type PassDetail struct {
 type Result struct {
 	lay  *cluster.Layout
 	segs []segment
+	// worst is the minimum of the segments' minima, so that WorstSlack is
+	// a field read. Every writer keeps it current: a full analysis
+	// computes it, a recompute folds in the segments it installs, and
+	// SetSegment folds in its segment or, where it replaces the segment
+	// holding the minimum by a larger one, sets rescan, which Settle
+	// clears with one pass over the segments. A result is settled before
+	// it is handed out, since readers of a published result hold no lock.
+	worst  clock.Time
+	rescan bool
 }
 
 // A segment is one cluster's share of a result, in one vector: [0] is the
@@ -180,8 +189,33 @@ func (r *Result) Segment(c int) Segment { return Segment{r.segs[c]} }
 
 // SetSegment installs s as cluster c's segment. s must be a segment of
 // cluster c in a result of r's layout, computed at the delays and boundary
-// offsets r's cluster has; r must be the caller's own working result.
-func (r *Result) SetSegment(c int, s Segment) { r.segs[c] = s.s }
+// offsets r's cluster has; r must be the caller's own working result,
+// which the caller settles (Settle) before anything reads its worst
+// slack.
+func (r *Result) SetSegment(c int, s Segment) {
+	switch old := r.segs[c]; {
+	case r.rescan:
+	case s.s[0] <= r.worst:
+		r.worst = s.s[0]
+	case old[0] == r.worst:
+		r.rescan = true
+	}
+	r.segs[c] = s.s
+}
+
+// Settle brings the worst slack up to date after SetSegment calls: one
+// pass over the segments' minima if a call replaced the minimum by a
+// larger value, nothing otherwise.
+func (r *Result) Settle() {
+	if !r.rescan {
+		return
+	}
+	r.rescan = false
+	r.worst = posInf
+	for _, s := range r.segs {
+		r.worst = min(r.worst, s[0])
+	}
+}
 
 // Len returns the segment's length in words.
 func (s Segment) Len() int { return len(s.s) }
@@ -196,7 +230,7 @@ func (s Segment) Is(o Segment) bool {
 // that allocated one is the only writer — so the copy shares them: a Clone
 // is two allocations and copies one slice header per cluster.
 func (r *Result) Clone() *Result {
-	return &Result{lay: r.lay, segs: slices.Clone(r.segs)}
+	return &Result{lay: r.lay, segs: slices.Clone(r.segs), worst: r.worst, rescan: r.rescan}
 }
 
 // MinElemSlack returns the smaller of the element's terminal slacks.
@@ -206,14 +240,8 @@ func (r *Result) MinElemSlack(e int) clock.Time {
 
 // WorstSlack returns the minimum slack over every element terminal: the
 // minimum of the clusters' segment minima, since a terminal outside every
-// cluster reads +Inf.
-func (r *Result) WorstSlack() clock.Time {
-	w := posInf
-	for _, s := range r.segs {
-		w = min(w, s[0])
-	}
-	return w
-}
+// cluster reads +Inf. The result keeps it as its segments change.
+func (r *Result) WorstSlack() clock.Time { return r.worst }
 
 // Analyze is AnalyzeContext on one worker without a deadline.
 func Analyze(cd *cluster.CompiledDesign, st *AnalysisState) *Result {
@@ -248,6 +276,8 @@ func AnalyzeContext(ctx context.Context, cd *cluster.CompiledDesign, st *Analysi
 	if err := run(ctx, sp, cd, st, res, len(cd.CC), workers); err != nil {
 		return nil, err
 	}
+	res.rescan = true
+	res.Settle()
 	return res, nil
 }
 
@@ -262,23 +292,43 @@ const recomputeParallelThreshold = 64
 // contributions to the result can be rebuilt independently — the basis of
 // the incremental mode of Algorithm 1's sweeps: after a slack transfer
 // only the clusters adjacent to the moved element change. Only sets of at
-// least recomputeParallelThreshold clusters are spread across the workers. res must be the caller's own working result, never one
-// already handed out: results returned to callers are not written again.
-// On a non-nil error res holds a mix of old and new segments and must be
-// discarded.
+// least recomputeParallelThreshold clusters are spread across the workers.
+// res must be the caller's own working result, never one already handed
+// out: results returned to callers are not written again. The new
+// segments are folded into res's worst slack, which a recompute that
+// raises the minimum settles with one pass over the segments. On a
+// non-nil error res holds a mix of old and new segments and its worst
+// slack is stale: it must be discarded, or its old segments put back with
+// SetSegment and Settle.
 func RecomputeContext(ctx context.Context, cd *cluster.CompiledDesign, st *AnalysisState, res *Result, clusterIDs []int, workers int) error {
 	mRecomputes.Inc()
 	_, sp := span.Start(ctx, "sta.recompute")
 	sp.AnnotateInt("clusters", len(clusterIDs))
 	defer sp.End()
 	st.dirty.clear()
+	held := false // a replaced segment holds the minimum
 	for _, id := range clusterIDs {
 		st.dirty.set(id)
+		held = held || res.segs[id][0] == res.worst
 	}
 	if len(clusterIDs) < recomputeParallelThreshold {
 		workers = 1
 	}
-	return run(ctx, sp, cd, st, res, len(clusterIDs), workers)
+	if err := run(ctx, sp, cd, st, res, len(clusterIDs), workers); err != nil {
+		return err
+	}
+	m := posInf
+	for _, id := range clusterIDs {
+		m = min(m, res.segs[id][0])
+	}
+	switch {
+	case m <= res.worst:
+		res.worst = m
+	case held:
+		res.rescan = true
+	}
+	res.Settle()
+	return nil
 }
 
 // run is the one block-analysis driver: it analyzes the n clusters marked

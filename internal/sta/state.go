@@ -63,19 +63,14 @@ func (st *AnalysisState) Rebind(cd *cluster.CompiledDesign) { st.cd = cd }
 // closure for elements with a degree of freedom).
 func (st *AnalysisState) Reset() { copy(st.Odz, st.cd.InitialOdz) }
 
-// SnapshotOffsets copies the current offset vector into dst, reallocating
-// only if dst is too small, and returns it.
-func (st *AnalysisState) SnapshotOffsets(dst []clock.Time) []clock.Time {
-	if cap(dst) < len(st.Odz) {
-		dst = make([]clock.Time, len(st.Odz))
-	}
-	dst = dst[:len(st.Odz)]
-	copy(dst, st.Odz)
-	return dst
+// Initial returns a state of st's design at its initial offsets, for
+// analyses of the initial-offset block analysis beside st, whose offsets
+// move. Its Odz is the design's InitialOdz, which nothing may write; it
+// shares st's scratch arenas, so that the two cost one pool. Rebind it
+// with st.
+func (st *AnalysisState) Initial() *AnalysisState {
+	return &AnalysisState{cd: st.cd, Odz: st.cd.InitialOdz, scratch: st.scratch, dirty: make(bitset, len(st.dirty))}
 }
-
-// RestoreOffsets copies a snapshot back into the state.
-func (st *AnalysisState) RestoreOffsets(src []clock.Time) { copy(st.Odz, src) }
 
 // getScratch borrows one per-cluster scratch arena (4×MaxClusterNets).
 func (st *AnalysisState) getScratch() *[]clock.Time {
