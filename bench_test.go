@@ -76,7 +76,7 @@ func benchTable1(b *testing.B, mk func() (*netlist.Design, error)) {
 		a := loadOnce(b, d)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			a.ResetOffsets()
+			a.St.Reset()
 			rep, err := a.IdentifySlowPaths()
 			if err != nil {
 				b.Fatal(err)
@@ -231,9 +231,10 @@ func BenchmarkFigure2_GenericModel(b *testing.B) {
 		b.Fatal(err)
 	}
 	e := elems[0]
+	odz := e.InitialOdz()
 	var sink clock.Time
 	for i := 0; i < b.N; i++ {
-		sink += e.InputClosure() + e.OutputAssert()
+		sink += e.IdealClose + e.InputOffsetAt(odz) + e.OutputAssertAt(odz)
 	}
 	_ = sink
 }
@@ -251,9 +252,10 @@ func BenchmarkFigure3_SlackTransfer(b *testing.B) {
 		b.Fatal(err)
 	}
 	e := elems[0]
+	odz := e.InitialOdz()
 	for i := 0; i < b.N; i++ {
-		e.CompleteForward(1000)
-		e.CompleteBackward(1000)
+		odz, _ = e.CompleteForwardAt(odz, 1000)
+		odz, _ = e.CompleteBackwardAt(odz, 1000)
 	}
 }
 
@@ -460,7 +462,7 @@ func BenchmarkIdentify_TightSoC(b *testing.B) {
 	countSweeps(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.ResetOffsets()
+		a.St.Reset()
 		rep, err := a.IdentifySlowPaths()
 		if err != nil {
 			b.Fatal(err)
@@ -539,7 +541,7 @@ func BenchmarkAblation_Incremental(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.ResetOffsets()
+				a.St.Reset()
 				rep, err := a.IdentifySlowPaths()
 				if err != nil {
 					b.Fatal(err)
@@ -635,7 +637,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.ResetOffsets()
+				a.St.Reset()
 				rep, err := a.IdentifySlowPaths()
 				if err != nil {
 					b.Fatal(err)

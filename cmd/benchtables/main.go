@@ -424,10 +424,11 @@ func runFig2(w io.Writer) {
 	elems, err := syncelem.Build("demo", celllib.Transparent, st, cs, 0, false, 2*clock.Ns, 1*clock.Ns)
 	must(err)
 	e := elems[0]
+	odz := e.InitialOdz()
 	fmt.Fprintf(w, "element %s: transparent, pulse [%v, %v), W=%v\n", e.Name(), e.LeadAt, e.TrailAt, e.Width)
-	fmt.Fprintf(w, "  offsets: Odc=%v Odz=%v Ozc=%v Ozd=%v (Oat=%v)\n", e.Odc(), e.Odz, e.Ozc(), e.Ozd(), e.Oat())
-	fmt.Fprintf(w, "  input closure  = ideal %v + min(Odc,Odz) = %v\n", e.IdealClose, e.InputClosure())
-	fmt.Fprintf(w, "  output assert  = ideal %v + max(Ozc,Ozd) = %v\n", e.IdealAssert, e.OutputAssert())
+	fmt.Fprintf(w, "  offsets: Odc=%v Odz=%v Ozc=%v Ozd=%v (Oat=%v)\n", e.Odc(), odz, e.Ozc(), e.OzdAt(odz), e.Oat())
+	fmt.Fprintf(w, "  input closure  = ideal %v + min(Odc,Odz) = %v\n", e.IdealClose, e.IdealClose+e.InputOffsetAt(odz))
+	fmt.Fprintf(w, "  output assert  = ideal %v + max(Ozc,Ozd) = %v\n", e.IdealAssert, e.OutputAssertAt(odz))
 	fmt.Fprintf(w, "  Odz freedom: [%v, %v]\n\n", e.OdzMin(), e.OdzMax())
 }
 
@@ -439,12 +440,12 @@ func runFig3(w io.Writer) {
 	elems, err := syncelem.Build("lat", celllib.Transparent, st, cs, 0, false, 2*clock.Ns, 2*clock.Ns)
 	must(err)
 	e := elems[0]
-	e.Odz = -15 * clock.Ns
-	must(e.Validate())
+	odz := -15 * clock.Ns
+	must(e.ValidateAt(odz))
 	fmt.Fprintf(w, "20ns control pulse, no internal delays, output asserted 5ns after the leading edge:\n")
-	fmt.Fprintf(w, "  Ozd = %v (paper: 5ns), Odz = %v (paper: -15ns)\n", e.Ozd(), e.Odz)
+	fmt.Fprintf(w, "  Ozd = %v (paper: 5ns), Odz = %v (paper: -15ns)\n", e.OzdAt(odz), odz)
 	fmt.Fprintf(w, "  2ns clock-to-control delay: Oat = Ozc = %v (paper: 2ns)\n", e.Ozc())
-	fmt.Fprintf(w, "  identity Ozd = W + Odz + Ddz: %v = %v + %v + %v\n\n", e.Ozd(), e.Width, e.Odz, e.Ddz)
+	fmt.Fprintf(w, "  identity Ozd = W + Odz + Ddz: %v = %v + %v + %v\n\n", e.OzdAt(odz), e.Width, odz, e.Ddz)
 }
 
 func runFig4(w io.Writer) {

@@ -81,6 +81,25 @@ func (s *session) sync() {
 	s.rep = s.eng.Report()
 }
 
+// writeFlags writes the §8 slow-path flags of the current analysis to
+// file and returns how many annotations it wrote.
+func (s *session) writeFlags(file string) (int, error) {
+	db := octdb.New(s.design)
+	octdb.FlagSlowPaths(db, s.analyzer, s.rep)
+	out, err := os.Create(file)
+	if err != nil {
+		return 0, err
+	}
+	if err := db.Save(out); err != nil {
+		out.Close()
+		return 0, err
+	}
+	if err := out.Close(); err != nil {
+		return 0, err
+	}
+	return db.Len(), nil
+}
+
 // apply routes one edit through the engine and refreshes the views.
 func (s *session) apply(w io.Writer, edits ...incremental.Edit) error {
 	t0 := time.Now()
@@ -262,20 +281,11 @@ func run(args []string, stdin io.Reader, w, errW io.Writer) error {
 		fmt.Fprintf(w, "wrote JSON result to %s\n", *jsonOut)
 	}
 	if *flagsOut != "" {
-		db := octdb.New(design)
-		octdb.FlagSlowPaths(db, s.analyzer, s.rep)
-		out, err := os.Create(*flagsOut)
+		n, err := s.writeFlags(*flagsOut)
 		if err != nil {
 			return err
 		}
-		if err := db.Save(out); err != nil {
-			out.Close()
-			return err
-		}
-		if err := out.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %d annotations to %s\n", db.Len(), *flagsOut)
+		fmt.Fprintf(w, "wrote %d annotations to %s\n", n, *flagsOut)
 	}
 	if *interactive {
 		if err := repl(s, stdin, w); err != nil {
@@ -486,18 +496,12 @@ func repl(s *session, in io.Reader, w io.Writer) error {
 				fmt.Fprintln(w, "usage: flags FILE")
 				continue
 			}
-			db := octdb.New(s.design)
-			octdb.FlagSlowPaths(db, s.analyzer, s.rep)
-			out, err := os.Create(f[1])
+			n, err := s.writeFlags(f[1])
 			if err != nil {
 				fmt.Fprintln(w, "error:", err)
 				continue
 			}
-			if err := db.Save(out); err != nil {
-				fmt.Fprintln(w, "error:", err)
-			}
-			out.Close()
-			fmt.Fprintf(w, "wrote %d annotations\n", db.Len())
+			fmt.Fprintf(w, "wrote %d annotations\n", n)
 		default:
 			fmt.Fprintf(w, "unknown command %q ('help' lists commands)\n", f[0])
 		}

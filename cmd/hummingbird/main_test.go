@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hummingbird/internal/failpoint"
 )
 
 const pipeHB = `
@@ -196,6 +198,24 @@ func TestReplFlagsCommand(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "wrote") {
 		t.Fatal(out.String())
+	}
+}
+
+// TestReplFlagsSaveError: a flags file whose save fails is reported as the
+// error alone, with no "wrote" line, and the session stays up.
+func TestReplFlagsSaveError(t *testing.T) {
+	if err := failpoint.Arm("octdb.save", "error"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { failpoint.Disarm("octdb.save") })
+	flags := filepath.Join(t.TempDir(), "f.oct")
+	var out strings.Builder
+	script := "flags " + flags + "\nquit\n"
+	if err := run([]string{"-i", writeDesign(t, pipeHB)}, strings.NewReader(script), &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "error: ") || strings.Contains(out.String(), "wrote") {
+		t.Fatalf("a failed save should print its error and no wrote line:\n%s", out.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -95,7 +96,7 @@ func TestNoReferenceOutlivesSessions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := jw.Append(journal.KindEdits, []editJSON{{Op: "adjust", Inst: "nope", Delta: "1ns"}}); err != nil {
+			if err := jw.AppendContext(context.Background(), journal.KindEdits, []editJSON{{Op: "adjust", Inst: "nope", Delta: "1ns"}}); err != nil {
 				t.Fatal(err)
 			}
 			jw.Close()

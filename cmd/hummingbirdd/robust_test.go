@@ -178,7 +178,7 @@ func TestEditCloseRace(t *testing.T) {
 func TestPanicQuarantinesOnlyTheFaultingSession(t *testing.T) {
 	telemetry.Enable()
 	t.Cleanup(telemetry.Disable)
-	before := mPanicsRecovered.Load()
+	before := count(mPanicsRecovered)
 
 	ts := newTestServer(t, 4)
 	victim, _ := openSession(t, ts, pipeSrc)
@@ -195,7 +195,7 @@ func TestPanicQuarantinesOnlyTheFaultingSession(t *testing.T) {
 	if status != http.StatusInternalServerError {
 		t.Fatalf("panicking edit: %d %v", status, m)
 	}
-	if got := mPanicsRecovered.Load(); got != before+1 {
+	if got := count(mPanicsRecovered); got != before+1 {
 		t.Fatalf("server.panics_recovered = %d, want %d", got, before+1)
 	}
 
@@ -274,7 +274,7 @@ func TestRequestDeadlineCancelsAnalysis(t *testing.T) {
 func TestAdmissionControlSheds(t *testing.T) {
 	telemetry.Enable()
 	t.Cleanup(telemetry.Disable)
-	shedBefore := mRequestsShed.Load()
+	shedBefore := count(mRequestsShed)
 
 	srv, ts := newTestServerCfg(t, serverConfig{
 		maxSessions:  4,
@@ -317,7 +317,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if got := mRequestsShed.Load(); got != shedBefore+1 {
+	if got := count(mRequestsShed); got != shedBefore+1 {
 		t.Fatalf("server.requests_shed = %d, want %d", got, shedBefore+1)
 	}
 	<-slow
@@ -384,7 +384,7 @@ func TestJournalReplayRestoresSessions(t *testing.T) {
 	// restart over the same journal directory.
 	telemetry.Enable()
 	t.Cleanup(telemetry.Disable)
-	replayBefore := mReplayed.Load()
+	replayBefore := count(mReplayed)
 	jm2, err := journal.NewManager(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +393,7 @@ func TestJournalReplayRestoresSessions(t *testing.T) {
 	if n := srv2.recoverSessions(); n != 1 {
 		t.Fatalf("recovered %d sessions, want 1", n)
 	}
-	if got := mReplayed.Load(); got != replayBefore+1 {
+	if got := count(mReplayed); got != replayBefore+1 {
 		t.Fatalf("server.sessions_replayed = %d, want %d", got, replayBefore+1)
 	}
 
@@ -808,3 +808,6 @@ func TestJournalAppendFailureQuarantines(t *testing.T) {
 		t.Fatalf("session not quarantined after append failure: %d", status)
 	}
 }
+
+// count reads a counter's value from a metrics snapshot.
+func count(c *telemetry.Counter) int64 { return telemetry.Snapshot().Counters[c.Name()] }

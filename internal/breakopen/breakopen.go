@@ -348,7 +348,7 @@ func assign(T clock.Time, breaks []clock.Time, outs []Output) map[int]int {
 
 // MinPassesLowerBound returns a simple lower bound on the number of passes:
 // the size of the largest set of outputs whose zones are pairwise disjoint.
-// Exposed for tests and the A3 ablation report.
+// Tests check Solve's pass counts against it.
 func MinPassesLowerBound(T clock.Time, candidates []clock.Time, outs []Output) (int, error) {
 	cands, err := prepCandidates(T, candidates)
 	if err != nil {

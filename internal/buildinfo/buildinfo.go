@@ -5,7 +5,6 @@
 package buildinfo
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -72,11 +71,4 @@ func WriteVersion(w io.Writer, binary string) {
 		fmt.Fprint(w, ")")
 	}
 	fmt.Fprintf(w, " %s\n", info.GoVersion)
-}
-
-// WriteJSON serialises the build summary (the /buildinfo payload).
-func WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Collect())
 }

@@ -1,7 +1,6 @@
 package buildinfo
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -28,19 +27,5 @@ func TestWriteVersionFormat(t *testing.T) {
 	}
 	if !strings.Contains(out, "go") {
 		t.Fatalf("version line %q lacks toolchain version", out)
-	}
-}
-
-func TestWriteJSONDecodes(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var info Info
-	if err := json.Unmarshal([]byte(sb.String()), &info); err != nil {
-		t.Fatalf("buildinfo JSON: %v", err)
-	}
-	if info.GoVersion == "" {
-		t.Fatal("decoded info lacks Go version")
 	}
 }

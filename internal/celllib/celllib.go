@@ -201,17 +201,6 @@ func (c *Cell) PinIndex(name string) int {
 	return -1
 }
 
-// Inputs returns the input pin names in declaration order.
-func (c *Cell) Inputs() []string {
-	var in []string
-	for _, p := range c.Pins {
-		if p.Dir == In {
-			in = append(in, p.Name)
-		}
-	}
-	return in
-}
-
 // Outputs returns the output pin names in declaration order.
 func (c *Cell) Outputs() []string {
 	var out []string

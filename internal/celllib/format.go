@@ -363,7 +363,8 @@ func parseTimeLit(s string) (clock.Time, error) {
 }
 
 // WriteLibrary renders a library in the textual format;
-// ParseLibrary(WriteLibrary(l)) round-trips.
+// ParseLibrary(WriteLibrary(l)) round-trips, which FuzzParseLibrary and
+// the library round-trip tests check.
 func WriteLibrary(w io.Writer, l *Library) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "library %s\n", l.Name)

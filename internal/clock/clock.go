@@ -101,27 +101,6 @@ func (s Signal) Validate() error {
 	return nil
 }
 
-// Width returns the pulse width W: the cyclic distance from the rise to the
-// fall transition. W is the transparency window length for level-sensitive
-// latches (§5).
-func (s Signal) Width() Time {
-	d := s.FallAt - s.RiseAt
-	if d < 0 {
-		d += s.Period
-	}
-	return d
-}
-
-// IsHigh reports whether the waveform is high at absolute time t (t may be
-// any integer, negative included).
-func (s Signal) IsHigh(t Time) bool {
-	p := mod(t, s.Period)
-	if s.RiseAt < s.FallAt {
-		return p >= s.RiseAt && p < s.FallAt
-	}
-	return p >= s.RiseAt || p < s.FallAt
-}
-
 // EdgeTime returns the absolute time of occurrence i (0-based) of the given
 // edge kind, counting occurrences from time zero.
 func (s Signal) EdgeTime(kind EdgeKind, i int) Time {
@@ -255,14 +234,6 @@ func (cs *Set) PulseCount(i int) int {
 	return int(cs.overall / cs.signals[i].Period)
 }
 
-// EdgeName renders an edge as "phi1.rise[2]" style text for reports.
-func (cs *Set) EdgeName(e Edge) string {
-	if cs.PulseCount(e.Sig) == 1 {
-		return fmt.Sprintf("%s.%s", cs.signals[e.Sig].Name, e.Kind)
-	}
-	return fmt.Sprintf("%s.%s[%d]", cs.signals[e.Sig].Name, e.Kind, e.Occur)
-}
-
 // FindEdge locates the edge of the given signal/kind/occurrence in the
 // sorted edge list and returns its index, or -1 if out of range.
 func (cs *Set) FindEdge(sig int, kind EdgeKind, occur int) int {
@@ -278,18 +249,6 @@ func (cs *Set) FindEdge(sig int, kind EdgeKind, occur int) int {
 // within the overall period: the unique d in [0, T) with (a+d) ≡ b (mod T).
 func (cs *Set) CyclicForward(a, b Time) Time {
 	return mod(b-a, cs.overall)
-}
-
-// NextAfter returns, of the two candidate phases (cands are phases within
-// [0,T)), the smallest absolute time strictly greater than t whose phase is
-// cand. Helper for ideal-path-constraint evaluation: "the very next ideal
-// closure time" (§4).
-func (cs *Set) NextAfter(t Time, cand Time) Time {
-	d := mod(cand-t, cs.overall)
-	if d == 0 {
-		d = cs.overall
-	}
-	return t + d
 }
 
 // lcm returns the least common multiple of a and b and whether it fits the
@@ -311,10 +270,10 @@ func gcd(a, b Time) Time {
 	return a
 }
 
-// TwoPhase constructs the classic non-overlapping two-phase clock pair used
-// by many of the workloads: both phases share the given period; phi1 is high
-// on [0, width) and phi2 on [period/2, period/2+width). width must leave a
-// non-overlap gap (width < period/2).
+// TwoPhase constructs the classic non-overlapping two-phase clock pair:
+// both phases share the given period; phi1 is high on [0, width) and phi2
+// on [period/2, period/2+width). width must leave a non-overlap gap
+// (width < period/2). It is a fixture of the clock tests.
 func TwoPhase(period, width Time) (*Set, error) {
 	if width <= 0 || width >= period/2 {
 		return nil, fmt.Errorf("clock: two-phase width %v must be in (0, %v)", width, period/2)
@@ -326,7 +285,8 @@ func TwoPhase(period, width Time) (*Set, error) {
 }
 
 // MultiPhase constructs n equally spaced non-overlapping phases named
-// "phi1".."phiN" over the given period. Each phase is high for width.
+// "phi1".."phiN" over the given period. Each phase is high for width. It
+// is a fixture of the clock and breakopen tests.
 func MultiPhase(n int, period, width Time) (*Set, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("clock: need at least one phase, got %d", n)

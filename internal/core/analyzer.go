@@ -27,11 +27,12 @@ import (
 	"hummingbird/internal/telemetry"
 )
 
+// partialDivisor is the divisor n > 1 of the §6 partial slack transfers
+// (iterations 3 and 4 of Algorithm 1).
+const partialDivisor = 2
+
 // Options tunes the analyzer.
 type Options struct {
-	// PartialDivisor is the divisor n > 1 of the §6 partial slack
-	// transfers (iterations 3 and 4 of Algorithm 1). Default 2.
-	PartialDivisor int64
 	// MaxSweeps caps each iteration's sweep count as a safety net. The
 	// paper bounds acyclic designs at one more sweep than the number of
 	// synchronising elements on a directed path; combinational cycles
@@ -68,7 +69,7 @@ type Options struct {
 
 // DefaultOptions returns the options used by the benchmarks.
 func DefaultOptions() Options {
-	return Options{PartialDivisor: 2, Delay: delaycalc.DefaultOptions()}
+	return Options{Delay: delaycalc.DefaultOptions()}
 }
 
 // defaultMaxSweeps sizes the sweep safety cap; see Options.MaxSweeps.
@@ -148,9 +149,6 @@ func cellCounts(cd *cluster.CompiledDesign) (cells, latches int) {
 func Load(lib *celllib.Library, design *netlist.Design, opts Options) (*Analyzer, error) {
 	t0 := time.Now()
 	defer func() { tLoad.Observe(time.Since(t0)) }()
-	if opts.PartialDivisor <= 1 {
-		opts.PartialDivisor = 2
-	}
 	if err := design.Validate(lib); err != nil {
 		return nil, err
 	}
@@ -183,21 +181,11 @@ func Load(lib *celllib.Library, design *netlist.Design, opts Options) (*Analyzer
 	return newAnalyzer(resolved, design, cluster.Compile(nw), opts), nil
 }
 
-// LoadFlat is Load for an already-resolved (flat) design with a prebuilt
-// network — used by tests that construct networks directly. The network is
-// compiled (frozen) here; it must not be mutated afterwards.
-func LoadFlat(nw *cluster.Network, opts Options) *Analyzer {
-	return LoadCompiled(cluster.Compile(nw), nw.Design, opts)
-}
-
 // LoadCompiled binds a new analyzer — with its own fresh AnalysisState —
 // onto an existing compiled design, sharing it read-only with whoever else
 // holds it. This is how same-design sessions avoid re-elaborating: compile
 // once, open many.
 func LoadCompiled(cd *cluster.CompiledDesign, design *netlist.Design, opts Options) *Analyzer {
-	if opts.PartialDivisor <= 1 {
-		opts.PartialDivisor = 2
-	}
 	if opts.MaxSweeps <= 0 {
 		opts.MaxSweeps = defaultMaxSweeps(len(cd.Elems))
 	}
@@ -234,11 +222,6 @@ func (r *Report) WorstSlack() clock.Time { return r.Result.WorstSlack() }
 // allPositive reports whether every element terminal slack is > 0: a read
 // of the result's worst slack.
 func allPositive(res *sta.Result) bool { return res.WorstSlack() > 0 }
-
-// ResetOffsets restores every element's initial offsets (Algorithm 1's
-// "select any set of offsets satisfying the synchronising element
-// constraints" uses the latest-closure initialisation of syncelem.Build).
-func (a *Analyzer) ResetOffsets() { a.St.Reset() }
 
 // IdentifySlowPaths runs Algorithm 1 from a fresh block analysis and
 // returns the report. It has no deadline; the incremental engine, which
@@ -365,7 +348,7 @@ func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result, t
 		var moved, recomputed int
 		var err error
 		res, moved, recomputed, err = a.sweep(ctx, "partial-forward", k, res, func(e *syncelem.Element, odz, slack clock.Time) (clock.Time, clock.Time) {
-			return e.PartialForwardAt(odz, slack, a.Opts.PartialDivisor)
+			return e.PartialForwardAt(odz, slack, partialDivisor)
 		}, inSlack)
 		if err != nil {
 			return nil, a.cancelled("partial-forward", k, err)
@@ -380,7 +363,7 @@ func (a *Analyzer) identifySlowPathsFrom(ctx context.Context, res *sta.Result, t
 		var moved, recomputed int
 		var err error
 		res, moved, recomputed, err = a.sweep(ctx, "partial-backward", k, res, func(e *syncelem.Element, odz, slack clock.Time) (clock.Time, clock.Time) {
-			return e.PartialBackwardAt(odz, slack, a.Opts.PartialDivisor)
+			return e.PartialBackwardAt(odz, slack, partialDivisor)
 		}, outSlack)
 		if err != nil {
 			return nil, a.cancelled("partial-backward", k, err)
@@ -410,16 +393,4 @@ func (a *Analyzer) finish(rep *Report, res *sta.Result) (*Report, error) {
 		rep.SlowPaths = a.traceSlowPaths(res)
 	}
 	return rep, nil
-}
-
-// SlowNets returns the names of all nets whose final node slack is
-// non-positive — the nets the OCT-flagging option of §8 would mark.
-func (a *Analyzer) SlowNets(res *sta.Result) []string {
-	var out []string
-	for n := range res.NumNets() {
-		if res.NetSlack(n) <= 0 {
-			out = append(out, a.CD.Nets[n])
-		}
-	}
-	return out
 }

@@ -34,7 +34,7 @@ func gridFeasible(t *testing.T, text string, step clock.Time) bool {
 	scan = func(k int) bool {
 		if k == len(dofs) {
 			res := sta.Analyze(cd, st)
-			for i := range res.NumElems() {
+			for i := range net.Elems {
 				if res.InSlack(i) <= 0 || res.OutSlack(i) <= 0 {
 					return false
 				}
@@ -83,7 +83,8 @@ inst g3 D1NS A=q3 Y=OUT
 end
 `, d0, d1, d2)
 
-		a := LoadFlat(testlib.Network(t, text), Options{})
+		nw := testlib.Network(t, text)
+		a := LoadCompiled(cluster.Compile(nw), nw.Design, Options{})
 		rep, err := a.IdentifySlowPaths()
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +141,8 @@ inst gb %s A=q2 Y=fb
 inst g3 BUFD A=q1 Y=OUT
 end
 `, dA, dB)
-		a := LoadFlat(testlib.Network(t, text), Options{})
+		nw := testlib.Network(t, text)
+		a := LoadCompiled(cluster.Compile(nw), nw.Design, Options{})
 		rep, err := a.IdentifySlowPaths()
 		if err != nil {
 			t.Fatal(err)

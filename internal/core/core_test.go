@@ -19,7 +19,7 @@ import (
 func analyzer(t *testing.T, text string) *Analyzer {
 	t.Helper()
 	nw := testlib.Network(t, text)
-	return LoadFlat(nw, Options{})
+	return LoadCompiled(cluster.Compile(nw), nw.Design, Options{})
 }
 
 const fastPipe = `
@@ -136,7 +136,13 @@ end
 		}
 	}
 	// Slow nets flagged.
-	if len(a.SlowNets(rep.Result)) == 0 {
+	slowNets := 0
+	for n := range rep.Result.NumNets() {
+		if rep.Result.NetSlack(n) <= 0 {
+			slowNets++
+		}
+	}
+	if slowNets == 0 {
 		t.Fatal("no slow nets flagged")
 	}
 }
@@ -228,7 +234,7 @@ inst l3 LAT D=n3 G=phi1 Q=q3
 inst g5 D10NS A=q3 Y=OUT
 end
 `)
-		a := LoadFlat(nw, Options{})
+		a := LoadCompiled(cluster.Compile(nw), nw.Design, Options{})
 		r := rand.New(rand.NewSource(seed))
 		for ei, e := range nw.Elems {
 			if e.HasDOF() {
@@ -286,7 +292,7 @@ end
 	for di, text := range designs {
 		runMode := func(full bool) (*Analyzer, *Report) {
 			nw := testlib.Network(t, text)
-			a := LoadFlat(nw, Options{FullSweeps: full})
+			a := LoadCompiled(cluster.Compile(nw), nw.Design, Options{FullSweeps: full})
 			rep, err := a.IdentifySlowPaths()
 			if err != nil {
 				t.Fatal(err)
@@ -321,7 +327,7 @@ end
 func TestIncrementalConstraintsMatch(t *testing.T) {
 	budgets := func(full bool) (map[[2]string]clock.Time, *Analyzer) {
 		nw := testlib.Network(t, fixText)
-		a := LoadFlat(nw, Options{FullSweeps: full})
+		a := LoadCompiled(cluster.Compile(nw), nw.Design, Options{FullSweeps: full})
 		if _, err := a.IdentifySlowPaths(); err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +402,7 @@ end
 			st.Odz[ei], _ = e.PartialBackwardAt(st.Odz[ei], before.OutSlack(ei), int64(2+r.Intn(3)))
 		}
 		after := sta.Analyze(cd, st)
-		for i := range before.NumElems() {
+		for i := range nw.Elems {
 			if before.InSlack(i) >= 0 && after.InSlack(i) < 0 {
 				t.Fatalf("trial %d: input terminal %s lost satisfaction (%v -> %v)",
 					trial, nw.Elems[i].Name(), before.InSlack(i), after.InSlack(i))
@@ -413,9 +419,9 @@ func TestResetOffsets(t *testing.T) {
 	a := analyzer(t, fastPipe)
 	li := testlib.Elem(t, a.CD.Network, "l1")
 	a.St.Odz[li] = a.CD.Elems[li].OdzMin()
-	a.ResetOffsets()
+	a.St.Reset()
 	if a.St.Odz[li] != a.CD.Elems[li].OdzMax() {
-		t.Fatal("ResetOffsets did not restore")
+		t.Fatal("Reset did not restore")
 	}
 }
 
@@ -518,7 +524,7 @@ end
 
 func TestConstraintsSufficiency(t *testing.T) {
 	nw := testlib.Network(t, fixText)
-	a := LoadFlat(nw, Options{})
+	a := LoadCompiled(cluster.Compile(nw), nw.Design, Options{})
 	rep, err := a.IdentifySlowPaths()
 	if err != nil {
 		t.Fatal(err)
@@ -548,7 +554,7 @@ func TestConstraintsSufficiency(t *testing.T) {
 			}
 		}
 	}
-	a2 := LoadFlat(nw2, Options{})
+	a2 := LoadCompiled(cluster.Compile(nw2), nw2.Design, Options{})
 	rep2, err := a2.IdentifySlowPaths()
 	if err != nil {
 		t.Fatal(err)
@@ -565,7 +571,7 @@ func TestConstraintsSufficiency(t *testing.T) {
 func TestConstraintsSlowdownBound(t *testing.T) {
 	build := func() *Analyzer {
 		nw := testlib.Network(t, fastPipe)
-		return LoadFlat(nw, Options{})
+		return LoadCompiled(cluster.Compile(nw), nw.Design, Options{})
 	}
 	a := build()
 	if _, err := a.IdentifySlowPaths(); err != nil {
@@ -796,7 +802,7 @@ inst g3 D1NS A=q2 Y=OUT
 end
 `
 		nw := testlib.Network(t, text)
-		a := LoadFlat(nw, Options{})
+		a := LoadCompiled(cluster.Compile(nw), nw.Design, Options{})
 		rep, err := a.IdentifySlowPaths()
 		if err != nil {
 			return false

@@ -153,9 +153,6 @@ func (c *Calc) Adjust(instName string, delta clock.Time) {
 	c.adjust[instName] += delta
 }
 
-// Adjustment returns the current additive adjustment of an instance.
-func (c *Calc) Adjustment(instName string) clock.Time { return c.adjust[instName] }
-
 // ArcDelays evaluates one arc of one instance at its connected load,
 // resolving the arc's output pin by name.
 func (c *Calc) ArcDelays(inst *netlist.Instance, arc *celllib.Arc) Delays {

@@ -113,7 +113,7 @@ func TestAdjust(t *testing.T) {
 	if after.MaxRise != before.MaxRise+500 || after.MinFall != before.MinFall+500 {
 		t.Fatalf("adjust not applied: %+v vs %+v", after, before)
 	}
-	if c.Adjustment("g1") != 500 {
+	if c.adjust["g1"] != 500 {
 		t.Fatal("Adjustment readback")
 	}
 	// Large negative adjustments floor min at zero and keep max >= min.
@@ -126,7 +126,7 @@ func TestAdjust(t *testing.T) {
 		t.Fatalf("max below min: %+v", neg)
 	}
 	// Other instances untouched.
-	if c.Adjustment("g2") != 0 {
+	if c.adjust["g2"] != 0 {
 		t.Fatal("adjustment leaked")
 	}
 }

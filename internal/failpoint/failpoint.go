@@ -27,7 +27,6 @@ package failpoint
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -81,9 +80,6 @@ func (e *InjectedError) Error() string {
 }
 
 func (e *InjectedError) Unwrap() error { return ErrInjected }
-
-// Active reports whether any failpoint in the process is armed.
-func Active() bool { return armedCount.Load() != 0 }
 
 // Hit triggers the named point if armed: error mode returns an
 // *InjectedError, panic mode panics with a recognisable value, sleep mode
@@ -200,18 +196,6 @@ func ArmFromEnv(env string) error {
 		}
 	}
 	return nil
-}
-
-// Names returns the sorted names of all armed points.
-func Names() []string {
-	mu.Lock()
-	defer mu.Unlock()
-	out := make([]string, 0, len(points))
-	for name := range points {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // parse turns an action spec into a point; a nil point means "off".

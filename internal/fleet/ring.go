@@ -96,9 +96,6 @@ func (r *Ring) Members() []string {
 	return out
 }
 
-// Size is the member count.
-func (r *Ring) Size() int { return len(r.members) }
-
 // Lookup returns the member owning key: the first ring point clockwise
 // from the key's hash. Empty ring returns "".
 func (r *Ring) Lookup(key string) string {
@@ -106,23 +103,6 @@ func (r *Ring) Lookup(key string) string {
 		return ""
 	}
 	return r.points[r.search(hash64(key))].member
-}
-
-// Successor returns the first member clockwise from key that differs
-// from exclude — the designated journal-replication peer for a session
-// whose primary is exclude. With fewer than two members it returns "".
-func (r *Ring) Successor(key, exclude string) string {
-	if len(r.members) < 2 {
-		return ""
-	}
-	i := r.search(hash64(key))
-	for n := 0; n < len(r.points); n++ {
-		p := r.points[(i+n)%len(r.points)]
-		if p.member != exclude {
-			return p.member
-		}
-	}
-	return ""
 }
 
 // Successors returns the first n distinct members clockwise from key,

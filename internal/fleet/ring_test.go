@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -106,27 +107,31 @@ func TestRingSpread(t *testing.T) {
 	}
 }
 
-// TestRingSuccessor: the peer is deterministic, never the primary, and
-// lives on the ring.
+// TestRingSuccessor: a one-member chain's peer is deterministic, never
+// the primary, and lives on the ring.
 func TestRingSuccessor(t *testing.T) {
 	r := NewRing([]string{"r1", "r2", "r3"}, 0)
 	onRing := map[string]bool{"r1": true, "r2": true, "r3": true}
 	for _, k := range keys(500) {
 		p := r.Lookup(k)
-		peer := r.Successor(k, p)
+		chain := r.Successors(k, p, 1)
+		if len(chain) != 1 {
+			t.Fatalf("key %q: chain %v, want one peer", k, chain)
+		}
+		peer := chain[0]
 		if peer == p {
 			t.Fatalf("key %q: peer equals primary %q", k, p)
 		}
 		if !onRing[peer] {
 			t.Fatalf("key %q: peer %q not a member", k, peer)
 		}
-		if peer != r.Successor(k, p) {
+		if again := r.Successors(k, p, 1); again[0] != peer {
 			t.Fatalf("key %q: successor not deterministic", k)
 		}
 	}
 	single := NewRing([]string{"only"}, 0)
-	if got := single.Successor("k", "only"); got != "" {
-		t.Fatalf("single-member ring returned peer %q, want none", got)
+	if got := single.Successors("k", "only", 1); got != nil {
+		t.Fatalf("single-member ring returned peers %v, want none", got)
 	}
 	if got := NewRing(nil, 0).Lookup("k"); got != "" {
 		t.Fatalf("empty ring returned %q", got)
@@ -134,9 +139,9 @@ func TestRingSuccessor(t *testing.T) {
 }
 
 // TestRingSuccessors: the chain is deterministic, holds distinct
-// members, never contains the excluded primary, starts with the
-// single-peer Successor (failover order is an extension, not a
-// different answer), and is exactly min(n, N-1) long — never padded.
+// members, never contains the excluded primary, extends the chain one
+// member shorter (failover order is an extension, not a different
+// answer), and is exactly min(n, N-1) long — never padded.
 func TestRingSuccessors(t *testing.T) {
 	members := []string{"r1", "r2", "r3", "r4", "r5"}
 	r := NewRing(members, 0)
@@ -146,6 +151,7 @@ func TestRingSuccessors(t *testing.T) {
 	}
 	for _, k := range keys(500) {
 		p := r.Lookup(k)
+		var shorter []string
 		for n := 0; n <= len(members)+2; n++ {
 			chain := r.Successors(k, p, n)
 			want := n
@@ -165,9 +171,10 @@ func TestRingSuccessors(t *testing.T) {
 				}
 				seen[m] = true
 			}
-			if n >= 1 && chain[0] != r.Successor(k, p) {
-				t.Fatalf("key %q: chain head %q != Successor %q", k, chain[0], r.Successor(k, p))
+			if !slices.Equal(chain[:len(shorter)], shorter) {
+				t.Fatalf("key %q: chain %v does not extend %v", k, chain, shorter)
 			}
+			shorter = chain
 		}
 	}
 }

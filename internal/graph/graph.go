@@ -1,11 +1,11 @@
 // Package graph provides the small directed-graph substrate used throughout
-// the timing analyzer: topological ordering, cycle detection, reachability,
-// connected components and strongly connected components over dense
-// integer-indexed node sets.
+// the timing analyzer: topological ordering, cycle detection, reachability
+// and connected components over dense integer-indexed node sets.
 //
 // The combinational portions of a design are required to be acyclic (paper
 // §3, assumption 2); this package supplies the machinery both to verify that
-// assumption and to levelise clusters for the block slack computation of §7.
+// assumption and to order clusters' nets for the block slack computation
+// of §7.
 package graph
 
 import (
@@ -104,25 +104,6 @@ func TopoSortCSR(start, succ []int32) ([]int32, error) {
 		return nil, ErrCycle
 	}
 	return order, nil
-}
-
-// Levels assigns to every node its longest-path depth from any source
-// (node with in-degree zero): sources get level 0 and each edge u->v forces
-// level(v) >= level(u)+1. Returns ErrCycle on cyclic input.
-func (g *Digraph) Levels() ([]int, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	lvl := make([]int, len(g.out))
-	for _, u := range order {
-		for _, v := range g.out[u] {
-			if lvl[u]+1 > lvl[v] {
-				lvl[v] = lvl[u] + 1
-			}
-		}
-	}
-	return lvl, nil
 }
 
 // FindCycle returns one directed cycle as a node sequence (first node not
@@ -233,108 +214,6 @@ func (c Components) Union(u, v int32) {
 	if r, q := c.Root(u), c.Root(v); r != q {
 		c[max(r, q)] = min(r, q)
 	}
-}
-
-// SCC computes strongly connected components (Tarjan, iterative). The result
-// assigns each node a component id; ids are in reverse topological order of
-// the condensation (a component's id is larger than those of components it
-// can reach). Cycles through transparent latches (paper §3: "an interesting
-// feature ... a set of combinational logic paths that form a directed cycle
-// traversing two, or more, transparent latches") appear as multi-node
-// components in the sync-element adjacency graph.
-func (g *Digraph) SCC() (comp []int, count int) {
-	n := len(g.out)
-	comp = make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack, callStack, iterStack []int
-	next := 0
-	for s := 0; s < n; s++ {
-		if index[s] != -1 {
-			continue
-		}
-		callStack = append(callStack[:0], s)
-		iterStack = append(iterStack[:0], 0)
-		index[s], low[s] = next, next
-		next++
-		stack = append(stack, s)
-		onStack[s] = true
-		for len(callStack) > 0 {
-			u := callStack[len(callStack)-1]
-			i := iterStack[len(iterStack)-1]
-			if i < len(g.out[u]) {
-				iterStack[len(iterStack)-1]++
-				v := g.out[u][i]
-				if index[v] == -1 {
-					index[v], low[v] = next, next
-					next++
-					stack = append(stack, v)
-					onStack[v] = true
-					callStack = append(callStack, v)
-					iterStack = append(iterStack, 0)
-				} else if onStack[v] && index[v] < low[u] {
-					low[u] = index[v]
-				}
-				continue
-			}
-			callStack = callStack[:len(callStack)-1]
-			iterStack = iterStack[:len(iterStack)-1]
-			if len(callStack) > 0 {
-				p := callStack[len(callStack)-1]
-				if low[u] < low[p] {
-					low[p] = low[u]
-				}
-			}
-			if low[u] == index[u] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = count
-					if w == u {
-						break
-					}
-				}
-				count++
-			}
-		}
-	}
-	return comp, count
-}
-
-// Induced returns the subgraph induced by keep (nodes where keep[v] is true)
-// together with the mapping old->new index (-1 for dropped nodes) and
-// new->old.
-func (g *Digraph) Induced(keep []bool) (sub *Digraph, oldToNew, newToOld []int) {
-	oldToNew = make([]int, len(g.out))
-	for i := range oldToNew {
-		oldToNew[i] = -1
-	}
-	for v := 0; v < len(g.out); v++ {
-		if keep[v] {
-			oldToNew[v] = len(newToOld)
-			newToOld = append(newToOld, v)
-		}
-	}
-	sub = New(len(newToOld))
-	for u := 0; u < len(g.out); u++ {
-		if !keep[u] {
-			continue
-		}
-		for _, v := range g.out[u] {
-			if keep[v] {
-				sub.addEdge(oldToNew[u], oldToNew[v])
-			}
-		}
-	}
-	return sub, oldToNew, newToOld
 }
 
 // intHeap is a minimal binary min-heap of ints used by TopoSort.

@@ -51,7 +51,7 @@ func TestResizeLoadsMatchFresh(t *testing.T) {
 		}
 	}
 	opened := map[string]celllib.Cap{}
-	for _, net := range d.NetNames() {
+	for _, net := range eng.Analyzer().CD.Nets {
 		opened[net] = eng.Analyzer().CD.Calc.NetLoad(net)
 	}
 	checkLoads := func(when string) (changed int) {
@@ -61,7 +61,7 @@ func TestResizeLoadsMatchFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, net := range eng.Design().NetNames() {
+		for _, net := range a.CD.Nets {
 			got, want := a.CD.Calc.NetLoad(net), fresh.NetLoad(net)
 			if got != want {
 				t.Fatalf("%s: net %s load %d, a fresh calculator's %d", when, net, got, want)

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -81,7 +82,7 @@ func TestFrameBytesMatchRecordMarshal(t *testing.T) {
 			if w, err = m.Create("s1", tc.body); err != nil {
 				t.Fatal(err)
 			}
-		} else if err := w.Append(tc.kind, tc.body); err != nil {
+		} else if err := w.AppendContext(context.Background(), tc.kind, tc.body); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, ref...)
@@ -200,7 +201,7 @@ func TestReadRequiresLF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(KindEdits, []editRec{{Op: "adjust", Inst: "g1"}}); err != nil {
+	if err := w.AppendContext(context.Background(), KindEdits, []editRec{{Op: "adjust", Inst: "g1"}}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

@@ -17,9 +17,9 @@
 // of one directory and, under standby/, the copies streamed from peers.
 //
 // Appends are group-committed: the record is written under the file lock,
-// then Append waits on a shared fsync barrier — concurrent appenders that
-// land while another fsync is in flight share the next one. A standby
-// push is one write and one fsync.
+// then AppendContext waits on a shared fsync barrier — concurrent
+// appenders that land while another fsync is in flight share the next
+// one. A standby push is one write and one fsync.
 package journal
 
 import (
@@ -598,21 +598,16 @@ func (m *Manager) Promote(session string) error {
 	return nil
 }
 
-// Append frames, writes and fsyncs one record. The record is durable when
-// Append returns nil; on a write or sync error the journal should be
-// treated as dead (the daemon quarantines the session).
-func (w *Writer) Append(kind string, body any) error {
-	return w.AppendContext(nil, kind, body)
-}
-
-// AppendContext is Append with request-span instrumentation: when ctx
-// carries a trace the write appears as a "journal.append" span with a
-// "journal.fsync" child covering the group-commit barrier. The context is
-// used only for tracing, never for cancellation — an append the caller
-// initiated must reach the disk regardless of deadlines, or the journal
-// would disagree with the acknowledged state. The record is encoded
-// under the file lock, which fixes its sequence, and the sink is handed
-// the frame that was written.
+// AppendContext frames, writes and fsyncs one record. The record is
+// durable when AppendContext returns nil; on a write or sync error the
+// journal should be treated as dead (the daemon quarantines the session).
+// When ctx carries a trace the write appears as a "journal.append" span
+// with a "journal.fsync" child covering the group-commit barrier. The
+// context is used only for tracing, never for cancellation — an append
+// the caller initiated must reach the disk regardless of deadlines, or
+// the journal would disagree with the acknowledged state. The record is
+// encoded under the file lock, which fixes its sequence, and the sink is
+// handed the frame that was written.
 func (w *Writer) AppendContext(ctx context.Context, kind string, body any) error {
 	ctx, sp := span.Start(ctx, "journal.append")
 	defer sp.End()

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,7 +40,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := w.Append(KindEdits, []editRec{{Op: "adjust", Inst: fmt.Sprintf("g%d", i)}}); err != nil {
+		if err := w.AppendContext(context.Background(), KindEdits, []editRec{{Op: "adjust", Inst: fmt.Sprintf("g%d", i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +78,7 @@ func TestTornTailDropsOnlyLastRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := w.Append(KindEdits, []editRec{{Op: "adjust", Inst: fmt.Sprintf("g%d", i)}}); err != nil {
+		if err := w.AppendContext(context.Background(), KindEdits, []editRec{{Op: "adjust", Inst: fmt.Sprintf("g%d", i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +160,7 @@ func TestRewriteCompactsAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := w.Append(KindEdits, []editRec{{Op: "adjust", Inst: fmt.Sprintf("g%d", i)}}); err != nil {
+		if err := w.AppendContext(context.Background(), KindEdits, []editRec{{Op: "adjust", Inst: fmt.Sprintf("g%d", i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +189,7 @@ func TestRewriteCompactsAtomically(t *testing.T) {
 		t.Fatalf("rewrite left its temp file: %v", err)
 	}
 	// The compacted journal replays identically and accepts new appends.
-	if err := w2.Append(KindEdits, []editRec{{Op: "adjust", Inst: "g9"}}); err != nil {
+	if err := w2.AppendContext(context.Background(), KindEdits, []editRec{{Op: "adjust", Inst: "g9"}}); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
@@ -212,12 +213,12 @@ func TestRewriteSyncsOnce(t *testing.T) {
 	for i := range batches {
 		batches[i] = json.RawMessage(fmt.Sprintf(`[{"op":"adjust","inst":"g%d"}]`, i))
 	}
-	before := mSyncs.Load()
+	before := telemetry.Snapshot().Counters[mSyncs.Name()]
 	w, err := m.Rewrite("s1", openRec{Design: "x"}, batches)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := mSyncs.Load() - before; n != 1 {
+	if n := telemetry.Snapshot().Counters[mSyncs.Name()] - before; n != 1 {
 		t.Fatalf("a rewrite of %d batches synced %d times, want 1", len(batches), n)
 	}
 	w.Close()
@@ -238,7 +239,7 @@ func TestRewriteFailureKeepsOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(KindEdits, []editRec{{Op: "adjust", Inst: "g0"}}); err != nil {
+	if err := w.AppendContext(context.Background(), KindEdits, []editRec{{Op: "adjust", Inst: "g0"}}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -305,7 +306,7 @@ func TestConcurrentAppends(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs <- w.Append(KindEdits, []editRec{{Op: "adjust", Inst: fmt.Sprintf("g%d", i)}})
+			errs <- w.AppendContext(context.Background(), KindEdits, []editRec{{Op: "adjust", Inst: fmt.Sprintf("g%d", i)}})
 		}(i)
 	}
 	wg.Wait()
@@ -334,10 +335,10 @@ func TestAppendFailpoint(t *testing.T) {
 	if err := failpoint.Arm("journal.append", "1*error(disk full)"); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(KindEdits, []editRec{}); !errors.Is(err, failpoint.ErrInjected) {
+	if err := w.AppendContext(context.Background(), KindEdits, []editRec{}); !errors.Is(err, failpoint.ErrInjected) {
 		t.Fatalf("append under failpoint: %v", err)
 	}
-	if err := w.Append(KindEdits, []editRec{}); err != nil {
+	if err := w.AppendContext(context.Background(), KindEdits, []editRec{}); err != nil {
 		t.Fatalf("append after failpoint drained: %v", err)
 	}
 }

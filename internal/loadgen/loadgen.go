@@ -38,7 +38,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -1090,16 +1089,4 @@ func fmtLat(ns int64) string {
 	default:
 		return fmt.Sprintf("%.3fs", d.Seconds())
 	}
-}
-
-// mean is kept for tests of the arrival schedule.
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

@@ -135,8 +135,10 @@ func TestDefaultLibraryFunctionsParse(t *testing.T) {
 			t.Errorf("%s: function output %q != pin %q", name, e.Out, c.Outputs()[0])
 		}
 		pins := map[string]bool{}
-		for _, p := range c.Inputs() {
-			pins[p] = true
+		for _, p := range c.Pins {
+			if p.Dir == celllib.In {
+				pins[p.Name] = true
+			}
 		}
 		for _, in := range e.Inputs() {
 			if !pins[in] {

@@ -14,8 +14,8 @@ import (
 // referenced when Bind ran, so code that follows an in-place cell swap
 // (an interface-preserving resize) reads the instance's current Ref.
 type Binding struct {
-	// Nets lists every net the design references — the NetNames set — in
-	// sorted order; a net's id is its index.
+	// Nets lists every net the design references — port nets, clock nets
+	// and instance connections — in sorted order; a net's id is its index.
 	Nets []string
 	// NetIdx maps a net name to its id.
 	NetIdx map[string]int
@@ -34,7 +34,7 @@ func (b *Binding) Pins(i int) []int32 { return b.PinNet[b.PinStart[i]:b.PinStart
 // Bind resolves every net and pin name of a flat design against lib. Each
 // instance must reference a cell of lib and connect only pins of it; the
 // design is otherwise assumed valid. Names are interned in first-seen
-// order, sorted once and the ids remapped, so net ids follow NetNames.
+// order, sorted once and the ids remapped, so net ids follow name order.
 func (d *Design) Bind(lib *celllib.Library) (*Binding, error) {
 	b := &Binding{PinStart: make([]int32, len(d.Instances)+1), Cells: make([]*celllib.Cell, len(d.Instances))}
 	for i := range d.Instances {

@@ -106,15 +106,6 @@ func (d *Design) Port(name string) *Port {
 	return nil
 }
 
-// ClockNames returns the declared clock names in declaration order.
-func (d *Design) ClockNames() []string {
-	names := make([]string, len(d.Clocks))
-	for i, c := range d.Clocks {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // ClockSet builds the clock.Set of the declared clocks.
 func (d *Design) ClockSet() (*clock.Set, error) {
 	if len(d.Clocks) == 0 {
@@ -123,19 +114,8 @@ func (d *Design) ClockSet() (*clock.Set, error) {
 	return clock.NewSet(d.Clocks...)
 }
 
-// NetNames returns every net name referenced by the design — port nets,
-// clock nets and instance connections — sorted.
-func (d *Design) NetNames() []string {
-	seen := d.netSet()
-	nets := make([]string, 0, len(seen))
-	for n := range seen {
-		nets = append(nets, n)
-	}
-	sort.Strings(nets)
-	return nets
-}
-
-// netSet returns the set of net names NetNames lists.
+// netSet returns the set of net names the design references: port nets,
+// clock nets and instance connections.
 func (d *Design) netSet() map[string]struct{} {
 	seen := map[string]struct{}{}
 	for _, c := range d.Clocks {
@@ -161,7 +141,7 @@ type Stats struct {
 }
 
 // Stats computes design statistics against the given library. The net
-// count is len(NetNames()), counted without building the sorted list.
+// count is the number of distinct names in netSet.
 func (d *Design) Stats(lib *celllib.Library) Stats {
 	s := d.CellStats(lib)
 	s.Nets = len(d.netSet())
@@ -500,12 +480,4 @@ func copyConns(m map[string]string) map[string]string {
 		c[k] = v
 	}
 	return c
-}
-
-// InstancesSortedByName returns the instances sorted by name; reporting
-// helper for deterministic output.
-func (d *Design) InstancesSortedByName() []Instance {
-	out := append([]Instance(nil), d.Instances...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

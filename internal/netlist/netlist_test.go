@@ -221,8 +221,14 @@ func TestClockSet(t *testing.T) {
 	}
 }
 
+// TestNetNames: the binding lists every net the design references — port
+// nets, clock nets and instance connections — sorted.
 func TestNetNames(t *testing.T) {
-	nets := smallDesign().NetNames()
+	b, err := smallDesign().Bind(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := b.Nets
 	want := []string{"IN", "OUT", "n1", "n2", "n3", "phi1", "phi2"}
 	if len(nets) != len(want) {
 		t.Fatalf("nets = %v", nets)
@@ -372,30 +378,8 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInstancesSortedByName(t *testing.T) {
-	d := smallDesign()
-	sorted := d.InstancesSortedByName()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1].Name >= sorted[i].Name {
-			t.Fatal("not sorted")
-		}
-	}
-	// Original order untouched.
-	if d.Instances[0].Name != "g1" {
-		t.Fatal("original mutated")
-	}
-}
-
 func TestPortDirString(t *testing.T) {
 	if Input.String() != "input" || Output.String() != "output" {
 		t.Fatal("PortDir strings")
-	}
-}
-
-func TestClockNames(t *testing.T) {
-	d := smallDesign()
-	names := d.ClockNames()
-	if len(names) != 2 || names[0] != "phi1" || names[1] != "phi2" {
-		t.Fatalf("ClockNames = %v", names)
 	}
 }

@@ -207,28 +207,29 @@ func TestNetSlacksMatchMapEncoding(t *testing.T) {
 	empty.AddClock(clock.Signal{Name: "phi", Period: 20 * clock.Ns, RiseAt: 0, FallAt: 8 * clock.Ns})
 	cases := []struct {
 		d         *netlist.Design
-		opts      core.Options
-		slowPaths int  // -1: any number
-		trail     bool // a convergence trail
-		arcless   bool // a slow path of no arc: IN straight into a flip-flop
+		opts      *core.Options // nil: core.DefaultOptions()
+		slowPaths int           // -1: any number
+		trail     bool          // a convergence trail
+		arcless   bool          // a slow path of no arc: IN straight into a flip-flop
 	}{
 		{d: must(workload.DES())}, {d: must(workload.ALU())}, {d: workload.SM1F()}, {d: workload.SM1H()},
 		{d: workload.Figure1()}, {d: must(workload.DESGated())}, {d: must(workload.DESMultiFreq())},
 		{d: must(workload.Pipeline(workload.PipeConfig{Name: "pipe", Stages: 3, Width: 4, Depth: 3, Latch: "DLATCH_X1", Seed: 7}))},
 		{d: must(workload.SoC(4, 2, 2, 1))}, {d: must(workload.SoCCells(2000, 3))}, {d: must(workload.Scaling(1500, 5))},
 		{d: tight(must(workload.SoC(8, 8, 4, 3)), 22), slowPaths: 1},
-		{d: tight(must(workload.SoC(4, 4, 2, 27)), 22), opts: traced, slowPaths: -1, trail: true},
+		{d: tight(must(workload.SoC(4, 4, 2, 27)), 22), opts: &traced, slowPaths: -1, trail: true},
 		{d: escapeNames()},
-		{d: tight(escapeNames(), 2), opts: traced, slowPaths: -1, trail: true},
+		{d: tight(escapeNames(), 2), opts: &traced, slowPaths: -1, trail: true},
 		{d: tight(nameChain(nil, nil), 3), slowPaths: -1, arcless: true},
 		{d: empty},
 	}
 	lib := celllib.Default()
 	for _, c := range cases {
-		if c.opts.PartialDivisor == 0 {
-			c.opts = core.DefaultOptions()
+		opts := core.DefaultOptions()
+		if c.opts != nil {
+			opts = *c.opts
 		}
-		a, err := core.Load(lib, c.d, c.opts)
+		a, err := core.Load(lib, c.d, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", c.d.Name, err)
 		}

@@ -11,7 +11,6 @@ import (
 
 	"hummingbird/internal/clock"
 	"hummingbird/internal/core"
-	"hummingbird/internal/netlist"
 	"hummingbird/internal/sta"
 )
 
@@ -290,10 +289,4 @@ func Endpoints(w io.Writer, a *core.Analyzer, res *sta.Result, limit int) {
 	for _, e := range eps {
 		fmt.Fprintf(w, "%-20s %-8s %12v\n", e.name, e.kind, e.slack)
 	}
-}
-
-// Stats renders one design's inventory line.
-func Stats(w io.Writer, d *netlist.Design, s netlist.Stats) {
-	fmt.Fprintf(w, "%s: %d cells (%d synchronising), %d nets, %d top-level module instances\n",
-		d.Name, s.Cells, s.Latches, s.Nets, s.Modules)
 }

@@ -196,20 +196,10 @@ func TestEndpointsReport(t *testing.T) {
 	}
 }
 
-func TestStatsLine(t *testing.T) {
-	lib := celllib.Default()
-	d := workload.SM1F()
-	var sb strings.Builder
-	Stats(&sb, d, d.Stats(lib))
-	if !strings.Contains(sb.String(), "sm1f") {
-		t.Fatal(sb.String())
-	}
-}
-
 // TestNetCountMatchesNetTable: the reports take the net count from the
 // elaborated network's net table instead of re-deriving it, so for every
-// workload generator — SM1H's hierarchy included — Stats' count, the
-// sorted NetNames list and the compiled design's Nets must agree.
+// workload generator — SM1H's hierarchy included — Stats' count and the
+// compiled design's Nets must agree.
 func TestNetCountMatchesNetTable(t *testing.T) {
 	lib := celllib.Default()
 	gen := func(d *netlist.Design, err error) *netlist.Design {
@@ -232,9 +222,8 @@ func TestNetCountMatchesNetTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
-		stats, names, table := d.Stats(lib).Nets, len(d.NetNames()), len(a.CD.Nets)
-		if stats != names || names != table {
-			t.Errorf("%s: Stats counts %d nets, NetNames lists %d, the compiled net table %d", d.Name, stats, names, table)
+		if stats, table := d.Stats(lib).Nets, len(a.CD.Nets); stats != table {
+			t.Errorf("%s: Stats counts %d nets, the compiled net table %d", d.Name, stats, table)
 		}
 	}
 }

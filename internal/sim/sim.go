@@ -69,15 +69,6 @@ func (tr *Trace) LastChangeBefore(net int, t clock.Time) (clock.Time, logic.Valu
 	return ts[lo-1].At, ts[lo-1].V, true
 }
 
-// ValueAt returns the net's value at time t (X before its first event).
-func (tr *Trace) ValueAt(net int, t clock.Time) logic.Value {
-	_, v, ok := tr.LastChangeBefore(net, t)
-	if !ok {
-		return logic.X
-	}
-	return v
-}
-
 // event is one scheduled net update.
 type event struct {
 	at  clock.Time

@@ -180,7 +180,7 @@ end
 `}
 	for ti, text := range texts {
 		nw := build(t, text)
-		a := core.LoadFlat(nw, core.Options{})
+		a := core.LoadCompiled(cluster.Compile(nw), nw.Design, core.Options{})
 		rep, err := a.IdentifySlowPaths()
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +228,7 @@ inst g5 BUF_X1 A=q2 Y=OUT
 end
 `
 	nw := build(t, text)
-	a := core.LoadFlat(nw, core.Options{})
+	a := core.LoadCompiled(cluster.Compile(nw), nw.Design, core.Options{})
 	rep, err := a.IdentifySlowPaths()
 	if err != nil {
 		t.Fatal(err)
@@ -293,14 +293,14 @@ func TestTraceQueries(t *testing.T) {
 	tr := &Trace{Transitions: map[int][]Transition{
 		3: {{At: 10, V: logic.One}, {At: 20, V: logic.Zero}, {At: 30, V: logic.One}},
 	}}
-	if v := tr.ValueAt(3, 5); v != logic.X {
-		t.Fatalf("ValueAt(5) = %v", v)
+	if at, v, ok := tr.LastChangeBefore(3, 5); ok {
+		t.Fatalf("LastChangeBefore(5) = %v %v before the first event", at, v)
 	}
-	if v := tr.ValueAt(3, 25); v != logic.Zero {
-		t.Fatalf("ValueAt(25) = %v", v)
+	if _, v, _ := tr.LastChangeBefore(3, 25); v != logic.Zero {
+		t.Fatalf("LastChangeBefore(25) = %v", v)
 	}
-	if v := tr.ValueAt(3, 30); v != logic.One {
-		t.Fatalf("ValueAt(30) = %v", v)
+	if _, v, _ := tr.LastChangeBefore(3, 30); v != logic.One {
+		t.Fatalf("LastChangeBefore(30) = %v", v)
 	}
 	at, v, ok := tr.LastChangeBefore(3, 1000)
 	if !ok || at != 30 || v != logic.One {
@@ -520,7 +520,7 @@ inst g4 BUF_X1 A=q2 Y=OUT
 end
 `
 	nw := build(t, text)
-	a := core.LoadFlat(nw, core.Options{})
+	a := core.LoadCompiled(cluster.Compile(nw), nw.Design, core.Options{})
 	rep, err := a.IdentifySlowPaths()
 	if err != nil {
 		t.Fatal(err)
@@ -548,7 +548,7 @@ end
 			}
 			// Convert window position to delay-after-launch.
 			e := nw.Elems[f1]
-			launch := e.OutputAssert() - e.IdealAssert // = Dcz offset
+			launch := e.OutputOffsetAt(e.InitialOdz()) // = Dcz offset
 			// Launch position in this window:
 			lp := (e.IdealAssert - pd.Beta) % nw.Clocks.Overall()
 			if lp < 0 {
@@ -618,7 +618,7 @@ inst g2 BUF_X1 A=q2 Y=OUT
 end
 `
 	nw := build(t, text)
-	a := core.LoadFlat(nw, core.Options{})
+	a := core.LoadCompiled(cluster.Compile(nw), nw.Design, core.Options{})
 	rep, err := a.IdentifySlowPaths()
 	if err != nil {
 		t.Fatal(err)

@@ -124,7 +124,7 @@ func TestDriverEquivalence(t *testing.T) {
 					name += "-cancel"
 				}
 				t.Run(name, func(t *testing.T) {
-					cd := sc.st.Design()
+					cd := sc.st.cd
 					sc.st.Reset()
 					t.Cleanup(sc.st.Reset)
 					n, ids := len(cd.CC), []int(nil)
@@ -150,9 +150,9 @@ func TestDriverEquivalence(t *testing.T) {
 					if cancel {
 						ctx = newCountdown(n / 2)
 					}
-					runs0 := mParallelRuns.Load()
+					runs0 := count(mParallelRuns)
 					got, err := run(ctx)
-					if ran := mParallelRuns.Load() > runs0; ran != (workers > 1 && !sc.inline) {
+					if ran := count(mParallelRuns) > runs0; ran != (workers > 1 && !sc.inline) {
 						t.Errorf("scheduler ran = %v with %d workers over %d clusters", ran, workers, n)
 					}
 					if !cancel {

@@ -70,7 +70,7 @@ func TestAnalyzeParallelEquivalence(t *testing.T) {
 	seq := Analyze(cd, st)
 	for _, workers := range []int{1, 2, 4, 8} {
 		par := AnalyzeParallel(cd, st, workers)
-		for i := range seq.NumElems() {
+		for i := range cd.Elems {
 			if par.InSlack(i) != seq.InSlack(i) || par.OutSlack(i) != seq.OutSlack(i) {
 				t.Fatalf("workers=%d: element %d slacks differ", workers, i)
 			}

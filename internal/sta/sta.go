@@ -136,10 +136,8 @@ func (r *Result) OutSlack(e int) clock.Time {
 	return r.slot(r.lay.OutCluster[e], r.lay.OutSlot[e])
 }
 
-// NumNets and NumElems return the sizes of the net and element id spaces
-// NetSlack and InSlack/OutSlack index.
-func (r *Result) NumNets() int  { return len(r.lay.NetCluster) }
-func (r *Result) NumElems() int { return len(r.lay.InCluster) }
+// NumNets returns the size of the net id space NetSlack indexes.
+func (r *Result) NumNets() int { return len(r.lay.NetCluster) }
 
 // Pass returns the detail of pass pi of cluster c. Its vectors are the
 // result's write-once segment; callers must not write them.
@@ -588,7 +586,7 @@ func arcBackward(a *cluster.Arc, qr, qf clock.Time) (ir, ifl clock.Time) {
 
 // PathDelayMax returns the worst-case combinational delay from net `from`
 // to net `to` within the cluster (max over transitions), or −1 if no path
-// exists. Used by slow-path enumeration and the baselines.
+// exists. It is the worst-case twin of PathDelayMin; only tests call it.
 func PathDelayMax(cl *cluster.Cluster, from, to int) clock.Time {
 	n := len(cl.Nets)
 	dr := make([]clock.Time, n)

@@ -51,9 +51,6 @@ func NewState(cd *cluster.CompiledDesign) *AnalysisState {
 	return st
 }
 
-// Design returns the compiled design this state analyzes.
-func (st *AnalysisState) Design() *cluster.CompiledDesign { return st.cd }
-
 // Rebind repoints the state at a copy-on-write twin of its design (same
 // element set, cluster count and scratch sizing — only arc delays differ).
 // Used when an engine unshares a shared compiled design.

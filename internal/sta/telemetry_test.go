@@ -19,14 +19,14 @@ func TestParallelWorkerTelemetry(t *testing.T) {
 
 	cd := socFixture(t, 48, 6, 2, 0x7E1)
 	st := NewState(cd)
-	steals0 := mSteals.Load()
+	steals0 := count(mSteals)
 	// A worker that drains its own queue pulls from the others' cursors;
 	// with several workers over a finite chunk list at least one steal is
 	// all but certain per run. Loop a few runs to make it deterministic.
-	for i := 0; i < 10 && mSteals.Load() == steals0; i++ {
+	for i := 0; i < 10 && count(mSteals) == steals0; i++ {
 		AnalyzeParallel(cd, st, 4)
 	}
-	if mSteals.Load() == steals0 {
+	if count(mSteals) == steals0 {
 		t.Fatal("no steal recorded across 10 parallel runs")
 	}
 
@@ -48,3 +48,6 @@ func TestParallelWorkerTelemetry(t *testing.T) {
 		}
 	}
 }
+
+// count reads a counter's value from a metrics snapshot.
+func count(c *telemetry.Counter) int64 { return telemetry.Snapshot().Counters[c.Name()] }

@@ -23,6 +23,10 @@
 // A physical latch clocked at n times the overall frequency is represented
 // by n Elements "connected in parallel" (§4), one per control pulse in the
 // overall period; each replica has independent offsets.
+//
+// An Element holds no offset. Every analysis keeps its Odz values in an
+// sta.AnalysisState and passes them to the *At methods, so the elements a
+// compiled design shares between sessions are never written after Build.
 package syncelem
 
 import (
@@ -73,10 +77,6 @@ type Element struct {
 	// to the control input (Oat = CtrlMax; the paper's Oac lower bound of
 	// zero corresponds to CtrlMin ≥ 0).
 	CtrlMax, CtrlMin clock.Time
-
-	// Odz is the data-path input-closure offset — the mutable degree of
-	// freedom. Edge-triggered elements keep it at zero.
-	Odz clock.Time
 
 	// Port marks a virtual element standing in for a primary input or
 	// output of the design: assertion (inputs) or closure (outputs) is
@@ -180,17 +180,11 @@ func Build(inst string, kind celllib.Kind, st *celllib.SyncTiming, cs *clock.Set
 			// Trailing edge controls both closure and assertion (§5).
 			e.IdealAssert, e.AssertEdge = trailAt, trailIdx
 			e.IdealClose, e.CloseEdge = trailAt, trailIdx
-			e.Odz = 0
 		default: // Transparent, Tristate
 			e.IdealAssert, e.AssertEdge = leadAt, leadIdx
 			e.IdealClose, e.CloseEdge = trailAt, trailIdx
-			// Start at the latest legal closure: Odz = −Ddz, i.e. the
-			// element behaves as if data may arrive right up to
-			// (trailing edge − Ddz); any initial choice satisfying the
-			// constraints is permitted (Algorithm 1, Initialise).
-			e.Odz = -st.Ddz
 		}
-		if err := e.Validate(); err != nil {
+		if err := e.ValidateAt(e.InitialOdz()); err != nil {
 			return nil, err
 		}
 		elems = append(elems, e)
@@ -243,15 +237,9 @@ func (e *Element) Oat() clock.Time { return e.CtrlMax }
 // Ozc returns the control-path output-assertion offset Oat + Dcz.
 func (e *Element) Ozc() clock.Time { return e.CtrlMax + e.Dcz }
 
-// Ozd returns the data-path output-assertion offset. For transparent
-// elements it tracks Odz through the Figure-3 relationship
-// Ozd = W + Odz + Ddz; edge-triggered elements pin it at zero.
-func (e *Element) Ozd() clock.Time { return e.OzdAt(e.Odz) }
-
-// OzdAt is Ozd evaluated at an externally held offset instead of e.Odz.
-// The *At accessors let an analysis keep its offset vector in a mutable
-// sta.AnalysisState while the elements themselves stay frozen inside a
-// shared CompiledDesign.
+// OzdAt returns the data-path output-assertion offset at input-closure
+// offset odz. For transparent elements it tracks odz through the Figure-3
+// relationship Ozd = W + Odz + Ddz; edge-triggered elements pin it at zero.
 func (e *Element) OzdAt(odz clock.Time) clock.Time {
 	if !e.HasDOF() {
 		return 0
@@ -262,11 +250,8 @@ func (e *Element) OzdAt(odz clock.Time) clock.Time {
 // Odc returns the closure-control input offset −Dsetup (constant, §4).
 func (e *Element) Odc() clock.Time { return -e.Dsetup }
 
-// InputOffset returns the effective input-closure offset min(Odc, Odz),
+// InputOffsetAt returns the effective input-closure offset min(Odc, odz),
 // or the pinned offset for port elements.
-func (e *Element) InputOffset() clock.Time { return e.InputOffsetAt(e.Odz) }
-
-// InputOffsetAt is InputOffset at an externally held offset.
 func (e *Element) InputOffsetAt(odz clock.Time) clock.Time {
 	if e.Port {
 		return e.PortOffset
@@ -277,11 +262,8 @@ func (e *Element) InputOffsetAt(odz clock.Time) clock.Time {
 	return e.Odc()
 }
 
-// OutputOffset returns the effective output-assertion offset max(Ozc, Ozd),
-// or the pinned offset for port elements.
-func (e *Element) OutputOffset() clock.Time { return e.OutputOffsetAt(e.Odz) }
-
-// OutputOffsetAt is OutputOffset at an externally held offset.
+// OutputOffsetAt returns the effective output-assertion offset
+// max(Ozc, Ozd) at offset odz, or the pinned offset for port elements.
 func (e *Element) OutputOffsetAt(odz clock.Time) clock.Time {
 	if e.Port {
 		return e.PortOffset
@@ -292,28 +274,14 @@ func (e *Element) OutputOffsetAt(odz clock.Time) clock.Time {
 	return e.Ozc()
 }
 
-// InputClosure returns the absolute effective input closure time.
-func (e *Element) InputClosure() clock.Time { return e.IdealClose + e.InputOffset() }
-
-// InputClosureAt is InputClosure at an externally held offset.
-func (e *Element) InputClosureAt(odz clock.Time) clock.Time {
-	return e.IdealClose + e.InputOffsetAt(odz)
-}
-
-// OutputAssert returns the absolute effective output assertion time.
-func (e *Element) OutputAssert() clock.Time { return e.IdealAssert + e.OutputOffset() }
-
-// OutputAssertAt is OutputAssert at an externally held offset.
+// OutputAssertAt returns the absolute effective output assertion time at
+// offset odz.
 func (e *Element) OutputAssertAt(odz clock.Time) clock.Time {
 	return e.IdealAssert + e.OutputOffsetAt(odz)
 }
 
-// Validate checks the synchronising-element constraints of §5.
-func (e *Element) Validate() error { return e.ValidateAt(e.Odz) }
-
-// ValidateAt checks the element's static parameters together with an offset
-// value held externally (analyses keep offsets in an AnalysisState rather
-// than on the element).
+// ValidateAt checks the synchronising-element constraints of §5: the
+// element's static parameters together with offset odz.
 func (e *Element) ValidateAt(odz clock.Time) error {
 	if e.Dsetup < 0 || e.Ddz < 0 || e.Dcz < 0 {
 		return fmt.Errorf("syncelem %s: negative timing parameters", e.Name())
@@ -358,11 +326,8 @@ func (e *Element) shiftAt(odz, delta clock.Time) clock.Time {
 	return odz
 }
 
-// The transfer operations of §6 come in two forms: the *At variants are
-// pure functions over an externally held offset — (odz, slack) → (new
-// offset, amount moved) — used by every analysis against its
-// sta.AnalysisState; the receiver-mutating forms below them wrap the pure
-// ones over e.Odz for standalone element use (tests, demos).
+// The transfer operations of §6 are pure functions over an offset held by
+// the caller: (odz, slack) → (new offset, amount moved).
 
 // CompleteForwardAt performs complete forward slack transfer (§6): the
 // upstream paths (ending at the element's data input, node slack nIn)
@@ -445,48 +410,6 @@ func (e *Element) SnatchBackwardAt(odz, nIn clock.Time) (clock.Time, clock.Time)
 		return odz, 0
 	}
 	return e.shiftAt(odz, amt), amt
-}
-
-// CompleteForward is CompleteForwardAt over the element's own offset.
-func (e *Element) CompleteForward(nIn clock.Time) clock.Time {
-	odz, amt := e.CompleteForwardAt(e.Odz, nIn)
-	e.Odz = odz
-	return amt
-}
-
-// CompleteBackward is CompleteBackwardAt over the element's own offset.
-func (e *Element) CompleteBackward(nOut clock.Time) clock.Time {
-	odz, amt := e.CompleteBackwardAt(e.Odz, nOut)
-	e.Odz = odz
-	return amt
-}
-
-// PartialForward is PartialForwardAt over the element's own offset.
-func (e *Element) PartialForward(nIn clock.Time, div int64) clock.Time {
-	odz, amt := e.PartialForwardAt(e.Odz, nIn, div)
-	e.Odz = odz
-	return amt
-}
-
-// PartialBackward is PartialBackwardAt over the element's own offset.
-func (e *Element) PartialBackward(nOut clock.Time, div int64) clock.Time {
-	odz, amt := e.PartialBackwardAt(e.Odz, nOut, div)
-	e.Odz = odz
-	return amt
-}
-
-// SnatchForward is SnatchForwardAt over the element's own offset.
-func (e *Element) SnatchForward(nOut clock.Time) clock.Time {
-	odz, amt := e.SnatchForwardAt(e.Odz, nOut)
-	e.Odz = odz
-	return amt
-}
-
-// SnatchBackward is SnatchBackwardAt over the element's own offset.
-func (e *Element) SnatchBackward(nIn clock.Time) clock.Time {
-	odz, amt := e.SnatchBackwardAt(e.Odz, nIn)
-	e.Odz = odz
-	return amt
 }
 
 func minT(a, b clock.Time) clock.Time {

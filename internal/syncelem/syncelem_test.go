@@ -45,23 +45,23 @@ func TestTransparentOffsets_PaperExample(t *testing.T) {
 		t.Fatalf("W = %v, want 20ns", e.Width)
 	}
 	// Set the DOF so the output asserts 5ns after the leading edge.
-	e.Odz = -15 * clock.Ns
-	if err := e.Validate(); err != nil {
+	odz := -15 * clock.Ns
+	if err := e.ValidateAt(odz); err != nil {
 		t.Fatalf("paper example offsets rejected: %v", err)
 	}
-	if e.Ozd() != 5*clock.Ns {
-		t.Fatalf("Ozd = %v, want 5ns", e.Ozd())
+	if e.OzdAt(odz) != 5*clock.Ns {
+		t.Fatalf("Ozd = %v, want 5ns", e.OzdAt(odz))
 	}
 	if e.Oat() != 2*clock.Ns || e.Ozc() != 2*clock.Ns {
 		t.Fatalf("Oat/Ozc = %v/%v, want 2ns/2ns", e.Oat(), e.Ozc())
 	}
 	// Effective times: assertion = leading(0) + max(2, 5) = 5ns;
 	// closure = trailing(20) + min(0, −15) = 5ns.
-	if e.OutputAssert() != 5*clock.Ns {
-		t.Fatalf("OutputAssert = %v, want 5ns", e.OutputAssert())
+	if e.OutputAssertAt(odz) != 5*clock.Ns {
+		t.Fatalf("output assertion = %v, want 5ns", e.OutputAssertAt(odz))
 	}
-	if e.InputClosure() != 5*clock.Ns {
-		t.Fatalf("InputClosure = %v, want 5ns", e.InputClosure())
+	if c := e.IdealClose + e.InputOffsetAt(odz); c != 5*clock.Ns {
+		t.Fatalf("input closure = %v, want 5ns", c)
 	}
 }
 
@@ -80,10 +80,10 @@ func TestBuildTransparentDefaults(t *testing.T) {
 		t.Fatalf("ideal times = %v/%v", e.IdealAssert, e.IdealClose)
 	}
 	// Initial DOF at the latest legal closure.
-	if e.Odz != -e.Ddz {
-		t.Fatalf("initial Odz = %v, want %v", e.Odz, -e.Ddz)
+	if e.InitialOdz() != -e.Ddz {
+		t.Fatalf("initial Odz = %v, want %v", e.InitialOdz(), -e.Ddz)
 	}
-	if err := e.Validate(); err != nil {
+	if err := e.ValidateAt(e.InitialOdz()); err != nil {
 		t.Fatal(err)
 	}
 	if !e.HasDOF() {
@@ -114,11 +114,6 @@ func TestBuildReplication(t *testing.T) {
 	}
 	if elems[0].Name() != "l2" || elems[1].Name() != "l2[1]" {
 		t.Fatalf("names %q %q", elems[0].Name(), elems[1].Name())
-	}
-	// Independent DOFs.
-	elems[0].Odz = elems[0].shiftAt(elems[0].Odz, -100)
-	if elems[1].Odz == elems[0].Odz {
-		t.Fatal("replica DOFs aliased")
 	}
 }
 
@@ -177,23 +172,29 @@ func TestEdgeTriggered(t *testing.T) {
 	if e.HasDOF() {
 		t.Fatal("FF has DOF")
 	}
-	if e.Ozd() != 0 || e.Odz != 0 {
+	if e.OzdAt(0) != 0 || e.InitialOdz() != 0 {
 		t.Fatal("FF data offsets not pinned")
 	}
 	// Input closure = trail − Dsetup; output assert = trail + Oat + Dcz.
-	if e.InputClosure() != 20*clock.Ns-150 {
-		t.Fatalf("FF closure = %v", e.InputClosure())
+	if c := e.IdealClose + e.InputOffsetAt(0); c != 20*clock.Ns-150 {
+		t.Fatalf("FF closure = %v", c)
 	}
-	if e.OutputAssert() != 20*clock.Ns+50+320 {
-		t.Fatalf("FF assert = %v", e.OutputAssert())
+	if e.OutputAssertAt(0) != 20*clock.Ns+50+320 {
+		t.Fatalf("FF assert = %v", e.OutputAssertAt(0))
 	}
 	// All transfer operations are no-ops.
-	if e.CompleteForward(1000) != 0 || e.CompleteBackward(1000) != 0 ||
-		e.PartialForward(1000, 2) != 0 || e.PartialBackward(1000, 2) != 0 ||
-		e.SnatchForward(-1000) != 0 || e.SnatchBackward(-1000) != 0 {
-		t.Fatal("FF transfer ops moved time")
+	for i, moved := range [][2]clock.Time{
+		pair(e.CompleteForwardAt(0, 1000)), pair(e.CompleteBackwardAt(0, 1000)),
+		pair(e.PartialForwardAt(0, 1000, 2)), pair(e.PartialBackwardAt(0, 1000, 2)),
+		pair(e.SnatchForwardAt(0, -1000)), pair(e.SnatchBackwardAt(0, -1000)),
+	} {
+		if moved != [2]clock.Time{} {
+			t.Fatalf("FF transfer op %d moved time: %v", i, moved)
+		}
 	}
 }
+
+func pair(odz, amt clock.Time) [2]clock.Time { return [2]clock.Time{odz, amt} }
 
 func TestBuildRejections(t *testing.T) {
 	cs := cs2(t)
@@ -219,24 +220,24 @@ func TestOffsetRangeAndEffectiveTimes(t *testing.T) {
 		t.Fatalf("Odz range [%v,%v]", e.OdzMin(), e.OdzMax())
 	}
 	// At OdzMax: closure = trail + min(−150, −280) = trail − 280.
-	e.Odz = e.OdzMax()
-	if e.InputClosure() != 20*clock.Ns-280 {
-		t.Fatalf("closure at OdzMax = %v", e.InputClosure())
+	odz := e.OdzMax()
+	if c := e.IdealClose + e.InputOffsetAt(odz); c != 20*clock.Ns-280 {
+		t.Fatalf("closure at OdzMax = %v", c)
 	}
 	// Ozd at max = W: assertion = lead + max(W, Ozc) = lead + 20ns.
-	if e.Ozd() != 20*clock.Ns {
-		t.Fatalf("Ozd at max = %v", e.Ozd())
+	if e.OzdAt(odz) != 20*clock.Ns {
+		t.Fatalf("Ozd at max = %v", e.OzdAt(odz))
 	}
-	if e.OutputAssert() != 20*clock.Ns {
-		t.Fatalf("assert at OdzMax = %v", e.OutputAssert())
+	if e.OutputAssertAt(odz) != 20*clock.Ns {
+		t.Fatalf("assert at OdzMax = %v", e.OutputAssertAt(odz))
 	}
 	// At OdzMin: Ozd = 0, assertion controlled by Ozc = 100+320.
-	e.Odz = e.OdzMin()
-	if e.Ozd() != 0 {
-		t.Fatalf("Ozd at min = %v", e.Ozd())
+	odz = e.OdzMin()
+	if e.OzdAt(odz) != 0 {
+		t.Fatalf("Ozd at min = %v", e.OzdAt(odz))
 	}
-	if e.OutputAssert() != 0+100+320 {
-		t.Fatalf("assert at OdzMin = %v", e.OutputAssert())
+	if e.OutputAssertAt(odz) != 0+100+320 {
+		t.Fatalf("assert at OdzMin = %v", e.OutputAssertAt(odz))
 	}
 }
 
@@ -244,12 +245,10 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 	cs := cs2(t)
 	elems, _ := Build("l1", celllib.Transparent, transparentTiming(), cs, 0, false, 0, 0)
 	e := elems[0]
-	e.Odz = e.OdzMax() + 1
-	if err := e.Validate(); err == nil {
+	if err := e.ValidateAt(e.OdzMax() + 1); err == nil {
 		t.Fatal("Odz above max accepted")
 	}
-	e.Odz = e.OdzMin() - 1
-	if err := e.Validate(); err == nil {
+	if err := e.ValidateAt(e.OdzMin() - 1); err == nil {
 		t.Fatal("Odz below min accepted")
 	}
 }
@@ -259,30 +258,31 @@ func TestCompleteForwardTransfer(t *testing.T) {
 	elems, _ := Build("l1", celllib.Transparent, transparentTiming(), cs, 0, false, 0, 0)
 	e := elems[0]
 	// Initially at OdzMax; full headroom down = W.
-	if got := e.headroomDownAt(e.Odz); got != 20*clock.Ns {
+	odz := e.InitialOdz()
+	if got := e.headroomDownAt(odz); got != 20*clock.Ns {
 		t.Fatalf("headroomDown = %v", got)
 	}
 	// Donate 5ns of upstream slack.
-	if amt := e.CompleteForward(5 * clock.Ns); amt != 5*clock.Ns {
+	odz, amt := e.CompleteForwardAt(odz, 5*clock.Ns)
+	if amt != 5*clock.Ns {
 		t.Fatalf("transferred %v", amt)
 	}
-	if e.Odz != -280-5*clock.Ns {
-		t.Fatalf("Odz after transfer = %v", e.Odz)
+	if odz != -280-5*clock.Ns {
+		t.Fatalf("Odz after transfer = %v", odz)
 	}
 	// Donating more than headroom transfers only the headroom.
-	if amt := e.CompleteForward(clock.Inf); amt != 15*clock.Ns {
+	if odz, amt = e.CompleteForwardAt(odz, clock.Inf); amt != 15*clock.Ns {
 		t.Fatalf("clamped transfer = %v", amt)
 	}
-	if e.Odz != e.OdzMin() {
+	if odz != e.OdzMin() {
 		t.Fatal("not at OdzMin after saturation")
 	}
 	// No headroom left: nothing transfers.
-	if amt := e.CompleteForward(clock.Inf); amt != 0 {
+	if _, amt = e.CompleteForwardAt(odz, clock.Inf); amt != 0 {
 		t.Fatalf("transfer with no headroom = %v", amt)
 	}
 	// Negative slack: nothing transfers.
-	e.Odz = -300
-	if amt := e.CompleteForward(-1); amt != 0 {
+	if _, amt = e.CompleteForwardAt(-300, -1); amt != 0 {
 		t.Fatalf("transfer with negative slack = %v", amt)
 	}
 }
@@ -291,14 +291,14 @@ func TestCompleteBackwardTransfer(t *testing.T) {
 	cs := cs2(t)
 	elems, _ := Build("l1", celllib.Transparent, transparentTiming(), cs, 0, false, 0, 0)
 	e := elems[0]
-	e.Odz = e.OdzMin()
-	if amt := e.CompleteBackward(3 * clock.Ns); amt != 3*clock.Ns {
+	odz, amt := e.CompleteBackwardAt(e.OdzMin(), 3*clock.Ns)
+	if amt != 3*clock.Ns {
 		t.Fatalf("backward transfer = %v", amt)
 	}
-	if e.Odz != e.OdzMin()+3*clock.Ns {
-		t.Fatalf("Odz = %v", e.Odz)
+	if odz != e.OdzMin()+3*clock.Ns {
+		t.Fatalf("Odz = %v", odz)
 	}
-	if amt := e.CompleteBackward(clock.Inf); amt != e.OdzMax()-e.OdzMin()-3*clock.Ns {
+	if _, amt = e.CompleteBackwardAt(odz, clock.Inf); amt != e.OdzMax()-e.OdzMin()-3*clock.Ns {
 		t.Fatalf("saturating backward = %v", amt)
 	}
 }
@@ -307,14 +307,15 @@ func TestPartialTransfers(t *testing.T) {
 	cs := cs2(t)
 	elems, _ := Build("l1", celllib.Transparent, transparentTiming(), cs, 0, false, 0, 0)
 	e := elems[0]
-	if amt := e.PartialForward(10*clock.Ns, 2); amt != 5*clock.Ns {
+	odz, amt := e.PartialForwardAt(e.InitialOdz(), 10*clock.Ns, 2)
+	if amt != 5*clock.Ns {
 		t.Fatalf("partial forward = %v", amt)
 	}
-	if amt := e.PartialBackward(8*clock.Ns, 4); amt != 2*clock.Ns {
+	if odz, amt = e.PartialBackwardAt(odz, 8*clock.Ns, 4); amt != 2*clock.Ns {
 		t.Fatalf("partial backward = %v", amt)
 	}
 	// div <= 1 falls back to 2.
-	if amt := e.PartialForward(10*clock.Ns, 0); amt != 5*clock.Ns {
+	if _, amt = e.PartialForwardAt(odz, 10*clock.Ns, 0); amt != 5*clock.Ns {
 		t.Fatalf("partial forward div0 = %v", amt)
 	}
 }
@@ -323,22 +324,27 @@ func TestSnatching(t *testing.T) {
 	cs := cs2(t)
 	elems, _ := Build("l1", celllib.Transparent, transparentTiming(), cs, 0, false, 0, 0)
 	e := elems[0]
+	odz := e.InitialOdz()
 	// Positive slack: snatch is a no-op.
-	if e.SnatchForward(5) != 0 || e.SnatchBackward(5) != 0 {
-		t.Fatal("snatched with positive slack")
+	if _, amt := e.SnatchForwardAt(odz, 5); amt != 0 {
+		t.Fatal("snatched forward with positive slack")
+	}
+	if _, amt := e.SnatchBackwardAt(odz, 5); amt != 0 {
+		t.Fatal("snatched backward with positive slack")
 	}
 	// Downstream short by 4ns: snatch forward.
-	if amt := e.SnatchForward(-4 * clock.Ns); amt != 4*clock.Ns {
+	odz, amt := e.SnatchForwardAt(odz, -4*clock.Ns)
+	if amt != 4*clock.Ns {
 		t.Fatalf("snatch forward = %v", amt)
 	}
-	if e.Odz != -280-4*clock.Ns {
-		t.Fatalf("Odz = %v", e.Odz)
+	if odz != -280-4*clock.Ns {
+		t.Fatalf("Odz = %v", odz)
 	}
 	// Upstream short by 100ns (more than headroom up, which is now 4ns).
-	if amt := e.SnatchBackward(-100 * clock.Ns); amt != 4*clock.Ns {
+	if odz, amt = e.SnatchBackwardAt(odz, -100*clock.Ns); amt != 4*clock.Ns {
 		t.Fatalf("snatch backward = %v", amt)
 	}
-	if e.Odz != e.OdzMax() {
+	if odz != e.OdzMax() {
 		t.Fatal("snatch backward did not restore OdzMax")
 	}
 }
@@ -354,31 +360,32 @@ func TestTransferInvariants(t *testing.T) {
 			return false
 		}
 		e := elems[0]
+		odz := e.InitialOdz()
 		for i := 0; i < 50; i++ {
 			v := clock.Time(r.Intn(100000) - 50000)
 			switch r.Intn(6) {
 			case 0:
-				e.CompleteForward(v)
+				odz, _ = e.CompleteForwardAt(odz, v)
 			case 1:
-				e.CompleteBackward(v)
+				odz, _ = e.CompleteBackwardAt(odz, v)
 			case 2:
-				e.PartialForward(v, int64(1+r.Intn(4)))
+				odz, _ = e.PartialForwardAt(odz, v, int64(1+r.Intn(4)))
 			case 3:
-				e.PartialBackward(v, int64(1+r.Intn(4)))
+				odz, _ = e.PartialBackwardAt(odz, v, int64(1+r.Intn(4)))
 			case 4:
-				e.SnatchForward(v)
+				odz, _ = e.SnatchForwardAt(odz, v)
 			case 5:
-				e.SnatchBackward(v)
+				odz, _ = e.SnatchBackwardAt(odz, v)
 			}
-			if e.Validate() != nil {
+			if e.ValidateAt(odz) != nil {
 				return false
 			}
-			if e.Ozd() != e.Width+e.Odz+e.Ddz {
+			if e.OzdAt(odz) != e.Width+odz+e.Ddz {
 				return false
 			}
 			// The data-path closure and assertion move together: their
 			// difference is the constant W + Ddz.
-			if e.Ozd()-e.Odz != e.Width+e.Ddz {
+			if e.OzdAt(odz)-odz != e.Width+e.Ddz {
 				return false
 			}
 		}
@@ -397,15 +404,16 @@ func TestTransferMovesBothTerminals(t *testing.T) {
 	elems, _ := Build("l1", celllib.Transparent,
 		&celllib.SyncTiming{Dsetup: 0, Ddz: 0, Dcz: 0}, cs, 0, false, 0, 0)
 	e := elems[0]
-	e.Odz = -2 * clock.Ns // below Odc = 0
-	c0, a0 := e.InputClosure(), e.OutputAssert()
-	amt := e.CompleteForward(1 * clock.Ns)
+	odz := -2 * clock.Ns // below Odc = 0
+	closure := func(odz clock.Time) clock.Time { return e.IdealClose + e.InputOffsetAt(odz) }
+	c0, a0 := closure(odz), e.OutputAssertAt(odz)
+	odz, amt := e.CompleteForwardAt(odz, 1*clock.Ns)
 	if amt != 1*clock.Ns {
 		t.Fatalf("amt = %v", amt)
 	}
-	if e.InputClosure() != c0-amt || e.OutputAssert() != a0-amt {
+	if closure(odz) != c0-amt || e.OutputAssertAt(odz) != a0-amt {
 		t.Fatalf("terminals moved unequally: closure %v->%v assert %v->%v",
-			c0, e.InputClosure(), a0, e.OutputAssert())
+			c0, closure(odz), a0, e.OutputAssertAt(odz))
 	}
 }
 
@@ -435,17 +443,17 @@ func TestValidateErrorBranches(t *testing.T) {
 	}
 	e := mk()
 	e.Dsetup = -1
-	if e.Validate() == nil {
+	if e.ValidateAt(e.InitialOdz()) == nil {
 		t.Fatal("negative Dsetup accepted")
 	}
 	e = mk()
 	e.CtrlMax, e.CtrlMin = 5, 10
-	if e.Validate() == nil {
+	if e.ValidateAt(e.InitialOdz()) == nil {
 		t.Fatal("ctrlMax < ctrlMin accepted")
 	}
 	e = mk()
 	e.CtrlMin = -1
-	if e.Validate() == nil {
+	if e.ValidateAt(e.InitialOdz()) == nil {
 		t.Fatal("negative ctrlMin accepted")
 	}
 	// Edge-triggered with nonzero Odz.
@@ -453,8 +461,7 @@ func TestValidateErrorBranches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff[0].Odz = 5
-	if ff[0].Validate() == nil {
+	if ff[0].ValidateAt(5) == nil {
 		t.Fatal("FF with nonzero Odz accepted")
 	}
 	// Port elements validate trivially.
@@ -462,10 +469,10 @@ func TestValidateErrorBranches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ports[0].Validate(); err != nil {
+	if err := ports[0].ValidateAt(ports[0].InitialOdz()); err != nil {
 		t.Fatal(err)
 	}
-	if ports[0].InputOffset() != -100 || ports[0].OutputOffset() != -100 {
+	if ports[0].InputOffsetAt(0) != -100 || ports[0].OutputOffsetAt(0) != -100 {
 		t.Fatal("port offsets not pinned")
 	}
 }

@@ -1,11 +1,12 @@
 // Metrics federation: the router scrapes each member's /metrics.json
 // snapshot and re-exposes the fleet as one Prometheus exposition.
 // Counters and gauges merge by sum; timers merge bucket-wise — every
-// process shares the fixed histogram geometry (TimerBounds), so the
-// merge is element-wise addition and the merged percentiles are exactly
-// what a single process observing the union would have reported. The
-// federated exposition preserves per-member series under a replica
-// label and adds hb_fleet_* rollup families for the merged values.
+// process shares the fixed histogram geometry (timerMinShift and
+// timerBuckets), so the merge is element-wise addition and the merged
+// percentiles are exactly what a single process observing the union
+// would have reported. The federated exposition preserves per-member
+// series under a replica label and adds hb_fleet_* rollup families for
+// the merged values.
 package telemetry
 
 import (

@@ -149,17 +149,6 @@ func (t *Trace) SetRemoteParent(spanID string) {
 	t.mu.Unlock()
 }
 
-// RemoteParent returns the remote parent span id ("" for a root
-// fragment).
-func (t *Trace) RemoteParent() string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.parent
-}
-
 // NewContext returns a context carrying the trace, with the root span
 // current: Start calls on the returned context create children of the
 // root.
@@ -178,10 +167,6 @@ func FromContext(ctx context.Context) *Trace {
 	}
 	return nil
 }
-
-// Active reports whether ctx carries a trace — for callers that want to
-// gate clock reads or other span-only work.
-func Active(ctx context.Context) bool { return FromContext(ctx) != nil }
 
 // Start opens a child span of ctx's current span and returns a context
 // in which the child is current. Without a trace (or with a nil ctx) it
@@ -211,14 +196,6 @@ func Current(ctx context.Context) *Span {
 	}
 	sp, _ := ctx.Value(ctxKey{}).(*Span)
 	return sp
-}
-
-// ID returns the span's per-trace id ("1" for the root); nil-safe.
-func (s *Span) ID() string {
-	if s == nil {
-		return ""
-	}
-	return strconv.FormatInt(s.id, 10)
 }
 
 // Inject stamps outbound request headers with ctx's trace id and
@@ -309,14 +286,6 @@ func (t *Trace) endLocked(s *Span) {
 		s.ended = true
 		s.dur = time.Since(s.start)
 	}
-}
-
-// Duration returns the root span's duration (zero until Finish or the
-// root's End).
-func (t *Trace) Duration() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root.dur
 }
 
 // Node is the exported form of one span: offsets are nanoseconds since
@@ -629,14 +598,4 @@ func (r *Ring) Get(id string) *Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.byID[id]
-}
-
-// Len reports how many traces the ring currently retains.
-func (r *Ring) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.order)
 }

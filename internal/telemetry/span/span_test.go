@@ -56,8 +56,8 @@ func TestNestingAndExport(t *testing.T) {
 	if fsync.Attr("bytes") != "128" || fsync.Attr("none") != "" {
 		t.Fatalf("Attr reads %q and %q", fsync.Attr("bytes"), fsync.Attr("none"))
 	}
-	if fsync.ID() != "4" || jr.Children[0].SpanID != "4" {
-		t.Fatalf("fsync span id %q, exported %q, want 4", fsync.ID(), jr.Children[0].SpanID)
+	if fsync.id != 4 || jr.Children[0].SpanID != "4" {
+		t.Fatalf("fsync span id %d, exported %q, want 4", fsync.id, jr.Children[0].SpanID)
 	}
 
 	// Child durations must fit inside their parent's interval.
@@ -108,7 +108,7 @@ func TestNilSafety(t *testing.T) {
 	if tr := FromContext(nil); tr != nil {
 		t.Fatal("nil ctx produced a trace")
 	}
-	if Active(nil) {
+	if FromContext(nil) != nil {
 		t.Fatal("nil ctx active")
 	}
 	if c, sp := Start(nil, "x"); c != nil || sp != nil {
@@ -123,7 +123,7 @@ func TestNilSafety(t *testing.T) {
 	if c2 != ctx || sp != nil {
 		t.Fatal("Start without trace changed the context")
 	}
-	if Active(ctx) {
+	if FromContext(ctx) != nil {
 		t.Fatal("traceless ctx active")
 	}
 }

@@ -12,17 +12,13 @@ import (
 func TestSpanIDsAndInject(t *testing.T) {
 	tr := New("tid-1", "op")
 	ctx := NewContext(context.Background(), tr)
-	if got := tr.Root().ID(); got != "1" {
-		t.Fatalf("root span id = %q, want 1", got)
+	if got := tr.Root().id; got != 1 {
+		t.Fatalf("root span id = %d, want 1", got)
 	}
 	c1, a := Start(ctx, "a")
 	_, b := Start(c1, "b")
-	if a.ID() != "2" || b.ID() != "3" {
-		t.Fatalf("span ids = %q, %q, want 2, 3", a.ID(), b.ID())
-	}
-	var nilSpan *Span
-	if nilSpan.ID() != "" {
-		t.Fatal("nil span has an id")
+	if a.id != 2 || b.id != 3 {
+		t.Fatalf("span ids = %d, %d, want 2, 3", a.id, b.id)
 	}
 
 	h := http.Header{}
@@ -49,9 +45,6 @@ func TestExportCarriesStitchMetadata(t *testing.T) {
 	}
 	if e.Root.Process != "r1" || e.Root.SpanID != "1" {
 		t.Fatalf("root node metadata: %+v", e.Root)
-	}
-	if tr.RemoteParent() != "5" {
-		t.Fatalf("RemoteParent = %q", tr.RemoteParent())
 	}
 }
 
@@ -162,23 +155,23 @@ func TestRingRetainsAndEvicts(t *testing.T) {
 	t1, t2, t3 := New("a", "op"), New("b", "op"), New("c", "op")
 	r.Add(t1)
 	r.Add(t2)
-	if r.Get("a") != t1 || r.Get("b") != t2 || r.Len() != 2 {
+	if r.Get("a") != t1 || r.Get("b") != t2 || len(r.order) != 2 {
 		t.Fatal("ring lost fresh traces")
 	}
 	r.Add(t3) // evicts "a"
-	if r.Get("a") != nil || r.Get("c") != t3 || r.Len() != 2 {
-		t.Fatalf("eviction wrong: a=%v c=%v len=%d", r.Get("a"), r.Get("c"), r.Len())
+	if r.Get("a") != nil || r.Get("c") != t3 || len(r.order) != 2 {
+		t.Fatalf("eviction wrong: a=%v c=%v len=%d", r.Get("a"), r.Get("c"), len(r.order))
 	}
 	// Re-adding an id replaces in place without eviction.
 	t2b := New("b", "op2")
 	r.Add(t2b)
-	if r.Get("b") != t2b || r.Len() != 2 {
+	if r.Get("b") != t2b || len(r.order) != 2 {
 		t.Fatal("re-add did not replace in place")
 	}
 	// Nil safety.
 	var nilRing *Ring
 	nilRing.Add(t1)
-	if nilRing.Get("a") != nil || nilRing.Len() != 0 {
+	if nilRing.Get("a") != nil {
 		t.Fatal("nil ring misbehaved")
 	}
 	r.Add(nil)

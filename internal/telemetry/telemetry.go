@@ -85,9 +85,6 @@ func (c *Counter) Add(n int64) {
 // Inc is Add(1).
 func (c *Counter) Inc() { c.Add(1) }
 
-// Load returns the accumulated count.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
 // NewGaugeFunc registers a callback gauge: fn is evaluated at snapshot
 // and exposition time and must be cheap, non-blocking and must not call
 // back into this package (the registry lock is not held during the
@@ -135,17 +132,6 @@ const (
 	timerMinShift = 10 // first upper bound: 2^10 ns ≈ 1µs
 	timerBuckets  = 24 // finite buckets; bounds up to 2^33 ns ≈ 8.6s
 )
-
-// TimerBounds returns the fixed bucket upper bounds in nanoseconds
-// (exclusive of the implicit +Inf bucket). The slice is freshly
-// allocated.
-func TimerBounds() []int64 {
-	b := make([]int64, timerBuckets)
-	for i := range b {
-		b[i] = 1 << (timerMinShift + i)
-	}
-	return b
-}
 
 // bucketIndex maps a duration in nanoseconds to its bucket: the
 // smallest i with ns <= 2^(timerMinShift+i), or timerBuckets (the +Inf
@@ -241,7 +227,7 @@ func percentile(counts [timerBuckets + 1]int64, count int64, q float64) int64 {
 // percentiles are histogram estimates (linear interpolation within the
 // fixed buckets), deterministic for a given sequence of observations.
 // Buckets holds the per-bucket (non-cumulative) counts — timerBuckets
-// finite cells in TimerBounds order plus one +Inf cell — which is what
+// finite cells in bucket-bound order plus one +Inf cell — which is what
 // makes snapshots from different processes mergeable bucket-wise
 // (MergeMetrics): the geometry is fixed, so merge is element-wise
 // addition.

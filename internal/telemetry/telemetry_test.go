@@ -15,15 +15,15 @@ func TestCounterAndTimerRespectEnable(t *testing.T) {
 	Disable()
 	c.Inc()
 	tm.Observe(time.Millisecond)
-	if c.Load() != 0 {
-		t.Fatalf("disabled counter advanced: %d", c.Load())
+	if c.v.Load() != 0 {
+		t.Fatalf("disabled counter advanced: %d", c.v.Load())
 	}
 	Enable()
 	defer Disable()
 	c.Add(3)
 	tm.Observe(2 * time.Millisecond)
-	if c.Load() != 3 {
-		t.Fatalf("counter = %d, want 3", c.Load())
+	if c.v.Load() != 3 {
+		t.Fatalf("counter = %d, want 3", c.v.Load())
 	}
 	m := Snapshot()
 	if m.Counters["test.counter"] != 3 {
@@ -37,7 +37,7 @@ func TestCounterAndTimerRespectEnable(t *testing.T) {
 		t.Fatal("snapshot not marked enabled")
 	}
 	Reset()
-	if c.Load() != 0 || Snapshot().Timers["test.timer"].Count != 0 {
+	if c.v.Load() != 0 || Snapshot().Timers["test.timer"].Count != 0 {
 		t.Fatal("reset did not zero instruments")
 	}
 }
@@ -261,7 +261,7 @@ func TestConcurrentSnapshotIncObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Load(); got != 2000 {
+	if got := c.v.Load(); got != 2000 {
 		t.Fatalf("counter = %d, want 2000", got)
 	}
 	if ts := Snapshot().Timers["test.conc.timer"]; ts.Count != 2000 {
